@@ -42,6 +42,10 @@ SYSTEM_PREAMBLE = (
 
 @dataclass(frozen=True)
 class CandidatePair:
+    """One question for the chat model. The context comes from the section
+    at `section_index` in the page's `walk_sections()` order; the match is
+    word `match_word_index` of that section's flattened text."""
+
     candidate_id: str
     site_id: str
     page_url: str
@@ -51,8 +55,8 @@ class CandidatePair:
     head_semantic_types: frozenset[str]
     tail_title: str
     section_path: str
+    section_index: int
     match_word_index: int
-    section_text: str
 
     def to_dict(self) -> dict:
         d = self.__dict__.copy()

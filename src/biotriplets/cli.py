@@ -2,9 +2,10 @@
 
 Stages exchange JSONL files in the working directory so each can be rerun
 and diffed independently: preprocess -> documents.jsonl, match ->
-candidates.jsonl, extract -> triplets.jsonl + report, eval -> metrics and
-agreement outputs. mock-serve hosts the deterministic chat/embedding
-servers used by the test suite.
+candidates.jsonl (pointing at sections of documents.jsonl, so match is
+rerun after preprocess), extract -> triplets.jsonl + report, eval ->
+metrics and agreement outputs. mock-serve hosts the deterministic
+chat/embedding servers used by the test suite.
 
 Exit codes: 0 success, 1 partial failure, 2 configuration error.
 """
@@ -86,7 +87,13 @@ def cmd_match(args) -> int:
 
 def cmd_extract(args) -> int:
     cfg = _load_cfg(args)
+    for name in ("candidates.jsonl", "documents.jsonl"):
+        if not (cfg.workdir / name).exists():
+            print(f"error: {cfg.workdir / name} not found; rerun preprocess and match",
+                  file=sys.stderr)
+            return EXIT_CONFIG
     candidates = pipeline.read_candidates(cfg.workdir / "candidates.jsonl")
+    documents = docmodel.read_documents(cfg.workdir / "documents.jsonl")
     exemplars = classifier.load_exemplars(cfg.exemplars_path)
     try:
         chat = cfg.chat_endpoint()
@@ -97,6 +104,7 @@ def cmd_extract(args) -> int:
     try:
         result = pipeline.run_extraction(
             candidates,
+            documents,
             chat,
             embedder,
             cfg.retrieval,
@@ -123,7 +131,7 @@ def cmd_extract(args) -> int:
     print(text)
     print(f"{len(deduped)} triplets ({duplicates} cross-site duplicates removed), "
           f"{len(result.malformed)} malformed, "
-          f"{result.requests_issued} requests this run")
+          f"{result.classified} candidates classified this run")
     return EXIT_OK
 
 
@@ -206,7 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("preprocess", help="HTML files -> documents.jsonl")
     sub.add_parser("match", help="documents.jsonl -> candidates.jsonl")
 
-    p_extract = sub.add_parser("extract", help="candidates.jsonl -> triplets.jsonl + report")
+    p_extract = sub.add_parser(
+        "extract", help="candidates.jsonl + documents.jsonl -> triplets.jsonl + report")
     p_extract.add_argument("--limit", type=int, default=None,
                            help="process at most N pending candidates this run")
     p_extract.add_argument("--deterministic", action="store_true",

@@ -92,3 +92,7 @@ class EmptyMatrix(BiotripletsError):
 
 class ConfigError(BiotripletsError):
     pass
+
+
+class StaleCandidates(ConfigError):
+    """candidates.jsonl does not fit documents.jsonl: match must be rerun."""

@@ -131,6 +131,7 @@ def _make_handler(script: MockScript, log: RequestLog, kinds: set[str]):
                     "model": request.get("model", ""),
                     "status": status,
                     "n_inputs": len(inputs),
+                    "inputs": inputs,
                 })
                 if status != 200:
                     self._send_json(status, {"error": f"scripted {status}"})
@@ -160,7 +161,10 @@ class MockServer:
         self.log = RequestLog(log_path)
         handler = _make_handler(self.script, self.log, set(kinds))
         self.httpd = ThreadingHTTPServer(("127.0.0.1", port), handler)
-        self.thread = threading.Thread(target=self.httpd.serve_forever, daemon=True)
+        # a short poll keeps stop() quick; the default waits up to 0.5 s
+        self.thread = threading.Thread(
+            target=self.httpd.serve_forever, kwargs={"poll_interval": 0.02}, daemon=True
+        )
 
     @property
     def base_url(self) -> str:

@@ -1,8 +1,10 @@
 """End-to-end orchestration: candidates, classification fan-out, triplets.
 
-Candidates are one per (head concept, relation, page); classification
-progress is journaled to an append-only JSONL file keyed by candidate id,
-so an interrupted run resumes without re-querying finished candidates.
+Candidates are one per (head concept, relation, page) and point at their
+section in documents.jsonl; the pending candidates of one section share a
+single embedding call. Classification progress is journaled to an
+append-only JSONL file keyed by candidate id, so an interrupted run
+resumes without re-querying finished candidates.
 """
 
 from __future__ import annotations
@@ -10,17 +12,23 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
+import re
 import threading
+from bisect import bisect_left
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional
 
+import numpy as np
+
 from .classifier import CandidatePair, ChatEndpoint, ExemplarSet, Judgment, classify
-from .docmodel import WebDocument, flatten_section_text, section_path
-from .errors import EndpointUnavailable
+from .docmodel import Section, WebDocument, flatten_section_text, section_path
+from .errors import MatchOutOfRange, StaleCandidates
 from .matcher import MatcherAutomaton, match_terms, semantic_filter
 from .retrieval import (
+    Chunk,
     EmbeddingEndpoint,
     RetrievalConfig,
     build_query,
@@ -74,6 +82,24 @@ def candidate_id(site_id: str, page_url: str, relation: str, concept_id: str) ->
     return hashlib.sha1(key.encode("utf-8")).hexdigest()[:16]
 
 
+_TOKEN = re.compile(r"\S+")
+
+
+def token_starts(text: str) -> list[int]:
+    """Offsets at which the whitespace-separated tokens of `text` begin."""
+    return [m.start() for m in _TOKEN.finditer(text)]
+
+
+def word_index(text: str, starts: list[int], offset: int) -> int:
+    """Index of the whitespace token of `text` that contains `offset`, given
+    `token_starts(text)`: `len(text[:offset].split())`, less one when the
+    offset falls inside a token."""
+    index = bisect_left(starts, offset)
+    if offset > 0 and not text[offset - 1].isspace():
+        index -= 1
+    return index
+
+
 def enumerate_candidates(
     docs: Iterable[WebDocument],
     automaton: MatcherAutomaton,
@@ -84,27 +110,20 @@ def enumerate_candidates(
     candidates = []
     seen: set[tuple[str, str, str]] = set()
     for doc in docs:
-        for section in doc.walk_sections():
+        for section_index, section in enumerate(doc.walk_sections()):
             if not section.text:
                 continue
             path = section_path(doc, section)
             matches = match_terms(automaton, section.text, section_ref=path)
             if not matches:
                 continue
-            flat = flatten_section_text(section)
+            starts = token_starts(section.text)
             for relation in relations:
                 for match in semantic_filter(matches, relation):
                     key = (doc.page_url, relation.id, match.concept_id)
                     if key in seen:
                         continue
                     seen.add(key)
-                    # index of the whitespace token containing the match
-                    # start; the flattened section text begins with the
-                    # section's own text, so indexes carry over
-                    start = match.span[0]
-                    word_index = len(section.text[:start].split())
-                    if start > 0 and not section.text[start - 1].isspace():
-                        word_index -= 1
                     candidates.append(
                         CandidatePair(
                             candidate_id=candidate_id(
@@ -118,8 +137,12 @@ def enumerate_candidates(
                             head_semantic_types=match.semantic_types,
                             tail_title=doc.main_title,
                             section_path=path,
-                            match_word_index=word_index,
-                            section_text=flat,
+                            section_index=section_index,
+                            # the flattened section text begins with the
+                            # section's own text, so indexes carry over
+                            match_word_index=word_index(
+                                section.text, starts, match.span[0]
+                            ),
                         )
                     )
     return candidates
@@ -134,10 +157,17 @@ def write_candidates(candidates: Iterable[CandidatePair], path: str | Path) -> N
 def read_candidates(path: str | Path) -> list[CandidatePair]:
     out = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, 1):
             line = line.strip()
-            if line:
+            if not line:
+                continue
+            try:
                 out.append(CandidatePair.from_dict(json.loads(line)))
+            except (ValueError, TypeError, KeyError) as exc:
+                raise StaleCandidates(
+                    f"{path} line {line_no} is not a current candidate record "
+                    f"({exc}); rerun match"
+                ) from None
     return out
 
 
@@ -182,7 +212,7 @@ class ExtractionResult:
     triplets: list[RelationTriplet]
     report: ExtractionReport
     malformed: list[dict]
-    requests_issued: int
+    classified: int  # candidates classified by this run
 
 
 class Journal:
@@ -191,11 +221,12 @@ class Journal:
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._lock = threading.Lock()
+        self._tail_checked = False
 
     def load(self) -> dict[str, dict]:
         done = {}
         if self.path.exists():
-            with open(self.path, encoding="utf-8") as fh:
+            with open(self.path, "rb") as fh:
                 for line in fh:
                     line = line.strip()
                     if not line:
@@ -208,32 +239,141 @@ class Journal:
         return done
 
     def append(self, record: dict) -> None:
+        data = (json.dumps(record, ensure_ascii=False) + "\n").encode("utf-8")
         with self._lock:
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+            with open(self.path, "a+b") as fh:
+                if not self._tail_checked:
+                    self._tail_checked = True
+                    _end_torn_line(fh)
+                fh.write(data)
                 fh.flush()
+
+
+def _end_torn_line(fh) -> None:
+    """A killed run can leave a last line without its newline. End it, so
+    the next record starts a line of its own: a torn record then fails to
+    parse alone, and a record that lost only its newline still loads."""
+    size = fh.seek(0, os.SEEK_END)
+    if size:
+        fh.seek(size - 1)
+        if fh.read(1) != b"\n":
+            fh.write(b"\n")
+
+
+class SectionVectors:
+    """Chunks and embeddings shared by the pending candidates of one section.
+
+    The first candidate to ask chunks the section for every candidate,
+    collects the distinct query and chunk texts in first-seen order and
+    embeds them in one `embed` call; the others wait for it and take their
+    share. A failed embedding is raised to every candidate of the section.
+    The vectors are dropped once the last candidate has taken its share.
+    """
+
+    def __init__(self, section: Section, candidates: list[CandidatePair]):
+        self.section = section
+        self.candidates = candidates
+        self._lock = threading.Lock()
+        self._remaining = len(candidates)
+        self._chunks: Optional[dict[str, list[Chunk]]] = None
+        self._vectors: dict[str, np.ndarray] = {}
+        self._error: Optional[BaseException] = None
+
+    def _embed(self, embedder: EmbeddingEndpoint, cfg: RetrievalConfig) -> None:
+        flat = flatten_section_text(self.section)
+        chunks: dict[str, list[Chunk]] = {}
+        texts: dict[str, None] = {}
+        for c in self.candidates:
+            try:
+                chunks[c.candidate_id] = chunk_for_candidate(flat, c.match_word_index, cfg)
+            except MatchOutOfRange as exc:
+                raise StaleCandidates(
+                    f"candidate {c.candidate_id}: {exc} in {c.section_path!r}; rerun match"
+                ) from None
+            texts[build_query(c.head_surface, c.relation, c.tail_title)] = None
+            texts.update(dict.fromkeys(chunk.text for chunk in chunks[c.candidate_id]))
+        self._vectors = dict(zip(texts, embedder.embed(list(texts))))
+        self._chunks = chunks
+
+    def take(
+        self,
+        candidate: CandidatePair,
+        embedder: EmbeddingEndpoint,
+        cfg: RetrievalConfig,
+    ) -> tuple[np.ndarray, list[tuple[Chunk, np.ndarray]]]:
+        """The candidate's query vector and its (chunk, vector) pairs."""
+        with self._lock:
+            if self._error is not None:
+                raise self._error
+            if self._chunks is None:
+                try:
+                    self._embed(embedder, cfg)
+                except BaseException as exc:
+                    self._error = exc
+                    raise
+            chunks = self._chunks[candidate.candidate_id]
+            vectors = self._vectors
+            self._remaining -= 1
+            if self._remaining == 0:
+                self._chunks, self._vectors = {}, {}
+        query = build_query(candidate.head_surface, candidate.relation, candidate.tail_title)
+        return vectors[query], [(chunk, vectors[chunk.text]) for chunk in chunks]
+
+
+def _section_key(candidate: CandidatePair) -> tuple[str, str, int]:
+    return candidate.site_id, candidate.page_url, candidate.section_index
+
+
+def pending_sections(
+    pending: list[CandidatePair], documents: Iterable[WebDocument]
+) -> dict[tuple[str, str, int], SectionVectors]:
+    """Group pending candidates by the section they point at.
+
+    Raises StaleCandidates when a section is missing from the documents or
+    sits at another path than the candidate recorded.
+    """
+    groups: dict[tuple[str, str, int], list[CandidatePair]] = {}
+    for c in pending:
+        groups.setdefault(_section_key(c), []).append(c)
+    pages = {key[:2] for key in groups}
+    docs: dict[tuple[str, str], tuple[WebDocument, list[Section]]] = {}
+    for doc in documents:
+        key = (doc.site_id, doc.page_url)
+        if key in pages and key not in docs:
+            docs[key] = (doc, list(doc.walk_sections()))
+
+    out = {}
+    for key, members in groups.items():
+        doc, sections = docs.get(key[:2], (None, []))
+        index = key[2]
+        path = section_path(doc, sections[index]) if 0 <= index < len(sections) else None
+        for c in members:
+            if c.section_path != path:
+                raise StaleCandidates(
+                    f"candidate {c.candidate_id} points at section {index} "
+                    f"({c.section_path!r}) of {c.page_url}, which documents.jsonl "
+                    f"does not have; rerun match"
+                )
+        out[key] = SectionVectors(sections[index], members)
+    return out
 
 
 def _process_candidate(
     candidate: CandidatePair,
+    section: SectionVectors,
     chat: ChatEndpoint,
     embedder: EmbeddingEndpoint,
     retrieval_cfg: RetrievalConfig,
     exemplars: ExemplarSet,
 ) -> Judgment:
-    chunks = chunk_for_candidate(
-        candidate.section_text, candidate.match_word_index, retrieval_cfg
-    )
-    query = build_query(
-        candidate.head_surface, candidate.relation, candidate.tail_title
-    )
-    vectors = embedder.embed([query] + [c.text for c in chunks])
-    retrieved = retrieve_top_k(vectors[0], list(zip(chunks, vectors[1:])), retrieval_cfg)
+    query_vec, chunks = section.take(candidate, embedder, retrieval_cfg)
+    retrieved = retrieve_top_k(query_vec, chunks, retrieval_cfg)
     return classify(candidate, retrieved, chat, exemplars)
 
 
 def run_extraction(
     candidates: list[CandidatePair],
+    documents: Iterable[WebDocument],
     chat: ChatEndpoint,
     embedder: EmbeddingEndpoint,
     retrieval_cfg: RetrievalConfig,
@@ -246,24 +386,27 @@ def run_extraction(
 ) -> ExtractionResult:
     """Classify every candidate not already journaled, then aggregate.
 
-    `limit` caps how many pending candidates this run processes; the rest
-    stay pending for a later resume. Endpoint failure aborts with the
-    journal intact.
+    `documents` holds the sections the candidates point at; only those of
+    pending candidates are read. `limit` caps how many pending candidates
+    this run processes; the rest stay pending for a later resume. Endpoint
+    failure aborts with the journal intact.
     """
     journal = Journal(journal_path)
     done = journal.load()
     pending = [c for c in candidates if c.candidate_id not in done]
     if limit is not None:
         pending = pending[:limit]
+    sections = pending_sections(pending, documents)
 
-    requests_issued = 0
+    classified = 0
     abort: list[BaseException] = []
     lock = threading.Lock()
 
     def work(candidate: CandidatePair) -> None:
-        nonlocal requests_issued
+        nonlocal classified
         judgment = _process_candidate(
-            candidate, chat, embedder, retrieval_cfg, exemplars
+            candidate, sections[_section_key(candidate)],
+            chat, embedder, retrieval_cfg, exemplars,
         )
         record = {
             "candidate_id": candidate.candidate_id,
@@ -275,7 +418,7 @@ def run_extraction(
             record["latency_ms"] = judgment.latency_ms
         journal.append(record)
         with lock:
-            requests_issued += 1
+            classified += 1
 
     if pending:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -326,7 +469,7 @@ def run_extraction(
             cell.malformed += 1
             malformed.append({"candidate_id": candidate.candidate_id, **rec})
     report.pages = {site: len(urls) for site, urls in pages.items()}
-    return ExtractionResult(triplets, report, malformed, requests_issued)
+    return ExtractionResult(triplets, report, malformed, classified)
 
 
 # --------------------------------------------------------------------------
@@ -365,12 +508,18 @@ def render_report(report: ExtractionReport) -> tuple[str, dict]:
         return f"{counts.positives}({counts.positive_rate * 100:.1f}%)"
 
     sites = sorted({site for site, _ in report.cells} | set(report.pages))
+    empty = CellCounts()
+    cells = {
+        (site, relation): report.cells.get((site, relation), empty)
+        for site in sites
+        for relation in report.relations
+    }
     headers = ["Site", "Pages"] + [r.capitalize() for r in report.relations]
     rows = []
     for site in sites:
         row = [site, str(report.pages.get(site, 0))]
         for relation in report.relations:
-            row.append(cell_text(report.cells.get((site, relation), CellCounts())))
+            row.append(cell_text(cells[site, relation]))
         rows.append(row)
 
     widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
@@ -380,30 +529,34 @@ def render_report(report: ExtractionReport) -> tuple[str, dict]:
         lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
     text = "\n".join(lines)
 
+    def cell_dict(counts: CellCounts) -> dict:
+        return {
+            "candidates": counts.candidates,
+            "positives": counts.positives,
+            "negatives": counts.negatives,
+            "malformed": counts.malformed,
+            "positive_rate": counts.positive_rate,
+            "display": cell_text(counts),
+        }
+
+    totals = report.totals
     as_dict = {
         "relations": report.relations,
         "sites": {
             site: {
                 "pages": report.pages.get(site, 0),
                 "cells": {
-                    relation: {
-                        "candidates": report.cells.get((site, relation), CellCounts()).candidates,
-                        "positives": report.cells.get((site, relation), CellCounts()).positives,
-                        "negatives": report.cells.get((site, relation), CellCounts()).negatives,
-                        "malformed": report.cells.get((site, relation), CellCounts()).malformed,
-                        "positive_rate": report.cells.get((site, relation), CellCounts()).positive_rate,
-                        "display": cell_text(report.cells.get((site, relation), CellCounts())),
-                    }
+                    relation: cell_dict(cells[site, relation])
                     for relation in report.relations
                 },
             }
             for site in sites
         },
         "totals": {
-            "candidates": report.totals.candidates,
-            "positives": report.totals.positives,
-            "negatives": report.totals.negatives,
-            "malformed": report.totals.malformed,
+            "candidates": totals.candidates,
+            "positives": totals.positives,
+            "negatives": totals.negatives,
+            "malformed": totals.malformed,
         },
     }
     return text, as_dict

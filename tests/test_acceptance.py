@@ -18,6 +18,7 @@ from biotriplets import cli
 from biotriplets.classifier import parse_judgment
 from biotriplets.evaluation import ConfusionMatrix, cohen_kappa, metrics, round3
 from biotriplets.matcher import match_terms
+from biotriplets.docmodel import write_documents
 from biotriplets.pipeline import write_candidates
 from biotriplets.retrieval import (
     Chunk,
@@ -33,7 +34,7 @@ from conftest import (
 )
 from test_evaluation import MODEL_ROWS, brute_force_matrix
 from test_matcher import make_automaton, oracle_match
-from test_pipeline import make_candidates
+from test_pipeline import make_candidates, make_documents
 
 
 class Timer:
@@ -215,6 +216,7 @@ def test_criterion_8_resume_safety(tmp_path, mock_server):
         config = write_config(tmp_path, server.base_url)
         (tmp_path / "work").mkdir()
         write_candidates(make_candidates(20), tmp_path / "work" / "candidates.jsonl")
+        write_documents(make_documents(20), tmp_path / "work" / "documents.jsonl")
 
         def run_extract(*extra):
             return subprocess.run(

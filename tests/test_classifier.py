@@ -28,8 +28,8 @@ def make_candidate(**overrides):
         head_semantic_types=frozenset({"Chemical or Drug"}),
         tail_title="Plague",
         section_path="Plague > Treatment",
+        section_index=0,
         match_word_index=0,
-        section_text="streptomycin and doxycycline are options",
     )
     defaults.update(overrides)
     return CandidatePair(**defaults)

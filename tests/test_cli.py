@@ -70,7 +70,7 @@ class TestMatch:
         lines = (root / "work" / "candidates.jsonl").read_text().splitlines()
         assert lines
         c = json.loads(lines[0])
-        assert {"candidate_id", "relation", "head_surface", "section_text"} <= set(c)
+        assert {"candidate_id", "relation", "head_surface", "section_index"} <= set(c)
 
 
 class TestExtract:
@@ -106,6 +106,61 @@ class TestExtract:
         assert run(config, "extract", "--deterministic") == 0
         chat = [e for e in server.log.entries if e["kind"] == "chat"]
         assert len(chat) == total
+
+    def assert_rerun_match(self, config, server, capsys):
+        capsys.readouterr()
+        assert run(config, "extract", "--deterministic") == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert "rerun" in err and "match" in err and "Traceback" not in err
+        assert not server.log.entries, "no request before the inputs are checked"
+
+    def test_missing_documents(self, site, capsys):
+        root, config, server = site
+        run(config, "preprocess")
+        run(config, "match")
+        (root / "work" / "documents.jsonl").unlink()
+        self.assert_rerun_match(config, server, capsys)
+
+    def test_candidate_section_missing_from_documents(self, site, capsys):
+        root, config, server = site
+        run(config, "preprocess")
+        run(config, "match")
+        documents = root / "work" / "documents.jsonl"
+        docs = [json.loads(line) for line in documents.read_text().splitlines()]
+        docs[0]["sections"] = docs[0]["sections"][:1]
+        documents.write_text("".join(json.dumps(d) + "\n" for d in docs))
+        self.assert_rerun_match(config, server, capsys)
+
+    def test_section_text_shorter_than_match(self, site, capsys):
+        root, config, _ = site
+        run(config, "preprocess")
+        run(config, "match")
+        documents = root / "work" / "documents.jsonl"
+        docs = [json.loads(line) for line in documents.read_text().splitlines()]
+        for doc in docs:
+            for section in doc["sections"]:
+                section["text"] = "x"
+        documents.write_text("".join(json.dumps(d) + "\n" for d in docs))
+        capsys.readouterr()
+        assert run(config, "extract", "--deterministic") == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert "rerun match" in err
+
+    def test_candidates_in_old_format(self, site, capsys):
+        root, config, server = site
+        run(config, "preprocess")
+        run(config, "match")
+        path = root / "work" / "candidates.jsonl"
+        old = []
+        for line in path.read_text().splitlines():
+            c = json.loads(line)
+            del c["section_index"]
+            c["section_text"] = "copied section text"
+            old.append(json.dumps(c) + "\n")
+        path.write_text("".join(old))
+        self.assert_rerun_match(config, server, capsys)
 
 
 class TestEval:

@@ -1,22 +1,43 @@
 import json
+import random
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
 from biotriplets.classifier import CandidatePair, ChatEndpoint, load_exemplars
-from biotriplets.docmodel import SiteProfile, preprocess_html
+from biotriplets.docmodel import (
+    Section,
+    SiteProfile,
+    WebDocument,
+    flatten_section_text,
+    preprocess_html,
+)
 from biotriplets.errors import EndpointUnavailable
 from biotriplets.matcher import MatcherAutomaton, Thesaurus
 from biotriplets.pipeline import (
     CellCounts,
     ExtractionReport,
+    Journal,
     RelationTriplet,
+    SectionVectors,
     default_relations,
     dedupe_triplets,
     enumerate_candidates,
     render_report,
     run_extraction,
+    token_starts,
+    word_index,
 )
-from biotriplets.retrieval import EmbeddingEndpoint, RetrievalConfig
+from biotriplets.retrieval import (
+    EmbeddingEndpoint,
+    RetrievalConfig,
+    build_query,
+    chunk_for_candidate,
+)
 
 PROFILE = SiteProfile(site_id="s1")
 RELATIONS = default_relations()
@@ -68,8 +89,59 @@ class TestEnumerate:
         a = automaton_from([("blood culture", "C1", ["Laboratory Procedure"])])
         doc = doc_from("<h1>D</h1><h2>W</h2><p>order a blood culture today</p>")
         c = enumerate_candidates([doc], a, RELATIONS)[0]
-        words = c.section_text.split()
+        section = list(doc.walk_sections())[c.section_index]
+        words = flatten_section_text(section).split()
         assert words[c.match_word_index] == "blood"
+
+
+class TestWordIndex:
+    @staticmethod
+    def split_formula(text, offset):
+        index = len(text[:offset].split())
+        if offset > 0 and not text[offset - 1].isspace():
+            index -= 1
+        return index
+
+    def test_matches_split_formula(self):
+        rng = random.Random(4242)
+        alphabet = "ab-.é世" + " \t\n\u00a0\u2003\x1c"
+        inside = 0
+        for _ in range(3000):
+            text = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 40)))
+            starts = token_starts(text)
+            for offset in range(len(text)):
+                assert word_index(text, starts, offset) == self.split_formula(text, offset)
+                if offset and not text[offset].isspace() and not text[offset - 1].isspace():
+                    inside += 1
+        assert inside > 1000  # offsets in the middle of a token were covered
+
+
+class TestJournal:
+    RECORDS = [
+        {"candidate_id": "a", "answer": "Yes", "reason": "listed", "model_id": "m"},
+        {"candidate_id": "b", "answer": "No", "reason": "fièvre 世界", "model_id": "m"},
+        {"candidate_id": "c", "answer": "Yes", "reason": "named", "model_id": "m"},
+    ]
+
+    def test_append_after_torn_tail_at_every_byte(self, tmp_path):
+        a, b, c = self.RECORDS
+        line_a, line_b = ((json.dumps(r, ensure_ascii=False) + "\n").encode("utf-8")
+                          for r in (a, b))
+        for cut in range(len(line_b) + 1):
+            path = tmp_path / f"journal{cut}.jsonl"
+            path.write_bytes(line_a + line_b[:cut])
+            Journal(path).append(c)
+            loaded = Journal(path).load()
+            # b survives only when no more than its newline was lost
+            expected = {"a", "c"} | ({"b"} if cut >= len(line_b) - 1 else set())
+            assert set(loaded) == expected, cut
+            assert loaded["a"] == a and loaded["c"] == c
+
+    def test_append_creates_file(self, tmp_path):
+        journal = Journal(tmp_path / "j.jsonl")
+        for record in self.RECORDS:
+            journal.append(record)
+        assert list(journal.load()) == ["a", "b", "c"]
 
 
 def make_candidates(count, relation="treatment", site_id="s1"):
@@ -85,8 +157,21 @@ def make_candidates(count, relation="treatment", site_id="s1"):
             head_semantic_types=frozenset({"Chemical or Drug"}),
             tail_title="Disease",
             section_path="Disease > Treatment",
+            section_index=0,
             match_word_index=1,
-            section_text=f"take {names[i]} twice daily",
+        )
+        for i in range(count)
+    ]
+
+
+def make_documents(count, site_id="s1"):
+    """The pages `make_candidates(count)` point at: one section each."""
+    return [
+        WebDocument(
+            site_id=site_id,
+            page_url=f"https://x/{i}",
+            main_title="Disease",
+            sections=[Section("Treatment", 2, f"take drugname{i} twice daily")],
         )
         for i in range(count)
     ]
@@ -99,11 +184,187 @@ def endpoints(server):
     return chat, embed
 
 
-class TestRunExtraction:
-    def run(self, candidates, server, journal, **kw):
+DRUGS = ["streptomycin", "doxycycline", "gentamicin", "ciprofloxacin", "dialysis",
+         "chloramphenicol", "transfusion"]
+
+
+def long_section_site():
+    """One page: a long section (well over the 512-word anchor) naming five
+    drugs at different places, then a short one naming the other two."""
+    a = automaton_from([(name, f"C{i}", ["Chemical or Drug"])
+                        for i, name in enumerate(DRUGS)])
+    rng = random.Random(9)
+    filler = ["the", "patient", "was", "given", "care", "after", "days", "of", "rest"]
+    words = [rng.choice(filler) for _ in range(1400)]
+    for k, name in enumerate(DRUGS[:5]):
+        words[100 + k * 280] = name
+    doc = doc_from(
+        "<h1>Plague</h1><h2>Treatment</h2><p>" + " ".join(words) + "</p>"
+        "<h2>Other</h2><p>more chloramphenicol or transfusion and streptomycin</p>"
+    )
+    return doc, enumerate_candidates([doc], a, RELATIONS)
+
+
+def section_texts(doc, candidates, cfg=RetrievalConfig()):
+    """Per section, in first-seen order: the distinct query and chunk
+    texts of the given candidates."""
+    sections = list(doc.walk_sections())
+    out = {}
+    for c in candidates:
+        flat = flatten_section_text(sections[c.section_index])
+        texts = out.setdefault(c.section_index, {})
+        texts[build_query(c.head_surface, c.relation, c.tail_title)] = None
+        texts.update(dict.fromkeys(
+            chunk.text for chunk in chunk_for_candidate(flat, c.match_word_index, cfg)
+        ))
+    return {index: list(texts) for index, texts in out.items()}
+
+
+def embed_requests(server):
+    return [e["inputs"] for e in server.log.entries if e["kind"] == "embed"]
+
+
+class TestSectionEmbedding:
+    def run(self, doc, candidates, server, journal, **kw):
         chat, embed = endpoints(server)
         return run_extraction(
-            candidates, chat, embed, RetrievalConfig(), load_exemplars(),
+            candidates, [doc], chat, embed, RetrievalConfig(), load_exemplars(),
+            journal_path=journal, workers=2, **kw,
+        )
+
+    def test_each_text_embedded_once_per_section(self, tmp_path, mock_server):
+        doc, candidates = long_section_site()
+        assert len({c.section_index for c in candidates}) == 2
+        assert sum(c.section_index == 0 for c in candidates) == 5
+        server = mock_server()
+        result = self.run(doc, candidates, server, tmp_path / "j.jsonl")
+        assert result.classified == len(candidates)
+        requests = embed_requests(server)
+        for inputs in requests:
+            assert len(inputs) == len(set(inputs)), "a text sent twice in one request"
+        # one request per section, carrying its distinct queries plus chunks
+        expected = section_texts(doc, candidates)
+        assert sorted(requests) == sorted(expected.values())
+        per_candidate = sum(
+            1 + len(section_texts(doc, [c])[c.section_index]) for c in candidates
+        )
+        assert sum(map(len, requests)) < per_candidate
+
+    def test_limit_embeds_only_classified_candidates(self, tmp_path, mock_server):
+        doc, candidates = long_section_site()
+        server = mock_server()
+        result = self.run(doc, candidates, server, tmp_path / "j.jsonl", limit=3)
+        assert result.classified == 3
+        expected = section_texts(doc, candidates[:3])
+        assert sorted(embed_requests(server)) == sorted(expected.values())
+
+    def test_failed_embedding_raised_to_every_waiting_candidate(self):
+        doc, candidates = long_section_site()
+        members = [c for c in candidates if c.section_index == 0]
+
+        class FailingEmbedder:
+            calls = 0
+
+            def embed(self, texts):
+                self.calls += 1
+                time.sleep(0.2)  # the section's other candidates queue meanwhile
+                raise EndpointUnavailable("embedding endpoint: HTTP 503")
+
+        embedder = FailingEmbedder()
+        section = SectionVectors(list(doc.walk_sections())[0], members)
+        errors = []
+
+        def take(candidate):
+            try:
+                section.take(candidate, embedder, RetrievalConfig())
+            except EndpointUnavailable as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=take, args=(c,)) for c in members]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+            assert not t.is_alive(), "a waiting candidate hangs"
+        assert len(errors) == len(members)
+        assert embedder.calls == 1
+
+    def test_concurrent_takers_share_one_embedding(self):
+        words = [f"w{i}" for i in range(1500)]
+        sections = [Section(f"S{k}", 2, " ".join(words)) for k in range(3)]
+        groups = [
+            SectionVectors(section, [
+                CandidatePair(
+                    candidate_id=f"c{k}-{i}", site_id="s1", page_url="https://x/p",
+                    relation="treatment", head_surface=f"drug{i}", head_concept_id=f"C{i}",
+                    head_semantic_types=frozenset({"Chemical or Drug"}),
+                    tail_title="Disease", section_path=f"Disease > S{k}",
+                    section_index=k, match_word_index=i * 37,
+                )
+                for i in range(40)
+            ])
+            for k, section in enumerate(sections)
+        ]
+
+        class CountingEmbedder:
+            def __init__(self):
+                self.calls = 0
+                self.lock = threading.Lock()
+
+            def embed(self, texts):
+                with self.lock:
+                    self.calls += 1
+                return [np.array([float(hash(t) % 1000), 1.0]) for t in texts]
+
+        embedder = CountingEmbedder()
+        tasks = [(group, c) for group in groups for c in group.candidates]
+        random.Random(3).shuffle(tasks)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=16) as pool:
+                futures = [pool.submit(group.take, c, embedder, RetrievalConfig())
+                           for group, c in tasks]
+                results = [f.result(timeout=30) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert embedder.calls == len(groups)
+        for (group, c), (query_vec, chunks) in zip(tasks, results):
+            query = build_query(c.head_surface, c.relation, c.tail_title)
+            assert query_vec[0] == hash(query) % 1000
+            assert [vec[0] for _, vec in chunks] == [hash(ch.text) % 1000 for ch, _ in chunks]
+            assert any(ch.is_anchor for ch, _ in chunks)
+        # every share was counted, so the vectors were released
+        assert all(not group._vectors for group in groups)
+
+    def test_failed_embedding_keeps_journal(self, tmp_path, mock_server):
+        doc, candidates = long_section_site()
+        journal = tmp_path / "j.jsonl"
+        server = mock_server({"default": {"answer": "Yes", "reason": "r"}})
+        self.run(doc, candidates, server, journal, limit=1)
+        before = journal.read_bytes()
+        server.script.statuses = [503] * 10
+        chat, embed = endpoints(server)
+        embed.max_retries = 0
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            future = pool.submit(
+                run_extraction, candidates, [doc], chat, embed, RetrievalConfig(),
+                load_exemplars(), journal_path=journal, workers=3,
+            )
+            with pytest.raises(EndpointUnavailable):
+                future.result(timeout=30)
+        assert journal.read_bytes() == before
+        chats = [e for e in server.log.entries if e["kind"] == "chat"]
+        assert len(chats) == 1
+
+
+class TestRunExtraction:
+    def run(self, candidates, server, journal, documents=None, **kw):
+        chat, embed = endpoints(server)
+        if documents is None:
+            documents = make_documents(len(candidates))
+        return run_extraction(
+            candidates, documents, chat, embed, RetrievalConfig(), load_exemplars(),
             journal_path=journal, relations=["manifestation", "diagnosis", "treatment"],
             workers=2, **kw,
         )
@@ -136,9 +397,9 @@ class TestRunExtraction:
         journal = tmp_path / "j.jsonl"
         candidates = make_candidates(4)
         first = self.run(candidates, server, journal, limit=2)
-        assert first.requests_issued == 2
+        assert first.classified == 2
         second = self.run(candidates, server, journal)
-        assert second.requests_issued == 2
+        assert second.classified == 2
         chat_requests = [e for e in server.log.entries if e["kind"] == "chat"]
         assert len(chat_requests) == 4
         assert len(second.triplets) == 4
@@ -155,13 +416,13 @@ class TestRunExtraction:
         embed.max_retries = 0
         with pytest.raises(EndpointUnavailable):
             run_extraction(
-                candidates, chat, embed, RetrievalConfig(), load_exemplars(),
-                journal_path=journal, workers=1,
+                candidates, make_documents(3), chat, embed, RetrievalConfig(),
+                load_exemplars(), journal_path=journal, workers=1,
             )
         done_before = len(journal.read_text().splitlines()) if journal.exists() else 0
         # resume finishes the rest without re-doing journaled work
         result = self.run(candidates, server, journal)
-        assert result.requests_issued == 3 - done_before
+        assert result.classified == 3 - done_before
 
     def test_triplet_provenance_complete(self, tmp_path, mock_server):
         server = mock_server({"default": {"answer": "Yes", "reason": "because"}})
