@@ -20,7 +20,14 @@ from pathlib import Path
 
 from . import classifier, docmodel, evaluation, matcher, pipeline
 from .config import Config, load_config
-from .errors import BiotripletsError, ConfigError, EndpointUnavailable
+from .errors import (
+    BiotripletsError,
+    ConfigError,
+    EmptyDictionary,
+    EndpointUnavailable,
+    FileUnreadable,
+    FormatError,
+)
 from .mockserver import MockScript, MockServer
 
 EXIT_OK = 0
@@ -69,12 +76,20 @@ def cmd_match(args) -> int:
     if cfg.thesaurus_path is None:
         print("error: no thesaurus configured (paths.thesaurus)", file=sys.stderr)
         return EXIT_CONFIG
-    thesaurus = matcher.load_thesaurus(cfg.thesaurus_path)
-    print(f"loaded {len(thesaurus)} surfaces "
-          f"({thesaurus.skipped_rows} rows skipped, "
-          f"{thesaurus.skipped_short} too short)")
-    automaton = matcher.MatcherAutomaton(thesaurus)
-    docs = docmodel.read_documents(cfg.workdir / "documents.jsonl")
+    documents_path = cfg.workdir / "documents.jsonl"
+    if not documents_path.exists():
+        print(f"error: {documents_path} not found; rerun preprocess", file=sys.stderr)
+        return EXIT_CONFIG
+    try:
+        thesaurus = matcher.load_thesaurus(cfg.thesaurus_path)
+        print(f"loaded {len(thesaurus)} surfaces "
+              f"({thesaurus.skipped_rows} rows skipped, "
+              f"{thesaurus.skipped_short} too short)")
+        automaton = matcher.MatcherAutomaton(thesaurus)
+    except (FileUnreadable, FormatError, EmptyDictionary) as exc:
+        print(f"error: thesaurus {cfg.thesaurus_path}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    docs = docmodel.read_documents(documents_path)
     candidates = pipeline.enumerate_candidates(docs, automaton, cfg.relations)
     out = cfg.workdir / "candidates.jsonl"
     pipeline.write_candidates(candidates, out)
@@ -219,7 +234,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_extract.add_argument("--limit", type=int, default=None,
                            help="process at most N pending candidates this run")
     p_extract.add_argument("--deterministic", action="store_true",
-                           help="omit timing fields for byte-stable outputs")
+                           help="omit timing fields: runs against a deterministic "
+                                "endpoint write byte-identical triplets.jsonl, "
+                                "report.txt, report.json and malformed.jsonl; "
+                                "journal.jsonl holds the same records in "
+                                "completion order")
 
     p_eval = sub.add_parser("eval", help="benchmark JSONL -> metrics + agreement")
     p_eval.add_argument("benchmark", help="benchmark JSONL file")

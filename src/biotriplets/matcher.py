@@ -1,23 +1,23 @@
-"""Thesaurus loading and Aho-Corasick maximum forward matching.
+"""Thesaurus loading and maximum forward matching by hash lookup.
 
 The thesaurus is a 3-column TSV (surface, concept id, semicolon-joined
 semantic types). Surfaces are case-folded at load time; matching is
 case-insensitive and only starts/ends at word boundaries. At each
 boundary position the longest dictionary surface wins and scanning
-resumes after it (maximum forward matching).
+resumes after it (maximum forward matching). The candidate spans at a
+start are the word-boundary ends within the longest surface length; they
+are tried longest first against the folded-surface dict, so no automaton
+is built.
 """
 
 from __future__ import annotations
 
 import logging
-from collections import deque
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable
 
-import numpy as np
-
-from ._kernels import scan_forward
 from .errors import EmptyDictionary, FileUnreadable, FormatError, UnknownRelationType
 
 logger = logging.getLogger(__name__)
@@ -110,7 +110,7 @@ class TermMatch:
 
 
 class MatcherAutomaton:
-    """Compiled, immutable trie with failure links in flat numpy arrays.
+    """The folded thesaurus surfaces, indexed for longest-first lookup.
 
     Safe to share across threads: all state is read-only after build.
     """
@@ -119,140 +119,49 @@ class MatcherAutomaton:
         if not thesaurus.index:
             raise EmptyDictionary("cannot build a matcher from an empty thesaurus")
         self.index = dict(thesaurus.index)
-
-        # build dict-based trie first
-        children: list[dict[int, int]] = [{}]
-        word_len: list[int] = [0]
-        char_ids: dict[str, int] = {}
-
-        for surface in self.index:
-            node = 0
-            for ch in surface:
-                cid = char_ids.setdefault(ch, len(char_ids))
-                nxt = children[node].get(cid)
-                if nxt is None:
-                    nxt = len(children)
-                    children.append({})
-                    word_len.append(0)
-                    children[node][cid] = nxt
-                node = nxt
-            word_len[node] = len(surface)
-
-        num_nodes = len(children)
-        self.char_ids = char_ids
-        self.word_len = np.asarray(word_len, dtype=np.int32)
-
-        # CSR edge layout, per-node edges sorted by char id for binary search
-        counts = [len(c) for c in children]
-        self.edge_start = np.zeros(num_nodes + 1, dtype=np.int32)
-        np.cumsum(counts, out=self.edge_start[1:])
-        total = int(self.edge_start[-1])
-        self.edge_char = np.empty(total, dtype=np.int32)
-        self.edge_dest = np.empty(total, dtype=np.int32)
-        for node, edges in enumerate(children):
-            base = int(self.edge_start[node])
-            for k, (cid, dest) in enumerate(sorted(edges.items())):
-                self.edge_char[base + k] = cid
-                self.edge_dest[base + k] = dest
-
-        # failure and output links via BFS
-        self.fail = np.zeros(num_nodes, dtype=np.int32)
-        self.out_link = np.full(num_nodes, -1, dtype=np.int32)
-        queue = deque()
-        for cid, dest in children[0].items():
-            self.fail[dest] = 0
-            queue.append(dest)
-        while queue:
-            node = queue.popleft()
-            f = int(self.fail[node])
-            self.out_link[node] = f if self.word_len[f] > 0 else self.out_link[f]
-            for cid, dest in children[node].items():
-                queue.append(dest)
-                # walk failures of `node` until one has a cid-edge
-                f = int(self.fail[node])
-                while True:
-                    nxt = children[f].get(cid)
-                    if nxt is not None and nxt != dest:
-                        self.fail[dest] = nxt
-                        break
-                    if f == 0:
-                        self.fail[dest] = 0
-                        break
-                    f = int(self.fail[f])
-
-        self._children = children  # kept for scan_all
-
-    # -- encoding -----------------------------------------------------------
-
-    def encode(self, text: str) -> tuple[np.ndarray, np.ndarray]:
-        folded = fold(text)
-        codes = np.fromiter(
-            (self.char_ids.get(ch, -1) for ch in folded),
-            dtype=np.int32,
-            count=len(folded),
-        )
-        is_word = np.fromiter(
-            (ch.isalnum() for ch in folded), dtype=np.bool_, count=len(folded)
-        )
-        return codes, is_word
-
-    # -- raw automaton scan (all occurrences, no boundary policy) -----------
-
-    def scan_all(self, text: str) -> list[tuple[int, int, str]]:
-        """Every dictionary occurrence as (start, end, surface), end-ordered."""
-        folded = fold(text)
-        hits = []
-        state = 0
-        for i, ch in enumerate(folded):
-            cid = self.char_ids.get(ch, -1)
-            while True:
-                nxt = self._children[state].get(cid) if cid >= 0 else None
-                if nxt is not None:
-                    state = nxt
-                    break
-                if state == 0:
-                    break
-                state = int(self.fail[state])
-            t = state if self.word_len[state] > 0 else int(self.out_link[state])
-            while t >= 0:
-                ln = int(self.word_len[t])
-                hits.append((i + 1 - ln, i + 1, folded[i + 1 - ln : i + 1]))
-                t = int(self.out_link[t])
-        return hits
+        self.lengths = frozenset(len(surface) for surface in self.index)
+        self.max_len = max(self.lengths)
 
 
 def match_terms(
     automaton: MatcherAutomaton, text: str, section_ref: str = ""
 ) -> list[TermMatch]:
     """Left-to-right, non-overlapping maximum forward matching."""
-    if not text:
-        return []
-    codes, is_word = automaton.encode(text)
-    n = len(codes)
-    out_starts = np.empty(n, dtype=np.int32)
-    out_lens = np.empty(n, dtype=np.int32)
-    count = scan_forward(
-        codes, is_word,
-        automaton.edge_start, automaton.edge_char, automaton.edge_dest,
-        automaton.fail, automaton.out_link, automaton.word_len,
-        out_starts, out_lens,
-    )
     folded = fold(text)
+    n = len(folded)
+    # a surface ends where the next character is not alphanumeric
+    ends = [i for i, ch in enumerate(folded) if not ch.isalnum()]
+    ends.append(n)
+    index, lengths, max_len = automaton.index, automaton.lengths, automaton.max_len
     matches = []
-    for k in range(count):
-        start = int(out_starts[k])
-        end = start + int(out_lens[k])
-        surface = folded[start:end]
-        entry = automaton.index[surface]
-        matches.append(
-            TermMatch(
-                surface=surface,
-                concept_id=entry.concept_id,
-                semantic_types=entry.semantic_types,
-                span=(start, end),
-                section_ref=section_ref,
-            )
-        )
+    p = 0
+    while p < n:
+        if p and folded[p - 1].isalnum():
+            # not a word start: move just past the next boundary
+            p = ends[bisect_left(ends, p)] + 1
+            continue
+        lo = bisect_right(ends, p)
+        hi = bisect_right(ends, p + max_len, lo)
+        for k in range(hi - 1, lo - 1, -1):
+            end = ends[k]
+            if end - p not in lengths:
+                continue
+            surface = folded[p:end]
+            entry = index.get(surface)
+            if entry is not None:
+                matches.append(
+                    TermMatch(
+                        surface=surface,
+                        concept_id=entry.concept_id,
+                        semantic_types=entry.semantic_types,
+                        span=(p, end),
+                        section_ref=section_ref,
+                    )
+                )
+                p = end
+                break
+        else:
+            p += 1
     return matches
 
 

@@ -72,6 +72,41 @@ class TestMatch:
         c = json.loads(lines[0])
         assert {"candidate_id", "relation", "head_surface", "section_index"} <= set(c)
 
+    def assert_config_error(self, root, config, capsys, *expected):
+        capsys.readouterr()
+        assert run(config, "match") == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert "Traceback" not in err
+        for text in expected:
+            assert text in err
+        assert not (root / "work" / "candidates.jsonl").exists()
+
+    def test_missing_thesaurus(self, site, capsys):
+        root, config, _ = site
+        run(config, "preprocess")
+        (root / "thesaurus.tsv").unlink()
+        self.assert_config_error(root, config, capsys, "thesaurus.tsv")
+
+    def test_thesaurus_row_with_two_columns(self, site, capsys):
+        root, config, _ = site
+        run(config, "preprocess")
+        write_thesaurus(root / "thesaurus.tsv", [("fever", "C1", "A")])
+        with open(root / "thesaurus.tsv", "a", encoding="utf-8") as fh:
+            fh.write("only two\tcolumns\n")
+        self.assert_config_error(root, config, capsys, "line 2")
+
+    def test_thesaurus_with_every_row_skipped(self, site, capsys):
+        root, config, _ = site
+        run(config, "preprocess")
+        write_thesaurus(root / "thesaurus.tsv", [("of", "C1", "A"), ("fever", "C2", " ")])
+        self.assert_config_error(root, config, capsys, "empty thesaurus")
+
+    def test_missing_documents(self, site, capsys):
+        root, config, _ = site
+        self.assert_config_error(root, config, capsys, "documents.jsonl",
+                                 "rerun preprocess")
+
 
 class TestExtract:
     def test_end_to_end(self, site):
@@ -106,6 +141,26 @@ class TestExtract:
         assert run(config, "extract", "--deterministic") == 0
         chat = [e for e in server.log.entries if e["kind"] == "chat"]
         assert len(chat) == total
+
+    def test_deterministic_runs_with_two_workers(self, tmp_path, mock_server):
+        works = []
+        for name in ("a", "b"):
+            root = tmp_path / name
+            server = mock_server(GOLDEN_CHAT_SCRIPT)
+            write_fixture_site(root)
+            write_thesaurus(root / "thesaurus.tsv")
+            config = write_config(root, server.base_url)
+            assert "workers = 2" in config.read_text()
+            for stage in ("preprocess", "match"):
+                assert run(config, stage) == 0
+            assert run(config, "extract", "--deterministic") == 0
+            works.append(root / "work")
+        work_a, work_b = works
+        for name in ("triplets.jsonl", "report.txt", "report.json", "malformed.jsonl"):
+            assert (work_a / name).read_bytes() == (work_b / name).read_bytes(), name
+        # journal records are appended in completion order: same set, any order
+        journals = [sorted((w / "journal.jsonl").read_text().splitlines()) for w in works]
+        assert journals[0] and journals[0] == journals[1]
 
     def assert_rerun_match(self, config, server, capsys):
         capsys.readouterr()
