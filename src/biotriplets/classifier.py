@@ -11,21 +11,23 @@ from __future__ import annotations
 
 import json
 import logging
-import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Optional
 
-import requests
-
-from .errors import EmptyContext, EndpointUnavailable, ExemplarConfigError
+from .endpoint import Endpoint
+from .errors import EmptyContext, ExemplarConfigError
 from .retrieval import Chunk, build_query
 
 logger = logging.getLogger(__name__)
 
 EXEMPLARS_PER_RELATION = 3
+
+# Sampling settings sent with every chat request.
+TEMPERATURE = 0.0
+MAX_TOKENS = 512
 
 SYSTEM_PREAMBLE = (
     "You are a careful biomedical relation classifier. The context below was "
@@ -198,82 +200,28 @@ def parse_judgment(raw: str, latency_ms: int = 0, model_id: str = "") -> Judgmen
     )
 
 
-class _RateLimiter:
-    """Simple requests-per-minute gate shared by worker threads."""
-
-    def __init__(self, per_minute: int):
-        self.interval = 60.0 / per_minute if per_minute > 0 else 0.0
-        self.lock = threading.Lock()
-        self.next_at = 0.0
-
-    def wait(self):
-        if self.interval <= 0:
-            return
-        with self.lock:
-            now = time.monotonic()
-            delay = self.next_at - now
-            self.next_at = max(now, self.next_at) + self.interval
-        if delay > 0:
-            time.sleep(delay)
+def _reply_content(body: dict) -> str:
+    content = body["choices"][0]["message"]["content"]
+    if not isinstance(content, str):
+        raise TypeError(f"message content is {type(content).__name__}, not str")
+    return content
 
 
 @dataclass
-class ChatEndpoint:
-    base_url: str
-    model: str
-    max_retries: int = 2
-    max_concurrency: int = 4
-    requests_per_minute: int = 0
+class ChatEndpoint(Endpoint):
     timeout: float = 120.0
-    api_key: str = ""
-    max_tokens: int = 512
-    temperature: float = 0.0
-    seed: Optional[int] = None
-    retry_backoff: float = 0.2
-
-    def __post_init__(self):
-        self._session = requests.Session()
-        self._semaphore = threading.BoundedSemaphore(self.max_concurrency)
-        self._limiter = _RateLimiter(self.requests_per_minute)
 
     def complete(self, messages: list[dict]) -> tuple[str, int]:
-        """Returns (reply text, latency ms). Retries transport/5xx/429 errors."""
+        """Returns (reply text, latency in ms counting any retries)."""
         payload = {
             "model": self.model,
             "messages": messages,
-            "temperature": self.temperature,
-            "max_tokens": self.max_tokens,
+            "temperature": TEMPERATURE,
+            "max_tokens": MAX_TOKENS,
         }
-        if self.seed is not None:
-            payload["seed"] = self.seed
-        headers = {}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        last_err = None
         started = time.monotonic()
-        for attempt in range(self.max_retries + 1):
-            if attempt:
-                time.sleep(self.retry_backoff * (2 ** (attempt - 1)))
-            self._limiter.wait()
-            with self._semaphore:
-                try:
-                    resp = self._session.post(
-                        f"{self.base_url.rstrip('/')}/v1/chat/completions",
-                        json=payload,
-                        headers=headers,
-                        timeout=self.timeout,
-                    )
-                except requests.RequestException as exc:
-                    last_err = exc
-                    continue
-            if resp.status_code >= 500 or resp.status_code == 429:
-                last_err = RuntimeError(f"HTTP {resp.status_code}")
-                continue
-            resp.raise_for_status()
-            content = resp.json()["choices"][0]["message"]["content"]
-            latency = int((time.monotonic() - started) * 1000)
-            return content, latency
-        raise EndpointUnavailable(f"chat endpoint: {last_err}")
+        content = self.post("/v1/chat/completions", payload, _reply_content)
+        return content, int((time.monotonic() - started) * 1000)
 
 
 def classify(

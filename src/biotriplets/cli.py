@@ -24,6 +24,7 @@ from .errors import (
     BiotripletsError,
     ConfigError,
     EmptyDictionary,
+    EndpointRejected,
     EndpointUnavailable,
     FileUnreadable,
     FormatError,
@@ -130,6 +131,9 @@ def cmd_extract(args) -> int:
             limit=args.limit,
             deterministic=args.deterministic,
         )
+    except EndpointRejected as exc:
+        print(f"error: {exc} (journal preserved)", file=sys.stderr)
+        return EXIT_PARTIAL
     except EndpointUnavailable as exc:
         print(f"error: {exc} (journal preserved, rerun to resume)", file=sys.stderr)
         return EXIT_PARTIAL

@@ -104,31 +104,23 @@ class Config:
         return self.sites.get(site_id, SiteProfile(site_id=site_id))
 
     def chat_endpoint(self) -> ChatEndpoint:
-        c = self.chat
-        if "base_url" not in c:
-            raise ConfigError("chat.base_url is not configured")
-        return ChatEndpoint(
-            base_url=c["base_url"],
-            model=c.get("model", "default"),
-            max_retries=c.get("max_retries", 2),
-            max_concurrency=c.get("max_concurrency", 4),
-            requests_per_minute=c.get("requests_per_minute", 0),
-            timeout=c.get("timeout", 120.0),
-            api_key=os.environ.get("CHAT_API_KEY", ""),
-        )
+        return _endpoint(ChatEndpoint, "chat", self.chat, "CHAT_API_KEY")
 
     def embedding_endpoint(self) -> EmbeddingEndpoint:
-        e = self.embedding
-        if "base_url" not in e:
-            raise ConfigError("embedding.base_url is not configured")
-        return EmbeddingEndpoint(
-            base_url=e["base_url"],
-            model=e.get("model", "default"),
-            batch_limit=e.get("batch_limit", 128),
-            max_retries=e.get("max_retries", 2),
-            timeout=e.get("timeout", 60.0),
-            api_key=os.environ.get("EMBED_API_KEY", ""),
-        )
+        return _endpoint(EmbeddingEndpoint, "embedding", self.embedding,
+                         "EMBED_API_KEY", "batch_limit")
+
+
+def _endpoint(cls, section: str, table: dict, key_variable: str, *keys: str):
+    """`cls` built from the `[section]` table; the API key comes from the
+    environment, and a key the table leaves out keeps the class default."""
+    if "base_url" not in table:
+        raise ConfigError(f"{section}.base_url is not configured")
+    return cls(
+        model=table.get("model", "default"),
+        api_key=os.environ.get(key_variable, ""),
+        **{k: table[k] for k in ("base_url", "max_retries", "timeout", *keys) if k in table},
+    )
 
 
 def load_config(path: str | Path) -> Config:
@@ -159,7 +151,6 @@ def load_config(path: str | Path) -> Config:
         cfg.sites[site_id] = SiteProfile(
             site_id=site_id,
             list_marker_style=raw.get("list_marker_style", "plain"),
-            subpage_kinds=list(raw.get("subpage_kinds", [])),
             strip_selectors=list(raw.get("strip_selectors", [])),
         )
 

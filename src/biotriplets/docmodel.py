@@ -16,7 +16,7 @@ from html.parser import HTMLParser
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
-from .errors import EmptyDocument, ParseFailure, SectionNotInDocument
+from .errors import ConfigError, EmptyDocument, ParseFailure, SectionNotInDocument
 
 MAX_SECTION_LEVEL = 4
 
@@ -103,7 +103,6 @@ class WebDocument:
 class SiteProfile:
     site_id: str
     list_marker_style: str = "plain"  # "numbered" | "plain"
-    subpage_kinds: list[str] = field(default_factory=list)
     strip_selectors: list[str] = field(default_factory=list)
 
     def __post_init__(self):
@@ -375,15 +374,36 @@ def flatten_section_text(section: Section) -> str:
 # File I/O.
 
 
+def read_jsonl(path, parse, what: str, action: str, error=ConfigError) -> list:
+    """`parse` of each non-blank JSON line of `path`. A line that is not
+    JSON, or that `parse` rejects with ValueError, KeyError or TypeError,
+    raises `error` naming the file, the line and the `action` to take."""
+    out = []
+    with open(path, "rb") as fh:
+        for line_no, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                out.append(parse(json.loads(line)))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise error(
+                    f"{path} line {line_no} is not {what} ({exc}); {action}"
+                ) from None
+    return out
+
+
+def _manifest_entry(entry) -> dict:
+    if not isinstance(entry, dict):
+        raise TypeError(f"expected a JSON object, got {type(entry).__name__}")
+    return entry
+
+
 def read_manifest(path: str | Path) -> list[dict]:
     """Manifest is JSON lines: {site_id, url, path}."""
-    entries = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                entries.append(json.loads(line))
-    return entries
+    try:
+        return read_jsonl(path, _manifest_entry, "a manifest entry", "fix the manifest")
+    except OSError as exc:
+        raise ConfigError(f"cannot read manifest: {exc}") from None
 
 
 def read_html_file(path: str | Path) -> str:
@@ -397,10 +417,4 @@ def write_documents(docs: Iterable[WebDocument], path: str | Path) -> None:
 
 
 def read_documents(path: str | Path) -> list[WebDocument]:
-    docs = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                docs.append(WebDocument.from_dict(json.loads(line)))
-    return docs
+    return read_jsonl(path, WebDocument.from_dict, "a document record", "rerun preprocess")

@@ -53,6 +53,11 @@ class EndpointUnavailable(BiotripletsError):
     """Remote endpoint still failing after the retry policy is exhausted."""
 
 
+class EndpointRejected(EndpointUnavailable):
+    """Remote endpoint refused a request (a 4xx other than 429) or sent a
+    reply that cannot be read; retrying the same request would not help."""
+
+
 class UnknownRelationType(BiotripletsError):
     pass
 

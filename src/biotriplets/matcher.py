@@ -76,27 +76,30 @@ def load_thesaurus(path: str | Path) -> Thesaurus:
     except OSError as exc:
         raise FileUnreadable(str(exc)) from exc
     with fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cols = line.split("\t")
-            if len(cols) != 3:
-                raise FormatError(line_no, f"expected 3 columns, got {len(cols)}")
-            surface, concept_id, types_field = (c.strip() for c in cols)
-            if not surface or not concept_id or not types_field:
-                thesaurus.skipped_rows += 1
-                continue
-            if len(surface) < MIN_SURFACE_LEN and not (
-                surface.isupper() and any(c.isalpha() for c in surface)
-            ):
-                thesaurus.skipped_short += 1
-                continue
-            types = {t.strip() for t in types_field.split(";") if t.strip()}
-            if not types:
-                thesaurus.skipped_rows += 1
-                continue
-            thesaurus.add(surface, concept_id, types)
+        try:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                cols = line.split("\t")
+                if len(cols) != 3:
+                    raise FormatError(line_no, f"expected 3 columns, got {len(cols)}")
+                surface, concept_id, types_field = (c.strip() for c in cols)
+                if not surface or not concept_id or not types_field:
+                    thesaurus.skipped_rows += 1
+                    continue
+                if len(surface) < MIN_SURFACE_LEN and not (
+                    surface.isupper() and any(c.isalpha() for c in surface)
+                ):
+                    thesaurus.skipped_short += 1
+                    continue
+                types = {t.strip() for t in types_field.split(";") if t.strip()}
+                if not types:
+                    thesaurus.skipped_rows += 1
+                    continue
+                thesaurus.add(surface, concept_id, types)
+        except UnicodeDecodeError as exc:
+            raise FileUnreadable(f"not UTF-8 text: {exc}") from None
     return thesaurus
 
 
@@ -106,7 +109,6 @@ class TermMatch:
     concept_id: str
     semantic_types: frozenset[str]
     span: tuple[int, int]  # [start, end) character offsets into source text
-    section_ref: str = ""
 
 
 class MatcherAutomaton:
@@ -123,9 +125,7 @@ class MatcherAutomaton:
         self.max_len = max(self.lengths)
 
 
-def match_terms(
-    automaton: MatcherAutomaton, text: str, section_ref: str = ""
-) -> list[TermMatch]:
+def match_terms(automaton: MatcherAutomaton, text: str) -> list[TermMatch]:
     """Left-to-right, non-overlapping maximum forward matching."""
     folded = fold(text)
     n = len(folded)
@@ -155,7 +155,6 @@ def match_terms(
                         concept_id=entry.concept_id,
                         semantic_types=entry.semantic_types,
                         span=(p, end),
-                        section_ref=section_ref,
                     )
                 )
                 p = end

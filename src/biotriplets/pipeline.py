@@ -24,7 +24,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .classifier import CandidatePair, ChatEndpoint, ExemplarSet, Judgment, classify
-from .docmodel import Section, WebDocument, flatten_section_text, section_path
+from .docmodel import Section, WebDocument, flatten_section_text, read_jsonl, section_path
 from .errors import MatchOutOfRange, StaleCandidates
 from .matcher import MatcherAutomaton, match_terms, semantic_filter
 from .retrieval import (
@@ -114,7 +114,7 @@ def enumerate_candidates(
             if not section.text:
                 continue
             path = section_path(doc, section)
-            matches = match_terms(automaton, section.text, section_ref=path)
+            matches = match_terms(automaton, section.text)
             if not matches:
                 continue
             starts = token_starts(section.text)
@@ -155,20 +155,8 @@ def write_candidates(candidates: Iterable[CandidatePair], path: str | Path) -> N
 
 
 def read_candidates(path: str | Path) -> list[CandidatePair]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                out.append(CandidatePair.from_dict(json.loads(line)))
-            except (ValueError, TypeError, KeyError) as exc:
-                raise StaleCandidates(
-                    f"{path} line {line_no} is not a current candidate record "
-                    f"({exc}); rerun match"
-                ) from None
-    return out
+    return read_jsonl(path, CandidatePair.from_dict, "a current candidate record",
+                      "rerun match", StaleCandidates)
 
 
 # --------------------------------------------------------------------------

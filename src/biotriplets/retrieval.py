@@ -9,15 +9,13 @@ endpoint and ranked by cosine similarity against the yes/no question.
 from __future__ import annotations
 
 import logging
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import requests
 
+from .endpoint import Endpoint
 from .errors import (
     DimensionMismatch,
-    EndpointUnavailable,
     MatchOutOfRange,
     UnknownRelationType,
     ZeroVector,
@@ -135,50 +133,32 @@ def retrieve_top_k(
     return [c for _, c in selected]
 
 
+def _reply_vectors(body: dict, n: int) -> list[np.ndarray]:
+    """The reply's embeddings in input order; its indices must be 0..n-1."""
+    data = sorted(body["data"], key=lambda d: d["index"])
+    if [d["index"] for d in data] != list(range(n)):
+        raise ValueError(f"reply indices do not match the {n} inputs sent")
+    vectors = [np.asarray(d["embedding"], dtype=np.float64) for d in data]
+    if any(v.ndim != 1 for v in vectors):
+        raise TypeError("an embedding is not a flat list of numbers")
+    return vectors
+
+
 @dataclass
-class EmbeddingEndpoint:
-    base_url: str
-    model: str
+class EmbeddingEndpoint(Endpoint):
     batch_limit: int = 128
-    max_retries: int = 2
-    timeout: float = 60.0
-    api_key: str = ""
-    retry_backoff: float = 0.2
-    session: requests.Session = field(default_factory=requests.Session, repr=False)
 
     def embed(self, texts: list[str]) -> list[np.ndarray]:
         """Embed texts in input order, batching to the endpoint's limit."""
         vectors: list[np.ndarray] = []
         for i in range(0, len(texts), self.batch_limit):
-            vectors.extend(self._embed_batch(texts[i : i + self.batch_limit]))
+            batch = texts[i : i + self.batch_limit]
+            vectors.extend(self.post(
+                "/v1/embeddings",
+                {"model": self.model, "input": batch},
+                lambda body: _reply_vectors(body, len(batch)),
+            ))
         dims = {v.shape[0] for v in vectors}
         if len(dims) > 1:
             raise DimensionMismatch(f"endpoint returned mixed dimensions: {sorted(dims)}")
         return vectors
-
-    def _embed_batch(self, texts: list[str]) -> list[np.ndarray]:
-        payload = {"model": self.model, "input": texts}
-        headers = {}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        last_err = None
-        for attempt in range(self.max_retries + 1):
-            if attempt:
-                time.sleep(self.retry_backoff * (2 ** (attempt - 1)))
-            try:
-                resp = self.session.post(
-                    f"{self.base_url.rstrip('/')}/v1/embeddings",
-                    json=payload,
-                    headers=headers,
-                    timeout=self.timeout,
-                )
-            except requests.RequestException as exc:
-                last_err = exc
-                continue
-            if resp.status_code >= 500 or resp.status_code == 429:
-                last_err = RuntimeError(f"HTTP {resp.status_code}")
-                continue
-            resp.raise_for_status()
-            data = sorted(resp.json()["data"], key=lambda d: d["index"])
-            return [np.asarray(d["embedding"], dtype=np.float64) for d in data]
-        raise EndpointUnavailable(f"embedding endpoint: {last_err}")

@@ -59,6 +59,20 @@ class TestPreprocess:
         cfg.write_text("[paths]\nworkdir = \"work\"\n")
         assert cli.main(["--config", str(cfg), "preprocess"]) == 2
 
+    @pytest.mark.parametrize("damage,expected", [
+        (lambda m: m.write_text(m.read_text() + "not json\n"), "line 6"),
+        (lambda m: m.write_text('["not", "an", "object"]\n'), "line 1"),
+        (lambda m: m.unlink(), "cannot read manifest"),
+    ], ids=["not-json", "not-object", "missing"])
+    def test_unreadable_manifest(self, site, capsys, damage, expected):
+        root, config, _ = site
+        damage(root / "manifest.jsonl")
+        assert run(config, "preprocess") == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert "Traceback" not in err and "manifest.jsonl" in err and expected in err
+        assert not (root / "work" / "documents.jsonl").exists()
+
 
 class TestMatch:
     def test_candidates_written_with_counts(self, site, capsys):
@@ -105,6 +119,20 @@ class TestMatch:
     def test_missing_documents(self, site, capsys):
         root, config, _ = site
         self.assert_config_error(root, config, capsys, "documents.jsonl",
+                                 "rerun preprocess")
+
+    def test_thesaurus_not_utf8(self, site, capsys):
+        root, config, _ = site
+        run(config, "preprocess")
+        (root / "thesaurus.tsv").write_bytes(b"fi\xe8vre\tC1\tSign, Symptom, or Finding\n")
+        self.assert_config_error(root, config, capsys, "thesaurus.tsv", "UTF-8")
+
+    def test_documents_line_not_json(self, site, capsys):
+        root, config, _ = site
+        run(config, "preprocess")
+        with open(root / "work" / "documents.jsonl", "a", encoding="utf-8") as fh:
+            fh.write("not json\n")
+        self.assert_config_error(root, config, capsys, "documents.jsonl line 6",
                                  "rerun preprocess")
 
 
@@ -161,6 +189,36 @@ class TestExtract:
         # journal records are appended in completion order: same set, any order
         journals = [sorted((w / "journal.jsonl").read_text().splitlines()) for w in works]
         assert journals[0] and journals[0] == journals[1]
+
+    def test_rejected_request_stops_run(self, site, capsys):
+        root, config, server = site
+        run(config, "preprocess")
+        run(config, "match")
+        assert run(config, "extract", "--deterministic", "--limit", "3") == 0
+        journal = (root / "work" / "journal.jsonl").read_bytes()
+        sent = len(server.log.entries)
+        server.script.statuses.append(400)
+        capsys.readouterr()
+        assert run(config, "extract", "--deterministic", "--limit", "1") == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert "HTTP 400" in err and "Traceback" not in err
+        assert [e["status"] for e in server.log.entries[sent:]] == [400]
+        assert (root / "work" / "journal.jsonl").read_bytes() == journal
+
+    def test_documents_line_not_json(self, site, capsys):
+        root, config, server = site
+        run(config, "preprocess")
+        run(config, "match")
+        documents = root / "work" / "documents.jsonl"
+        documents.write_text("not json\n" + documents.read_text())
+        capsys.readouterr()
+        assert run(config, "extract", "--deterministic") == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert "documents.jsonl line 1" in err and "rerun preprocess" in err
+        assert "Traceback" not in err
+        assert not server.log.entries
 
     def assert_rerun_match(self, config, server, capsys):
         capsys.readouterr()
