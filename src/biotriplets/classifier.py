@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
 
 from .endpoint import Endpoint
 from .errors import EmptyContext, ExemplarConfigError
@@ -89,28 +89,44 @@ class ExemplarSet:
             raise ExemplarConfigError(f"no exemplars for relation {relation!r}") from None
 
 
-def load_exemplars(path: Optional[str | Path] = None) -> ExemplarSet:
-    """Load the few-shot exemplar file; exactly three per relation."""
+def load_exemplars(
+    path: Optional[str | Path] = None, relations: Iterable[str] = ()
+) -> ExemplarSet:
+    """Load the few-shot exemplar file: a JSON object mapping each relation
+    to exactly three objects with "question", "answer" and "reason". A file
+    that is missing, unreadable, otherwise shaped, or without exemplars for
+    one of `relations` raises ExemplarConfigError naming it."""
     if path is None:
-        raw = resources.files("biotriplets.data").joinpath("exemplars.json").read_text()
+        source = resources.files("biotriplets.data").joinpath("exemplars.json")
     else:
-        raw = Path(path).read_text(encoding="utf-8")
-    data = json.loads(raw)
-    by_relation = {}
-    for relation, items in data.items():
-        if len(items) != EXEMPLARS_PER_RELATION:
-            raise ExemplarConfigError(
-                f"relation {relation!r} has {len(items)} exemplars, "
-                f"expected {EXEMPLARS_PER_RELATION}"
-            )
-        by_relation[relation] = [
-            Exemplar(item["question"], json.dumps(
-                {"answer": item["answer"], "reason": item["reason"]},
-                ensure_ascii=False,
-            ))
-            for item in items
-        ]
-    return ExemplarSet(by_relation)
+        source = Path(path)
+    try:
+        data = json.loads(source.read_text(encoding="utf-8"))
+        exemplars = ExemplarSet({
+            relation: _relation_exemplars(relation, items)
+            for relation, items in data.items()
+        })
+        missing = [r for r in relations if r not in exemplars.by_relation]
+        if missing:
+            raise ValueError(f"no exemplars for relations {missing}")
+        return exemplars
+    except KeyError as exc:
+        raise ExemplarConfigError(f"exemplars {source}: an exemplar lacks {exc}") from None
+    except (OSError, ValueError, TypeError, AttributeError) as exc:
+        raise ExemplarConfigError(f"exemplars {source}: {exc}") from None
+
+
+def _relation_exemplars(relation: str, items: list[dict]) -> list[Exemplar]:
+    if len(items) != EXEMPLARS_PER_RELATION:
+        raise ValueError(f"relation {relation!r} has {len(items)} exemplars, "
+                         f"expected {EXEMPLARS_PER_RELATION}")
+    return [
+        Exemplar(item["question"], json.dumps(
+            {"answer": item["answer"], "reason": item["reason"]},
+            ensure_ascii=False,
+        ))
+        for item in items
+    ]
 
 
 @dataclass(frozen=True)

@@ -110,8 +110,9 @@ def cmd_extract(args) -> int:
             return EXIT_CONFIG
     candidates = pipeline.read_candidates(cfg.workdir / "candidates.jsonl")
     documents = docmodel.read_documents(cfg.workdir / "documents.jsonl")
-    exemplars = classifier.load_exemplars(cfg.exemplars_path)
     try:
+        exemplars = classifier.load_exemplars(
+            cfg.exemplars_path, [r.id for r in cfg.relations])
         chat = cfg.chat_endpoint()
         embedder = cfg.embedding_endpoint()
     except ConfigError as exc:
@@ -137,6 +138,9 @@ def cmd_extract(args) -> int:
     except EndpointUnavailable as exc:
         print(f"error: {exc} (journal preserved, rerun to resume)", file=sys.stderr)
         return EXIT_PARTIAL
+    finally:
+        chat.close()
+        embedder.close()
     deduped, duplicates = pipeline.dedupe_triplets(result.triplets, cfg.site_priority)
     pipeline.write_triplets(deduped, cfg.workdir / "triplets.jsonl")
     text, as_dict = pipeline.render_report(result.report)

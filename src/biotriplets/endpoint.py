@@ -5,29 +5,49 @@ every reply into one of three kinds: a transport error, 5xx or 429 is
 retried; any other 4xx, or a success reply whose body the caller cannot
 read, is rejected at once; anything else is returned parsed. Each pipeline
 worker holds at most one request, so the worker count bounds concurrency.
+
+Each worker thread keeps one HTTP/1.1 connection per endpoint and reuses it
+while the server keeps it open. Proxies come from HTTP(S)_PROXY/NO_PROXY,
+read once per endpoint; TLS is verified against the default trust store.
 """
 
 from __future__ import annotations
 
+import base64
+import http.client
+import json
+import select
+import ssl
+import threading
 import time
+import urllib.parse
+import urllib.request
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, TypeVar
+from typing import Any, Callable, TypeVar
 
-import requests
-
-from .errors import EndpointRejected, EndpointUnavailable
+from . import __version__
+from .errors import ConfigError, EndpointRejected, EndpointUnavailable
 
 T = TypeVar("T")
 
 # Longest Retry-After honoured; a larger value waits this long.
 MAX_RETRY_AFTER_S = 60.0
 
+# Some hosted gateways refuse a request without a User-Agent.
+USER_AGENT = f"biotriplets/{__version__}"
 
-def _retry_after(resp: requests.Response) -> Optional[float]:
-    """The reply's Retry-After delta-seconds, capped; None for an absent
+
+def _retry_after(value: str) -> float | None:
+    """A Retry-After header's delta-seconds, capped; None for an absent
     header or one in HTTP-date form."""
-    value = resp.headers.get("Retry-After", "").strip()
+    value = value.strip()
     return min(float(value), MAX_RETRY_AFTER_S) if value.isdigit() else None
+
+
+def _dropped(conn: http.client.HTTPConnection) -> bool:
+    """True when an idle connection's socket is readable: the server has
+    closed it (or sent bytes no request asked for), so it cannot be reused."""
+    return bool(select.select([conn.sock], [], [], 0)[0])
 
 
 @dataclass
@@ -40,7 +60,70 @@ class Endpoint:
     retry_backoff: float = 0.2
 
     def __post_init__(self):
-        self._session = requests.Session()
+        url = urllib.parse.urlsplit(self.base_url.rstrip("/"))
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ConfigError(f"endpoint base_url {self.base_url!r} is not an "
+                              f"http:// or https:// URL")
+        self._https = url.scheme == "https"
+        self._context = ssl.create_default_context() if self._https else None
+        self._server = (url.hostname, url.port or (443 if self._https else 80))
+        self._prefix = url.path
+        self._headers = {"Content-Type": "application/json", "User-Agent": USER_AGENT}
+        if self.api_key:
+            self._headers["Authorization"] = f"Bearer {self.api_key}"
+        self._proxy, self._proxy_headers = None, {}
+        proxy = urllib.request.getproxies().get(url.scheme)
+        if proxy and not urllib.request.proxy_bypass(url.netloc):
+            self._use_proxy(proxy)
+        self._local = threading.local()
+        self._opened: list[http.client.HTTPConnection] = []
+        self._lock = threading.Lock()
+
+    def _use_proxy(self, proxy: str) -> None:
+        """Send through the HTTP proxy at `proxy`: an http endpoint gets
+        absolute-form targets, an https one a CONNECT tunnel. Credentials in
+        the proxy URL become Proxy-Authorization: Basic."""
+        parts = urllib.parse.urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+        if parts.scheme != "http" or not parts.hostname:
+            raise ConfigError(f"proxy {proxy!r} for {self.base_url} is not an http:// URL")
+        self._proxy = (parts.hostname, parts.port or 80)
+        if parts.username is not None:
+            user = urllib.parse.unquote(parts.username)
+            password = urllib.parse.unquote(parts.password or "")
+            token = base64.b64encode(f"{user}:{password}".encode()).decode()
+            self._proxy_headers = {"Proxy-Authorization": f"Basic {token}"}
+        if not self._https:
+            self._prefix = self.base_url.rstrip("/")
+            self._headers.update(self._proxy_headers)
+
+    def _connection(self) -> http.client.HTTPConnection:
+        """This thread's connection; one the server has closed is closed
+        here too, so the request reconnects instead of failing."""
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = self._local.conn = self._open()
+        elif conn.sock is not None and _dropped(conn):
+            conn.close()
+        return conn
+
+    def _open(self) -> http.client.HTTPConnection:
+        host, port = self._proxy or self._server
+        if self._https:
+            conn = http.client.HTTPSConnection(
+                host, port, timeout=self.timeout, context=self._context)
+            if self._proxy:
+                conn.set_tunnel(*self._server, headers=self._proxy_headers)
+        else:
+            conn = http.client.HTTPConnection(host, port, timeout=self.timeout)
+        with self._lock:
+            self._opened.append(conn)
+        return conn
+
+    def close(self) -> None:
+        """Close every thread's connection; a later post reconnects."""
+        with self._lock:
+            for conn in self._opened:
+                conn.close()
 
     def post(self, path: str, payload: dict, parse: Callable[[Any], T]) -> T:
         """POST `payload` as JSON to `path`; returns `parse` of the reply body.
@@ -52,29 +135,31 @@ class Endpoint:
         or TypeError, raise EndpointRejected without a retry.
         """
         url = f"{self.base_url.rstrip('/')}{path}"
-        headers = {"Authorization": f"Bearer {self.api_key}"} if self.api_key else {}
+        body = json.dumps(payload, allow_nan=False).encode()
         delay, failure = 0.0, "no request sent"
         for attempt in range(self.max_retries + 1):
             if attempt:
                 time.sleep(delay)
             delay = self.retry_backoff * 2 ** attempt
+            conn = self._connection()
             try:
-                resp = self._session.post(
-                    url, json=payload, headers=headers, timeout=self.timeout
-                )
-            except requests.RequestException as exc:
-                failure = str(exc)
+                conn.request("POST", self._prefix + path, body, self._headers)
+                resp = conn.getresponse()
+                data = resp.read()
+            except (OSError, http.client.HTTPException) as exc:
+                conn.close()
+                failure = f"{type(exc).__name__}: {exc}"
                 continue
-            if resp.status_code >= 500 or resp.status_code == 429:
-                failure = f"HTTP {resp.status_code}"
-                wait = _retry_after(resp)
+            if resp.status >= 500 or resp.status == 429:
+                failure = f"HTTP {resp.status}"
+                wait = _retry_after(resp.getheader("Retry-After", ""))
                 delay = delay if wait is None else wait
                 continue
-            if resp.status_code >= 400:
-                body = " ".join(resp.text.split())[:200]
-                raise EndpointRejected(f"POST {url}: HTTP {resp.status_code}: {body}")
+            if resp.status >= 400:
+                text = " ".join(data.decode("utf-8", "replace").split())[:200]
+                raise EndpointRejected(f"POST {url}: HTTP {resp.status}: {text}")
             try:
-                return parse(resp.json())
+                return parse(json.loads(data))
             except (ValueError, LookupError, TypeError) as exc:
                 raise EndpointRejected(f"POST {url}: unreadable reply: {exc!r}") from None
         raise EndpointUnavailable(f"POST {url}: {failure}")

@@ -68,10 +68,6 @@ class EmptyContext(BiotripletsError):
     pass
 
 
-class ExemplarConfigError(BiotripletsError):
-    """Exemplar file missing or not exactly three exemplars per relation."""
-
-
 # --- evaluation ---
 
 class LengthMismatch(BiotripletsError):
@@ -101,3 +97,8 @@ class ConfigError(BiotripletsError):
 
 class StaleCandidates(ConfigError):
     """candidates.jsonl does not fit documents.jsonl: match must be rerun."""
+
+
+class ExemplarConfigError(ConfigError):
+    """Exemplar file missing or unreadable, or a relation without exactly
+    three exemplars, each with a question, answer and reason."""

@@ -16,6 +16,7 @@ import numpy as np
 from .endpoint import Endpoint
 from .errors import (
     DimensionMismatch,
+    EndpointRejected,
     MatchOutOfRange,
     UnknownRelationType,
     ZeroVector,
@@ -134,13 +135,19 @@ def retrieve_top_k(
 
 
 def _reply_vectors(body: dict, n: int) -> list[np.ndarray]:
-    """The reply's embeddings in input order; its indices must be 0..n-1."""
+    """The reply's embeddings in input order; its indices must be 0..n-1,
+    and its vectors flat, of one length and not all zero."""
     data = sorted(body["data"], key=lambda d: d["index"])
     if [d["index"] for d in data] != list(range(n)):
         raise ValueError(f"reply indices do not match the {n} inputs sent")
     vectors = [np.asarray(d["embedding"], dtype=np.float64) for d in data]
     if any(v.ndim != 1 for v in vectors):
         raise TypeError("an embedding is not a flat list of numbers")
+    dims = sorted({v.shape[0] for v in vectors})
+    if len(dims) > 1:
+        raise ValueError(f"mixed dimensions {dims}")
+    if not all(v.any() for v in vectors):
+        raise ValueError("an all-zero embedding")
     return vectors
 
 
@@ -160,5 +167,7 @@ class EmbeddingEndpoint(Endpoint):
             ))
         dims = {v.shape[0] for v in vectors}
         if len(dims) > 1:
-            raise DimensionMismatch(f"endpoint returned mixed dimensions: {sorted(dims)}")
+            raise EndpointRejected(
+                f"POST {self.base_url.rstrip('/')}/v1/embeddings: unreadable reply: "
+                f"batches of mixed dimensions {sorted(dims)}")
         return vectors

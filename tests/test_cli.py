@@ -1,4 +1,11 @@
 import json
+import os
+import subprocess
+import sys
+import urllib.error
+import urllib.request
+from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -220,6 +227,36 @@ class TestExtract:
         assert "Traceback" not in err
         assert not server.log.entries
 
+    @pytest.mark.parametrize("write,expected", [
+        (lambda p, data: p.write_text(json.dumps(
+            {**data, "treatment": data["treatment"][:1]})), "1 exemplars"),
+        (lambda p, data: p.write_text(json.dumps(
+            {k: v for k, v in data.items() if k != "diagnosis"})), "'diagnosis'"),
+        (lambda p, data: None, "No such file"),
+        (lambda p, data: p.write_text("not json"), "Expecting value"),
+        (lambda p, data: p.write_text(json.dumps(
+            {**data, "manifestation": [{k: v for k, v in item.items() if k != "reason"}
+                                       for item in data["manifestation"]]})),
+         "lacks 'reason'"),
+    ], ids=["wrong-count", "relation-missing", "missing-file", "not-json", "no-reason"])
+    def test_unusable_exemplars(self, tmp_path, mock_server, capsys, write, expected):
+        server = mock_server(GOLDEN_CHAT_SCRIPT)
+        write_fixture_site(tmp_path)
+        write_thesaurus(tmp_path / "thesaurus.tsv")
+        config = write_config(tmp_path, server.base_url,
+                              extra='[paths]\nexemplars = "exemplars.json"')
+        data = json.loads(resources.files("biotriplets.data")
+                          .joinpath("exemplars.json").read_text(encoding="utf-8"))
+        write(tmp_path / "exemplars.json", data)
+        run(config, "preprocess")
+        run(config, "match")
+        capsys.readouterr()
+        assert run(config, "extract", "--deterministic") == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert "exemplars.json" in err and expected in err and "Traceback" not in err
+        assert not server.log.entries, "no request before the exemplars are checked"
+
     def assert_rerun_match(self, config, server, capsys):
         capsys.readouterr()
         assert run(config, "extract", "--deterministic") == 2
@@ -319,25 +356,49 @@ class TestEval:
         assert run(config, "eval", str(bench), "--reference", "nope") == 2
 
 
+def post_chat(base_url, content):
+    """POST one chat request with the standard library; (status, reply body)."""
+    request = urllib.request.Request(
+        f"{base_url}/v1/chat/completions",
+        data=json.dumps({
+            "model": "m", "messages": [{"role": "user", "content": content}],
+        }).encode(),
+        headers={"Content-Type": "application/json"},
+    )
+    try:
+        with urllib.request.urlopen(request, timeout=10) as resp:
+            return resp.status, json.loads(resp.read())
+    except urllib.error.HTTPError as exc:
+        with exc:
+            return exc.code, json.loads(exc.read())
+
+
 class TestMockServe:
     def test_unscripted_default_is_no(self, mock_server):
-        import requests
         server = mock_server()
-        resp = requests.post(f"{server.base_url}/v1/chat/completions", json={
-            "model": "m", "messages": [{"role": "user", "content": "anything"}],
-        })
-        content = resp.json()["choices"][0]["message"]["content"]
+        _, body = post_chat(server.base_url, "anything")
+        content = body["choices"][0]["message"]["content"]
         assert json.loads(content)["answer"] == "No"
 
     def test_failure_sequence_logged(self, mock_server):
-        import requests
         server = mock_server({"statuses": [503, 503],
                               "default": {"answer": "Yes", "reason": "r"}})
         codes = []
         for _ in range(3):
-            resp = requests.post(f"{server.base_url}/v1/chat/completions", json={
-                "model": "m", "messages": [{"role": "user", "content": "q"}],
-            })
-            codes.append(resp.status_code)
+            status, _ = post_chat(server.base_url, "q")
+            codes.append(status)
         assert codes == [503, 503, 200]
         assert [e["status"] for e in server.log.entries] == [503, 503, 200]
+
+
+def test_cli_import_loads_no_third_party_http_client():
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import biotriplets.cli, sys; "
+         "print(' '.join(m for m in ('requests', 'urllib3', 'charset_normalizer') "
+         "if m in sys.modules))"],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    ).stdout
+    assert loaded.split() == []
