@@ -1,19 +1,19 @@
-"""Unified run configuration loaded from a small TOML-style file.
+"""Unified run configuration loaded from a TOML file.
 
-Python 3.10 has no tomllib and the mirror carries no TOML reader, so this
-module parses the subset the config actually uses: [dotted.section]
-headers and key = value lines with strings, numbers, booleans, and flat
-arrays. Secrets never live in the file; API keys come from the
-CHAT_API_KEY / EMBED_API_KEY environment variables.
+The file is read with the standard library's `tomllib`. Every key the
+pipeline reads is checked for its type, and a value it cannot use is a
+ConfigError; keys it does not read are ignored. Secrets never live in the
+file; API keys come from the CHAT_API_KEY / EMBED_API_KEY environment
+variables.
 """
 
 from __future__ import annotations
 
 import os
-import re
+import tomllib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Optional
+from typing import Optional
 
 from .classifier import ChatEndpoint
 from .docmodel import SiteProfile
@@ -21,69 +21,48 @@ from .errors import ConfigError
 from .pipeline import RelationType, default_relations
 from .retrieval import EmbeddingEndpoint, RetrievalConfig
 
-_SECTION_RE = re.compile(r"^\[([A-Za-z0-9_.-]+)\]$")
-_KEY_RE = re.compile(r"^([A-Za-z0-9_-]+)\s*=\s*(.+)$")
+_ENDPOINT = {"base_url": str, "model": str, "max_retries": int, "timeout": float}
+
+# The type of every key the pipeline reads, per table; "*" stands for the
+# tables named by the user.
+_SCHEMA: dict[str, dict[str, type]] = {
+    "paths": dict.fromkeys(("workdir", "thesaurus", "manifest", "exemplars"), str),
+    "chat": {**_ENDPOINT, "reference_model": str},
+    "embedding": {**_ENDPOINT, "batch_limit": int},
+    "retrieval": dict.fromkeys(
+        ("anchor_min_words", "chunk_words", "overlap_words", "top_k"), int),
+    "pipeline": {"workers": int, "site_priority": list},
+    "sites.*": {"list_marker_style": str, "strip_selectors": list},
+    "relations.*": {"phrase": str, "semantic_types": list},
+}
+
+# What each type accepts, and its name; a bool is no number.
+_KINDS = {str: (str, "a string"), int: (int, "an integer"), float: ((int, float), "a number"),
+          list: (list, "a list of strings"), dict: (dict, "a table")}
 
 
-def _parse_scalar(token: str) -> Any:
-    token = token.strip()
-    if token.startswith('"') and token.endswith('"') and len(token) >= 2:
-        return token[1:-1].replace('\\"', '"').replace("\\\\", "\\")
-    if token == "true":
-        return True
-    if token == "false":
-        return False
-    try:
-        return int(token)
-    except ValueError:
-        pass
-    try:
-        return float(token)
-    except ValueError:
-        raise ConfigError(f"cannot parse value: {token!r}") from None
+def _need(value, kind: type, name: str) -> None:
+    types, what = _KINDS[kind]
+    if (isinstance(value, bool) or not isinstance(value, types)
+            or kind is list and not all(isinstance(v, str) for v in value)):
+        raise ConfigError(f"{name} must be {what}, not {value!r}")
 
 
-def _split_array(body: str) -> list[str]:
-    items, depth, current, in_str = [], 0, "", False
-    for ch in body:
-        if ch == '"' and (not current or current[-1] != "\\"):
-            in_str = not in_str
-        if ch == "," and not in_str:
-            items.append(current)
-            current = ""
-        else:
-            current += ch
-    if current.strip():
-        items.append(current)
-    return items
-
-
-def parse_toml_subset(text: str) -> dict:
-    """Parse [section] headers and scalar/array key = value assignments."""
-    root: dict = {}
-    table = root
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+def _check(data: dict) -> None:
+    """Raise ConfigError for the first key of _SCHEMA, or table holding
+    one, whose value has another type, naming it by its dotted path."""
+    for table, keys in _SCHEMA.items():
+        parent, _, star = table.partition(".")
+        if parent not in data:
             continue
-        m = _SECTION_RE.match(line)
-        if m:
-            table = root
-            for part in m.group(1).split("."):
-                table = table.setdefault(part, {})
-            continue
-        m = _KEY_RE.match(line)
-        if not m:
-            raise ConfigError(f"config line {line_no}: cannot parse {raw!r}")
-        key, value = m.group(1), m.group(2).strip()
-        # strip trailing comment outside strings
-        if "#" in value and not value.startswith('"'):
-            value = value.split("#", 1)[0].strip()
-        if value.startswith("[") and value.endswith("]"):
-            table[key] = [_parse_scalar(tok) for tok in _split_array(value[1:-1])]
-        else:
-            table[key] = _parse_scalar(value)
-    return root
+        _need(data[parent], dict, parent)
+        tables = data[parent].items() if star else [(None, data[parent])]
+        for name, values in tables:
+            prefix = parent if name is None else f"{parent}.{name}"
+            _need(values, dict, prefix)
+            for key, kind in keys.items():
+                if key in values:
+                    _need(values[key], kind, f"{prefix}.{key}")
 
 
 @dataclass
@@ -124,14 +103,26 @@ def _endpoint(cls, section: str, table: dict, key_variable: str, *keys: str):
 
 
 def load_config(path: str | Path) -> Config:
+    """The configuration in the TOML file at `path`. A file that cannot be
+    read or parsed, and a value of the wrong type or out of range, raise
+    ConfigError naming the file."""
     path = Path(path)
     try:
-        data = parse_toml_subset(path.read_text(encoding="utf-8"))
+        with open(path, "rb") as fh:
+            data = tomllib.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
+    except tomllib.TOMLDecodeError as exc:
+        raise ConfigError(f"config {path}: {exc}") from None
+    try:
+        _check(data)
+        return _config(data, path.parent)
+    except (ConfigError, ValueError) as exc:
+        raise ConfigError(f"config {path}: {exc}") from None
 
+
+def _config(data: dict, base: Path) -> Config:
     cfg = Config()
-    base = path.parent
 
     def resolve(p: str) -> Path:
         p = Path(p)
@@ -181,5 +172,7 @@ def load_config(path: str | Path) -> Config:
 
     p = data.get("pipeline", {})
     cfg.workers = p.get("workers", 4)
+    if cfg.workers < 1:
+        raise ConfigError(f"pipeline.workers must be at least 1, not {cfg.workers}")
     cfg.site_priority = list(p.get("site_priority", []))
     return cfg

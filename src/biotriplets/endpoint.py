@@ -22,7 +22,7 @@ import threading
 import time
 import urllib.parse
 import urllib.request
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, TypeVar
 
 from . import __version__
@@ -56,7 +56,7 @@ class Endpoint:
     model: str
     max_retries: int = 2
     timeout: float = 60.0
-    api_key: str = ""
+    api_key: str = field(default="", repr=False)
     retry_backoff: float = 0.2
 
     def __post_init__(self):

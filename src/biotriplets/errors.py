@@ -41,14 +41,6 @@ class MatchOutOfRange(BiotripletsError):
     pass
 
 
-class DimensionMismatch(BiotripletsError):
-    pass
-
-
-class ZeroVector(BiotripletsError):
-    pass
-
-
 class EndpointUnavailable(BiotripletsError):
     """Remote endpoint still failing after the retry policy is exhausted."""
 

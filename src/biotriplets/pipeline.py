@@ -2,7 +2,9 @@
 
 Candidates are one per (head concept, relation, page) and point at their
 section in documents.jsonl; the pending candidates of one section share a
-single embedding call. Classification progress is journaled to an
+single embedding call. A section of at most `anchor_min_words` words gives
+each candidate one chunk, the one retrieved whatever the vectors, so it is
+neither embedded nor ranked. Classification progress is journaled to an
 append-only JSONL file keyed by candidate id, so an interrupted run
 resumes without re-querying finished candidates.
 """
@@ -34,6 +36,7 @@ from .retrieval import (
     build_query,
     chunk_for_candidate,
     retrieve_top_k,
+    unit_rows,
 )
 
 logger = logging.getLogger(__name__)
@@ -252,10 +255,12 @@ class SectionVectors:
     """Chunks and embeddings shared by the pending candidates of one section.
 
     The first candidate to ask chunks the section for every candidate,
-    collects the distinct query and chunk texts in first-seen order and
-    embeds them in one `embed` call; the others wait for it and take their
-    share. A failed embedding is raised to every candidate of the section.
-    The vectors are dropped once the last candidate has taken its share.
+    collects the distinct query and chunk texts of those with more than one
+    chunk in first-seen order and embeds them in one `embed` call (none
+    when there are no such texts); the others wait for it and take their
+    share. The vectors are scaled to unit length on arrival. A failed
+    embedding is raised to every candidate of the section. The vectors are
+    dropped once the last candidate has taken its share.
     """
 
     def __init__(self, section: Section, candidates: list[CandidatePair]):
@@ -278,9 +283,11 @@ class SectionVectors:
                 raise StaleCandidates(
                     f"candidate {c.candidate_id}: {exc} in {c.section_path!r}; rerun match"
                 ) from None
-            texts[build_query(c.head_surface, c.relation, c.tail_title)] = None
-            texts.update(dict.fromkeys(chunk.text for chunk in chunks[c.candidate_id]))
-        self._vectors = dict(zip(texts, embedder.embed(list(texts))))
+            if len(chunks[c.candidate_id]) > 1:
+                texts[build_query(c.head_surface, c.relation, c.tail_title)] = None
+                texts.update(dict.fromkeys(chunk.text for chunk in chunks[c.candidate_id]))
+        if texts:
+            self._vectors = dict(zip(texts, unit_rows(embedder.embed(list(texts)))))
         self._chunks = chunks
 
     def take(
@@ -288,8 +295,9 @@ class SectionVectors:
         candidate: CandidatePair,
         embedder: EmbeddingEndpoint,
         cfg: RetrievalConfig,
-    ) -> tuple[np.ndarray, list[tuple[Chunk, np.ndarray]]]:
-        """The candidate's query vector and its (chunk, vector) pairs."""
+    ) -> tuple[Optional[np.ndarray], list[tuple[Chunk, Optional[np.ndarray]]]]:
+        """The candidate's unit query vector and its (chunk, unit vector)
+        pairs; a candidate with one chunk has no vectors (None)."""
         with self._lock:
             if self._error is not None:
                 raise self._error
@@ -305,7 +313,7 @@ class SectionVectors:
             if self._remaining == 0:
                 self._chunks, self._vectors = {}, {}
         query = build_query(candidate.head_surface, candidate.relation, candidate.tail_title)
-        return vectors[query], [(chunk, vectors[chunk.text]) for chunk in chunks]
+        return vectors.get(query), [(chunk, vectors.get(chunk.text)) for chunk in chunks]
 
 
 def _section_key(candidate: CandidatePair) -> tuple[str, str, int]:
@@ -355,7 +363,8 @@ def _process_candidate(
     exemplars: ExemplarSet,
 ) -> Judgment:
     query_vec, chunks = section.take(candidate, embedder, retrieval_cfg)
-    retrieved = retrieve_top_k(query_vec, chunks, retrieval_cfg)
+    retrieved = ([chunks[0][0]] if len(chunks) == 1
+                 else retrieve_top_k(query_vec, chunks, retrieval_cfg))
     return classify(candidate, retrieved, chat, exemplars)
 
 
@@ -377,7 +386,8 @@ def run_extraction(
     `documents` holds the sections the candidates point at; only those of
     pending candidates are read. `limit` caps how many pending candidates
     this run processes; the rest stay pending for a later resume. Endpoint
-    failure aborts with the journal intact.
+    failure aborts with the journal intact: once a candidate has failed, no
+    worker starts another.
     """
     journal = Journal(journal_path)
     done = journal.load()
@@ -389,13 +399,20 @@ def run_extraction(
     classified = 0
     abort: list[BaseException] = []
     lock = threading.Lock()
+    failed = threading.Event()
 
     def work(candidate: CandidatePair) -> None:
         nonlocal classified
-        judgment = _process_candidate(
-            candidate, sections[_section_key(candidate)],
-            chat, embedder, retrieval_cfg, exemplars,
-        )
+        if failed.is_set():
+            return  # the run is stopping: send no new request
+        try:
+            judgment = _process_candidate(
+                candidate, sections[_section_key(candidate)],
+                chat, embedder, retrieval_cfg, exemplars,
+            )
+        except BaseException:
+            failed.set()
+            raise
         record = {
             "candidate_id": candidate.candidate_id,
             "answer": judgment.answer,

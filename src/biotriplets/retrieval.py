@@ -2,8 +2,11 @@
 
 Long section text is split into an anchor chunk (at least 512 words,
 guaranteed to contain the matched term) plus 128-word windows with a
-32-word overlap over the rest. Chunks are embedded through an external
-endpoint and ranked by cosine similarity against the yes/no question.
+32-word overlap over the rest. A section of at most `anchor_min_words`
+words is one chunk, which is retrieved whatever its vectors are, so it is
+not embedded. The chunks of a longer section are embedded through an
+external endpoint and ranked by cosine similarity against the yes/no
+question: one product of the unit chunk vectors with the unit query.
 """
 
 from __future__ import annotations
@@ -14,13 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .endpoint import Endpoint
-from .errors import (
-    DimensionMismatch,
-    EndpointRejected,
-    MatchOutOfRange,
-    UnknownRelationType,
-    ZeroVector,
-)
+from .errors import EndpointRejected, MatchOutOfRange, UnknownRelationType
 
 logger = logging.getLogger(__name__)
 
@@ -100,16 +97,10 @@ def build_query(head: str, relation_id: str, tail: str) -> str:
     return f"Is {head} {phrase} {tail}?"
 
 
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"{a.shape} vs {b.shape}")
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise ZeroVector("cosine similarity undefined for an all-zero vector")
-    return float(np.dot(a, b) / (na * nb))
+def unit_rows(vectors: list[np.ndarray]) -> np.ndarray:
+    """The vectors as the rows of a matrix, each scaled to unit length."""
+    matrix = np.array(vectors, dtype=np.float64)
+    return matrix / np.linalg.norm(matrix, axis=1, keepdims=True)
 
 
 def retrieve_top_k(
@@ -119,19 +110,22 @@ def retrieve_top_k(
 ) -> list[Chunk]:
     """Up to top_k chunks by descending similarity; the anchor always makes it.
 
-    Ties break toward the earlier word span.
+    The vectors are of unit length (`unit_rows`), so a chunk's cosine
+    similarity is its row of one matrix-vector product. Equal vectors share
+    a row, so they tie exactly; ties break toward the earlier word span.
     """
-    scored = []
-    for chunk, vec in chunks:
-        scored.append((cosine_similarity(query_vec, vec), chunk))
-    scored.sort(key=lambda sc: (-sc[0], sc[1].word_span[0]))
-    selected = scored[: cfg.top_k]
-    if not any(c.is_anchor for _, c in selected):
-        anchor = next((sc for sc in scored if sc[1].is_anchor), None)
-        if anchor is not None:
-            selected[-1] = anchor
-            selected.sort(key=lambda sc: (-sc[0], sc[1].word_span[0]))
-    return [c for _, c in selected]
+    # a matrix product can round equal rows differently, so score each
+    # distinct vector once
+    keys = [vec.tobytes() for _, vec in chunks]
+    rows = dict(zip(keys, (vec for _, vec in chunks)))
+    scores = dict(zip(rows, (np.array(list(rows.values())) @ query_vec).tolist()))
+    top = sorted(range(len(chunks)),
+                 key=lambda i: (-scores[keys[i]], chunks[i][0].word_span[0]))[: cfg.top_k]
+    anchor = next((i for i, (chunk, _) in enumerate(chunks) if chunk.is_anchor), None)
+    if anchor is not None and anchor not in top:
+        # it ranks below every chunk kept, so the order holds
+        top[-1] = anchor
+    return [chunks[i][0] for i in top]
 
 
 def _reply_vectors(body: dict, n: int) -> list[np.ndarray]:

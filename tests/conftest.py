@@ -146,13 +146,16 @@ def write_fixture_site(root):
     return manifest
 
 
-def write_config(root, server_url, *, extra=""):
+def write_config(root, server_url, *, paths=""):
+    """The run configuration of the fixture site; `paths` adds lines to its
+    [paths] table."""
     cfg = root / "config.toml"
     cfg.write_text(f"""
 [paths]
 thesaurus = "thesaurus.tsv"
 manifest = "manifest.jsonl"
 workdir = "work"
+{paths}
 
 [chat]
 base_url = "{server_url}"
@@ -175,7 +178,6 @@ list_marker_style = "plain"
 
 [pipeline]
 workers = 2
-{extra}
 """, encoding="utf-8")
     return cfg
 

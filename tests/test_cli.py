@@ -81,6 +81,25 @@ class TestPreprocess:
         assert not (root / "work" / "documents.jsonl").exists()
 
 
+class TestConfig:
+    @pytest.mark.parametrize("line,expected", [
+        ('list_marker_style = "bullets"', "unknown list_marker_style: bullets"),
+        ("list_marker_style = plain", "Invalid value (at line"),
+        ('list_marker_style = "plain', "config.toml"),
+    ], ids=["unknown-marker-style", "bare-word", "unterminated-string"])
+    def test_unusable_config_exits_2_with_one_line(self, site, capsys, line, expected):
+        root, config, server = site
+        text = config.read_text()
+        assert 'list_marker_style = "plain"' in text
+        config.write_text(text.replace('list_marker_style = "plain"', line))
+        for stage in ("preprocess", "match", "extract"):
+            assert run(config, stage) == 2
+            err = capsys.readouterr().err
+            assert len(err.splitlines()) == 1, err
+            assert str(config) in err and expected in err and "Traceback" not in err
+        assert not (root / "work").exists() and not server.log.entries
+
+
 class TestMatch:
     def test_candidates_written_with_counts(self, site, capsys):
         root, config, _ = site
@@ -167,6 +186,16 @@ class TestExtract:
         assert len(malformed) == 1
         assert "nausea" not in surfaces
 
+    def test_golden_run_sends_no_embedding_request(self, site):
+        # every fixture section is shorter than the 512-word anchor, so each
+        # candidate's one chunk is its context whatever the vectors
+        root, config, server = site
+        run(config, "preprocess")
+        run(config, "match")
+        assert run(config, "extract", "--deterministic") == 0
+        kinds = [e["kind"] for e in server.log.entries]
+        assert "chat" in kinds and "embed" not in kinds
+
     def test_limit_and_resume(self, site, capsys):
         root, config, server = site
         run(config, "preprocess")
@@ -244,7 +273,7 @@ class TestExtract:
         write_fixture_site(tmp_path)
         write_thesaurus(tmp_path / "thesaurus.tsv")
         config = write_config(tmp_path, server.base_url,
-                              extra='[paths]\nexemplars = "exemplars.json"')
+                              paths='exemplars = "exemplars.json"')
         data = json.loads(resources.files("biotriplets.data")
                           .joinpath("exemplars.json").read_text(encoding="utf-8"))
         write(tmp_path / "exemplars.json", data)

@@ -136,6 +136,20 @@ def test_request_bodies_and_authorization(server):
     assert "Authorization" not in keyless["headers"]
 
 
+def test_repr_hides_api_key(server):
+    server.reply(200, CHAT_OK)
+    server.reply(200, {"data": [{"index": 0, "embedding": [1.0, 0.0]}]})
+    chat_client = chat(server, api_key="sk-chat-secret")
+    embed_client = embedder(server, api_key="sk-embed-secret")
+    assert "sk-chat-secret" not in repr(chat_client)
+    assert "sk-embed-secret" not in repr(embed_client)
+    assert "chat-m" in repr(chat_client) and "embed-m" in repr(embed_client)
+    chat_client.complete(MESSAGES)
+    embed_client.embed(["a"])
+    assert [r["headers"]["Authorization"] for r in server.requests] == [
+        "Bearer sk-chat-secret", "Bearer sk-embed-secret"]
+
+
 def call(kind, server):
     if kind == "chat":
         return chat(server).complete(MESSAGES)

@@ -8,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from biotriplets.classifier import CandidatePair, ChatEndpoint, load_exemplars
+from biotriplets.classifier import CandidatePair, ChatEndpoint, build_prompt, load_exemplars
 from biotriplets.docmodel import (
     Section,
     SiteProfile,
@@ -16,8 +16,9 @@ from biotriplets.docmodel import (
     flatten_section_text,
     preprocess_html,
 )
-from biotriplets.errors import EndpointUnavailable
+from biotriplets.errors import EndpointRejected, EndpointUnavailable
 from biotriplets.matcher import MatcherAutomaton, Thesaurus
+from biotriplets.mockserver import mock_embedding
 from biotriplets.pipeline import (
     CellCounts,
     ExtractionReport,
@@ -37,6 +38,7 @@ from biotriplets.retrieval import (
     RetrievalConfig,
     build_query,
     chunk_for_candidate,
+    retrieve_top_k,
 )
 
 PROFILE = SiteProfile(site_id="s1")
@@ -207,16 +209,18 @@ def long_section_site():
 
 def section_texts(doc, candidates, cfg=RetrievalConfig()):
     """Per section, in first-seen order: the distinct query and chunk
-    texts of the given candidates."""
+    texts of the given candidates that have more than one chunk. A section
+    whose candidates have one chunk each is left out: it sends no request."""
     sections = list(doc.walk_sections())
     out = {}
     for c in candidates:
         flat = flatten_section_text(sections[c.section_index])
+        chunks = chunk_for_candidate(flat, c.match_word_index, cfg)
+        if len(chunks) == 1:
+            continue
         texts = out.setdefault(c.section_index, {})
         texts[build_query(c.head_surface, c.relation, c.tail_title)] = None
-        texts.update(dict.fromkeys(
-            chunk.text for chunk in chunk_for_candidate(flat, c.match_word_index, cfg)
-        ))
+        texts.update(dict.fromkeys(chunk.text for chunk in chunks))
     return {index: list(texts) for index, texts in out.items()}
 
 
@@ -242,13 +246,46 @@ class TestSectionEmbedding:
         requests = embed_requests(server)
         for inputs in requests:
             assert len(inputs) == len(set(inputs)), "a text sent twice in one request"
-        # one request per section, carrying its distinct queries plus chunks
+        # one request per section of more than one chunk, carrying its
+        # distinct queries plus chunks; the short "Other" section sends none
         expected = section_texts(doc, candidates)
+        assert list(expected) == [0]
         assert sorted(requests) == sorted(expected.values())
         per_candidate = sum(
-            1 + len(section_texts(doc, [c])[c.section_index]) for c in candidates
+            1 + len(section_texts(doc, [c]).get(c.section_index, [])) for c in candidates
         )
         assert sum(map(len, requests)) < per_candidate
+
+    def test_long_section_context_is_its_top_k_chunks(self, tmp_path, mock_server):
+        doc, candidates = long_section_site()
+        cfg = RetrievalConfig(top_k=4)  # of the 10 chunks a candidate has here
+        exemplars = load_exemplars()
+        prompts = {}
+
+        class RecordingChat(ChatEndpoint):
+            def complete(self, messages):
+                prompt = messages[-1]["content"]
+                prompts[prompt.rsplit("\n\n", 1)[1]] = prompt  # keyed by question
+                return super().complete(messages)
+
+        server = mock_server()
+        chat = RecordingChat(base_url=server.base_url, model="mock")
+        embed = EmbeddingEndpoint(base_url=server.base_url, model="mock-embed")
+        run_extraction(candidates, [doc], chat, embed, cfg, exemplars,
+                       journal_path=tmp_path / "j.jsonl", workers=2)
+        flat = flatten_section_text(list(doc.walk_sections())[0])
+        reordered = 0
+        for c in (c for c in candidates if c.section_index == 0):
+            chunks = chunk_for_candidate(flat, c.match_word_index, cfg)
+            assert len(chunks) > cfg.top_k
+            query = build_query(c.head_surface, c.relation, c.tail_title)
+            expected = retrieve_top_k(
+                np.array(mock_embedding(query)),
+                [(chunk, np.array(mock_embedding(chunk.text))) for chunk in chunks], cfg)
+            reordered += expected != chunks[: cfg.top_k]
+            sent = build_prompt(c, expected, exemplars).to_messages()[-1]["content"]
+            assert prompts[query] == sent
+        assert reordered, "the vectors set the context of some candidate"
 
     def test_limit_embeds_only_classified_candidates(self, tmp_path, mock_server):
         doc, candidates = long_section_site()
@@ -329,10 +366,16 @@ class TestSectionEmbedding:
         finally:
             sys.setswitchinterval(interval)
         assert embedder.calls == len(groups)
+
+        def unit(text):
+            vec = np.array([float(hash(text) % 1000), 1.0])
+            return vec / np.linalg.norm(vec)
+
         for (group, c), (query_vec, chunks) in zip(tasks, results):
             query = build_query(c.head_surface, c.relation, c.tail_title)
-            assert query_vec[0] == hash(query) % 1000
-            assert [vec[0] for _, vec in chunks] == [hash(ch.text) % 1000 for ch, _ in chunks]
+            assert np.allclose(query_vec, unit(query), rtol=0, atol=1e-15)
+            for ch, vec in chunks:
+                assert np.allclose(vec, unit(ch.text), rtol=0, atol=1e-15)
             assert any(ch.is_anchor for ch, _ in chunks)
         # every share was counted, so the vectors were released
         assert all(not group._vectors for group in groups)
@@ -423,6 +466,16 @@ class TestRunExtraction:
         # resume finishes the rest without re-doing journaled work
         result = self.run(candidates, server, journal)
         assert result.classified == 3 - done_before
+
+    def test_no_candidate_started_after_a_failure(self, tmp_path, mock_server):
+        server = mock_server({"rules": [{"contains": "Is drugname0", "statuses": [400]}]})
+        chat, embed = endpoints(server)
+        with pytest.raises(EndpointRejected):
+            run_extraction(
+                make_candidates(30), make_documents(30), chat, embed, RetrievalConfig(),
+                load_exemplars(), journal_path=tmp_path / "j.jsonl", workers=1,
+            )
+        assert [e["status"] for e in server.log.entries] == [400]
 
     def test_triplet_provenance_complete(self, tmp_path, mock_server):
         server = mock_server({"default": {"answer": "Yes", "reason": "because"}})

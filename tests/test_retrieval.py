@@ -4,13 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from biotriplets.errors import (
-    DimensionMismatch,
-    EndpointUnavailable,
-    MatchOutOfRange,
-    UnknownRelationType,
-    ZeroVector,
-)
+from biotriplets.errors import EndpointUnavailable, MatchOutOfRange, UnknownRelationType
 from biotriplets.mockserver import mock_embedding
 from biotriplets.retrieval import (
     Chunk,
@@ -18,8 +12,8 @@ from biotriplets.retrieval import (
     RetrievalConfig,
     build_query,
     chunk_for_candidate,
-    cosine_similarity,
     retrieve_top_k,
+    unit_rows,
 )
 
 CFG = RetrievalConfig()
@@ -113,33 +107,6 @@ class TestBuildQuery:
             build_query("x", "causes", "y")
 
 
-class TestCosine:
-    def test_self_similarity(self):
-        v = np.array([0.3, -1.2, 4.0])
-        assert cosine_similarity(v, v) == pytest.approx(1.0)
-
-    def test_orthogonal(self):
-        assert cosine_similarity(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-
-    def test_analytic_value(self):
-        got = cosine_similarity(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
-        assert got == pytest.approx(1 / math.sqrt(2), abs=1e-9)
-
-    def test_symmetry(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            a, b = rng.normal(size=8), rng.normal(size=8)
-            assert abs(cosine_similarity(a, b) - cosine_similarity(b, a)) < 1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            cosine_similarity(np.ones(3), np.ones(4))
-
-    def test_zero_vector(self):
-        with pytest.raises(ZeroVector):
-            cosine_similarity(np.zeros(3), np.ones(3))
-
-
 def scored_chunks(scores, anchor_index=0):
     """Chunks whose cosine against the unit query equals the given scores."""
     out = []
@@ -195,6 +162,66 @@ class TestTopK:
             got = retrieve_top_k(rng.normal(size=4), chunks, CFG)
             assert len(got) == min(CFG.top_k, count)
             assert any(c.is_anchor for c in got)
+
+
+def cosine_top_k(query_vec, chunks, cfg):
+    """The ranking as it was before unit vectors: a cosine per chunk, a sort
+    by descending cosine then earlier start, and the anchor forced in."""
+    def cosine(a, b):
+        return float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
+
+    def key(sc):
+        return -sc[0], sc[1].word_span[0]
+
+    scored = sorted(((cosine(query_vec, vec), chunk) for chunk, vec in chunks), key=key)
+    selected = scored[: cfg.top_k]
+    if not any(c.is_anchor for _, c in selected):
+        selected[-1] = next(sc for sc in scored if sc[1].is_anchor)
+        selected.sort(key=key)
+    return [c for _, c in selected]
+
+
+class TestUnitRanking:
+    def test_matches_cosine_ranking(self):
+        """Unit rows and one product select and order the chunks as the
+        cosine formula did, on random sets with repeated chunk texts (equal
+        vectors, so exact ties) and anchors ranked below top_k."""
+        rng = np.random.default_rng(2024)
+        ties = forced = 0
+        for _ in range(400):
+            count = int(rng.integers(1, 30))
+            dim = int(rng.choice([3, 8, 32, 64]))
+            cfg = RetrievalConfig(top_k=int(rng.integers(1, 12)))
+            anchor = int(rng.integers(0, count))
+            texts = [f"t{rng.integers(0, max(1, count - 3))}" for _ in range(count)]
+            by_text = {t: rng.normal(size=dim) * rng.uniform(0.1, 20) for t in texts}
+            query = rng.normal(size=dim)
+            chunks = [(Chunk(t, (i * 7, i * 7 + 9), i == anchor), by_text[t])
+                      for i, t in enumerate(texts)]
+            units = unit_rows([query] + [vec for _, vec in chunks])
+            unit_chunks = [(chunk, vec) for (chunk, _), vec in zip(chunks, units[1:])]
+            assert retrieve_top_k(units[0], unit_chunks, cfg) == cosine_top_k(query, chunks, cfg)
+            ties += len(set(texts)) < count
+            ranked = cosine_top_k(query, chunks, RetrievalConfig(top_k=count))
+            forced += ranked.index(chunks[anchor][0]) >= cfg.top_k
+        assert ties > 100 and forced > 20, (ties, forced)
+
+    def test_equal_vectors_tie_exactly(self):
+        # a matrix-vector product can round equal rows differently; equal
+        # vectors must still tie and fall back to the earlier start
+        rng = np.random.default_rng(7)
+        for count in range(2, 40):
+            vecs = unit_rows(rng.normal(size=(count, 32)))
+            vecs[count - 1] = vecs[0]
+            chunks = [(Chunk(f"c{i}", (count - i, count - i + 1), i == 0), vecs[i])
+                      for i in range(count)]
+            got = retrieve_top_k(unit_rows([rng.normal(size=32)])[0], chunks,
+                                 RetrievalConfig(top_k=count))
+            assert got.index(chunks[count - 1][0]) < got.index(chunks[0][0])
+
+    def test_unit_rows(self):
+        rows = unit_rows([np.array([3.0, 4.0]), np.array([0.0, -2.0])])
+        assert np.allclose(rows, [[0.6, 0.8], [0.0, -1.0]])
 
 
 class TestEmbedClient:
