@@ -162,7 +162,7 @@ def cmd_eval(args) -> int:
     cfg = _load_cfg(args)
     try:
         samples = evaluation.load_benchmark(args.benchmark)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARTIAL
     if not samples:

@@ -392,16 +392,16 @@ def read_jsonl(path, parse, what: str, action: str, error=ConfigError) -> list:
     return out
 
 
-def _manifest_entry(entry) -> dict:
-    if not isinstance(entry, dict):
-        raise TypeError(f"expected a JSON object, got {type(entry).__name__}")
-    return entry
+def json_object(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError(f"expected a JSON object, got {type(value).__name__}")
+    return value
 
 
 def read_manifest(path: str | Path) -> list[dict]:
     """Manifest is JSON lines: {site_id, url, path}."""
     try:
-        return read_jsonl(path, _manifest_entry, "a manifest entry", "fix the manifest")
+        return read_jsonl(path, json_object, "a manifest entry", "fix the manifest")
     except OSError as exc:
         raise ConfigError(f"cannot read manifest: {exc}") from None
 

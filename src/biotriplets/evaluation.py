@@ -8,13 +8,13 @@ reference model's label for agreement analysis.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import Optional
 
 from .classifier import Judgment
+from .docmodel import json_object, read_jsonl
 from .errors import (
     EmptyMatrix,
     LengthMismatch,
@@ -35,45 +35,25 @@ class BenchmarkSample:
     sample_id: str
     gold: str  # "Yes" | "No"
     predictions: dict[str, Judgment]
-    head_surface: str = ""
-    relation: str = ""
-    tail_title: str = ""
-    context_ref: str = ""
+
+
+def _sample(record) -> BenchmarkSample:
+    d = json_object(record)
+    if d["gold"] not in (YES, NO):
+        raise ValueError(f"gold {d['gold']!r} is neither {YES!r} nor {NO!r}")
+    predictions = {}
+    for model, p in json_object(d["predictions"]).items():
+        p = json_object(p)
+        predictions[model] = Judgment(answer=p["answer"], reason=p.get("reason", ""),
+                                      raw_output=p.get("raw_output", ""), model_id=model)
+    return BenchmarkSample(str(d["sample_id"]), d["gold"], predictions)
 
 
 def load_benchmark(path: str | Path) -> list[BenchmarkSample]:
-    """Benchmark JSONL: one sample per line with gold label and predictions."""
-    samples = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                d = json.loads(line)
-                predictions = {
-                    model: Judgment(
-                        answer=p["answer"],
-                        reason=p.get("reason", ""),
-                        raw_output=p.get("raw_output", ""),
-                        model_id=model,
-                    )
-                    for model, p in d["predictions"].items()
-                }
-                samples.append(
-                    BenchmarkSample(
-                        sample_id=str(d["sample_id"]),
-                        gold=d["gold"],
-                        predictions=predictions,
-                        head_surface=d.get("head_surface", ""),
-                        relation=d.get("relation", ""),
-                        tail_title=d.get("tail_title", ""),
-                        context_ref=d.get("context_ref", ""),
-                    )
-                )
-            except (KeyError, ValueError) as exc:
-                raise ValueError(f"benchmark line {line_no}: {exc}") from exc
-    return samples
+    """Benchmark JSONL: one sample per line with gold label and predictions.
+    A line that is not a sample raises ValueError naming the file and line."""
+    return read_jsonl(path, _sample, "a benchmark sample", "fix the benchmark",
+                      ValueError)
 
 
 def effective_label(

@@ -1,9 +1,11 @@
-"""End-to-end orchestration: candidates, classification fan-out, triplets.
+"""End-to-end orchestration: candidates, classification by section, triplets.
 
 Candidates are one per (head concept, relation, page) and point at their
-section in documents.jsonl; the pending candidates of one section share a
-single embedding call. A section of at most `anchor_min_words` words gives
-each candidate one chunk, the one retrieved whatever the vectors, so it is
+section in documents.jsonl. The pending section is the unit of work: a
+worker chunks its candidates, embeds their distinct texts in one call, then
+classifies the candidates in turn, so concurrency comes from distinct
+sections. A section of at most `anchor_min_words` words gives each
+candidate one chunk, the one retrieved whatever the vectors, so it is
 neither embedded nor ranked. Classification progress is journaled to an
 append-only JSONL file keyed by candidate id, so an interrupted run
 resumes without re-querying finished candidates.
@@ -18,7 +20,7 @@ import os
 import re
 import threading
 from bisect import bisect_left
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional
@@ -251,86 +253,18 @@ def _end_torn_line(fh) -> None:
             fh.write(b"\n")
 
 
-class SectionVectors:
-    """Chunks and embeddings shared by the pending candidates of one section.
-
-    The first candidate to ask chunks the section for every candidate,
-    collects the distinct query and chunk texts of those with more than one
-    chunk in first-seen order and embeds them in one `embed` call (none
-    when there are no such texts); the others wait for it and take their
-    share. The vectors are scaled to unit length on arrival. A failed
-    embedding is raised to every candidate of the section. The vectors are
-    dropped once the last candidate has taken its share.
-    """
-
-    def __init__(self, section: Section, candidates: list[CandidatePair]):
-        self.section = section
-        self.candidates = candidates
-        self._lock = threading.Lock()
-        self._remaining = len(candidates)
-        self._chunks: Optional[dict[str, list[Chunk]]] = None
-        self._vectors: dict[str, np.ndarray] = {}
-        self._error: Optional[BaseException] = None
-
-    def _embed(self, embedder: EmbeddingEndpoint, cfg: RetrievalConfig) -> None:
-        flat = flatten_section_text(self.section)
-        chunks: dict[str, list[Chunk]] = {}
-        texts: dict[str, None] = {}
-        for c in self.candidates:
-            try:
-                chunks[c.candidate_id] = chunk_for_candidate(flat, c.match_word_index, cfg)
-            except MatchOutOfRange as exc:
-                raise StaleCandidates(
-                    f"candidate {c.candidate_id}: {exc} in {c.section_path!r}; rerun match"
-                ) from None
-            if len(chunks[c.candidate_id]) > 1:
-                texts[build_query(c.head_surface, c.relation, c.tail_title)] = None
-                texts.update(dict.fromkeys(chunk.text for chunk in chunks[c.candidate_id]))
-        if texts:
-            self._vectors = dict(zip(texts, unit_rows(embedder.embed(list(texts)))))
-        self._chunks = chunks
-
-    def take(
-        self,
-        candidate: CandidatePair,
-        embedder: EmbeddingEndpoint,
-        cfg: RetrievalConfig,
-    ) -> tuple[Optional[np.ndarray], list[tuple[Chunk, Optional[np.ndarray]]]]:
-        """The candidate's unit query vector and its (chunk, unit vector)
-        pairs; a candidate with one chunk has no vectors (None)."""
-        with self._lock:
-            if self._error is not None:
-                raise self._error
-            if self._chunks is None:
-                try:
-                    self._embed(embedder, cfg)
-                except BaseException as exc:
-                    self._error = exc
-                    raise
-            chunks = self._chunks[candidate.candidate_id]
-            vectors = self._vectors
-            self._remaining -= 1
-            if self._remaining == 0:
-                self._chunks, self._vectors = {}, {}
-        query = build_query(candidate.head_surface, candidate.relation, candidate.tail_title)
-        return vectors.get(query), [(chunk, vectors.get(chunk.text)) for chunk in chunks]
-
-
-def _section_key(candidate: CandidatePair) -> tuple[str, str, int]:
-    return candidate.site_id, candidate.page_url, candidate.section_index
-
-
 def pending_sections(
     pending: list[CandidatePair], documents: Iterable[WebDocument]
-) -> dict[tuple[str, str, int], SectionVectors]:
-    """Group pending candidates by the section they point at.
+) -> list[tuple[Section, list[CandidatePair]]]:
+    """Group pending candidates by the section they point at, in first-seen
+    order.
 
     Raises StaleCandidates when a section is missing from the documents or
     sits at another path than the candidate recorded.
     """
     groups: dict[tuple[str, str, int], list[CandidatePair]] = {}
     for c in pending:
-        groups.setdefault(_section_key(c), []).append(c)
+        groups.setdefault((c.site_id, c.page_url, c.section_index), []).append(c)
     pages = {key[:2] for key in groups}
     docs: dict[tuple[str, str], tuple[WebDocument, list[Section]]] = {}
     for doc in documents:
@@ -338,7 +272,7 @@ def pending_sections(
         if key in pages and key not in docs:
             docs[key] = (doc, list(doc.walk_sections()))
 
-    out = {}
+    out = []
     for key, members in groups.items():
         doc, sections = docs.get(key[:2], (None, []))
         index = key[2]
@@ -350,22 +284,52 @@ def pending_sections(
                     f"({c.section_path!r}) of {c.page_url}, which documents.jsonl "
                     f"does not have; rerun match"
                 )
-        out[key] = SectionVectors(sections[index], members)
+        out.append((sections[index], members))
     return out
+
+
+def _section_vectors(
+    section: Section,
+    candidates: list[CandidatePair],
+    embedder: EmbeddingEndpoint,
+    cfg: RetrievalConfig,
+) -> tuple[list[list[Chunk]], dict[str, np.ndarray]]:
+    """Each candidate's chunks, and the unit vectors of the distinct query
+    and chunk texts of those with more than one chunk, embedded in one
+    `embed` call (none when there are no such texts)."""
+    flat = flatten_section_text(section)
+    chunks: list[list[Chunk]] = []
+    texts: dict[str, None] = {}
+    for c in candidates:
+        try:
+            chunks.append(chunk_for_candidate(flat, c.match_word_index, cfg))
+        except MatchOutOfRange as exc:
+            raise StaleCandidates(
+                f"candidate {c.candidate_id}: {exc} in {c.section_path!r}; rerun match"
+            ) from None
+        if len(chunks[-1]) > 1:
+            texts[build_query(c.head_surface, c.relation, c.tail_title)] = None
+            texts.update(dict.fromkeys(chunk.text for chunk in chunks[-1]))
+    if not texts:
+        return chunks, {}
+    return chunks, dict(zip(texts, unit_rows(embedder.embed(list(texts)))))
 
 
 def _process_candidate(
     candidate: CandidatePair,
-    section: SectionVectors,
+    chunks: list[Chunk],
+    vectors: dict[str, np.ndarray],
     chat: ChatEndpoint,
-    embedder: EmbeddingEndpoint,
     retrieval_cfg: RetrievalConfig,
     exemplars: ExemplarSet,
 ) -> Judgment:
-    query_vec, chunks = section.take(candidate, embedder, retrieval_cfg)
-    retrieved = ([chunks[0][0]] if len(chunks) == 1
-                 else retrieve_top_k(query_vec, chunks, retrieval_cfg))
-    return classify(candidate, retrieved, chat, exemplars)
+    """Classify one candidate; a candidate with one chunk is not ranked."""
+    if len(chunks) > 1:
+        query = build_query(candidate.head_surface, candidate.relation, candidate.tail_title)
+        chunks = retrieve_top_k(
+            vectors[query], [(chunk, vectors[chunk.text]) for chunk in chunks], retrieval_cfg
+        )
+    return classify(candidate, chunks, chat, exemplars)
 
 
 def run_extraction(
@@ -385,9 +349,11 @@ def run_extraction(
 
     `documents` holds the sections the candidates point at; only those of
     pending candidates are read. `limit` caps how many pending candidates
-    this run processes; the rest stay pending for a later resume. Endpoint
-    failure aborts with the journal intact: once a candidate has failed, no
-    worker starts another.
+    this run processes; the rest stay pending for a later resume. Each
+    worker takes one pending section at a time: it embeds the section, then
+    classifies and journals its candidates in turn. Endpoint failure aborts
+    with the journal intact: once a candidate has failed, no worker starts
+    another.
     """
     journal = Journal(journal_path)
     done = journal.load()
@@ -395,48 +361,37 @@ def run_extraction(
     if limit is not None:
         pending = pending[:limit]
     sections = pending_sections(pending, documents)
-
-    classified = 0
-    abort: list[BaseException] = []
-    lock = threading.Lock()
     failed = threading.Event()
 
-    def work(candidate: CandidatePair) -> None:
-        nonlocal classified
+    def work(section: Section, members: list[CandidatePair]) -> int:
+        """Classify the section's candidates in turn; returns how many."""
         if failed.is_set():
-            return  # the run is stopping: send no new request
+            return 0  # the run is stopping: send no new request
         try:
-            judgment = _process_candidate(
-                candidate, sections[_section_key(candidate)],
-                chat, embedder, retrieval_cfg, exemplars,
-            )
+            chunks, vectors = _section_vectors(section, members, embedder, retrieval_cfg)
+            for count, (candidate, its_chunks) in enumerate(zip(members, chunks)):
+                if failed.is_set():
+                    return count
+                judgment = _process_candidate(
+                    candidate, its_chunks, vectors, chat, retrieval_cfg, exemplars
+                )
+                record = {
+                    "candidate_id": candidate.candidate_id,
+                    "answer": judgment.answer,
+                    "reason": judgment.reason,
+                    "model_id": judgment.model_id,
+                }
+                if not deterministic:
+                    record["latency_ms"] = judgment.latency_ms
+                journal.append(record)
         except BaseException:
             failed.set()
             raise
-        record = {
-            "candidate_id": candidate.candidate_id,
-            "answer": judgment.answer,
-            "reason": judgment.reason,
-            "model_id": judgment.model_id,
-        }
-        if not deterministic:
-            record["latency_ms"] = judgment.latency_ms
-        journal.append(record)
-        with lock:
-            classified += 1
+        return len(members)
 
-    if pending:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(work, c) for c in pending]
-            done_set, not_done = wait(futures, return_when=FIRST_EXCEPTION)
-            for fut in not_done:
-                fut.cancel()
-            for fut in done_set:
-                exc = fut.exception()
-                if exc is not None:
-                    abort.append(exc)
-    if abort:
-        raise abort[0]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(work, section, members) for section, members in sections]
+    classified = sum(f.result() for f in futures)
 
     done = journal.load()
     relation_ids = relations or sorted({c.relation for c in candidates})

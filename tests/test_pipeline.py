@@ -1,8 +1,6 @@
 import json
 import random
-import sys
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -24,7 +22,6 @@ from biotriplets.pipeline import (
     ExtractionReport,
     Journal,
     RelationTriplet,
-    SectionVectors,
     default_relations,
     dedupe_triplets,
     enumerate_candidates,
@@ -295,90 +292,34 @@ class TestSectionEmbedding:
         expected = section_texts(doc, candidates[:3])
         assert sorted(embed_requests(server)) == sorted(expected.values())
 
-    def test_failed_embedding_raised_to_every_waiting_candidate(self):
+    def test_no_worker_waits_on_another_workers_section(self, tmp_path, mock_server):
         doc, candidates = long_section_site()
-        members = [c for c in candidates if c.section_index == 0]
+        short = [build_query(c.head_surface, c.relation, c.tail_title)
+                 for c in candidates if c.section_index == 1]
+        answered = threading.Event()
+        waited = []
 
-        class FailingEmbedder:
-            calls = 0
+        class SignallingChat(ChatEndpoint):
+            def complete(self, messages):
+                reply = super().complete(messages)
+                if any(q in messages[-1]["content"] for q in short):
+                    answered.set()
+                return reply
 
+        class WaitingEmbedder(EmbeddingEndpoint):
             def embed(self, texts):
-                self.calls += 1
-                time.sleep(0.2)  # the section's other candidates queue meanwhile
-                raise EndpointUnavailable("embedding endpoint: HTTP 503")
+                # the long section's embedding waits for the short section
+                waited.append(answered.wait(timeout=5))
+                return super().embed(texts)
 
-        embedder = FailingEmbedder()
-        section = SectionVectors(list(doc.walk_sections())[0], members)
-        errors = []
-
-        def take(candidate):
-            try:
-                section.take(candidate, embedder, RetrievalConfig())
-            except EndpointUnavailable as exc:
-                errors.append(exc)
-
-        threads = [threading.Thread(target=take, args=(c,)) for c in members]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=10)
-            assert not t.is_alive(), "a waiting candidate hangs"
-        assert len(errors) == len(members)
-        assert embedder.calls == 1
-
-    def test_concurrent_takers_share_one_embedding(self):
-        words = [f"w{i}" for i in range(1500)]
-        sections = [Section(f"S{k}", 2, " ".join(words)) for k in range(3)]
-        groups = [
-            SectionVectors(section, [
-                CandidatePair(
-                    candidate_id=f"c{k}-{i}", site_id="s1", page_url="https://x/p",
-                    relation="treatment", head_surface=f"drug{i}", head_concept_id=f"C{i}",
-                    head_semantic_types=frozenset({"Chemical or Drug"}),
-                    tail_title="Disease", section_path=f"Disease > S{k}",
-                    section_index=k, match_word_index=i * 37,
-                )
-                for i in range(40)
-            ])
-            for k, section in enumerate(sections)
-        ]
-
-        class CountingEmbedder:
-            def __init__(self):
-                self.calls = 0
-                self.lock = threading.Lock()
-
-            def embed(self, texts):
-                with self.lock:
-                    self.calls += 1
-                return [np.array([float(hash(t) % 1000), 1.0]) for t in texts]
-
-        embedder = CountingEmbedder()
-        tasks = [(group, c) for group in groups for c in group.candidates]
-        random.Random(3).shuffle(tasks)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=16) as pool:
-                futures = [pool.submit(group.take, c, embedder, RetrievalConfig())
-                           for group, c in tasks]
-                results = [f.result(timeout=30) for f in futures]
-        finally:
-            sys.setswitchinterval(interval)
-        assert embedder.calls == len(groups)
-
-        def unit(text):
-            vec = np.array([float(hash(text) % 1000), 1.0])
-            return vec / np.linalg.norm(vec)
-
-        for (group, c), (query_vec, chunks) in zip(tasks, results):
-            query = build_query(c.head_surface, c.relation, c.tail_title)
-            assert np.allclose(query_vec, unit(query), rtol=0, atol=1e-15)
-            for ch, vec in chunks:
-                assert np.allclose(vec, unit(ch.text), rtol=0, atol=1e-15)
-            assert any(ch.is_anchor for ch, _ in chunks)
-        # every share was counted, so the vectors were released
-        assert all(not group._vectors for group in groups)
+        server = mock_server()
+        chat = SignallingChat(base_url=server.base_url, model="mock")
+        embed = WaitingEmbedder(base_url=server.base_url, model="mock-embed")
+        result = run_extraction(candidates, [doc], chat, embed, RetrievalConfig(),
+                                load_exemplars(), journal_path=tmp_path / "j.jsonl",
+                                workers=2)
+        assert waited == [True], "the short section waited on the long one"
+        assert result.classified == len(candidates)
 
     def test_failed_embedding_keeps_journal(self, tmp_path, mock_server):
         doc, candidates = long_section_site()
@@ -397,8 +338,12 @@ class TestSectionEmbedding:
             with pytest.raises(EndpointUnavailable):
                 future.result(timeout=30)
         assert journal.read_bytes() == before
+        # the short section's chats may run meanwhile; the long section,
+        # whose embedding failed, sends none
+        failed = [build_query(c.head_surface, c.relation, c.tail_title)
+                  for c in candidates if c.section_index == 0]
         chats = [e for e in server.log.entries if e["kind"] == "chat"]
-        assert len(chats) == 1
+        assert not any(q in e["prompt_tail"] for e in chats[1:] for q in failed)
 
 
 class TestRunExtraction:
