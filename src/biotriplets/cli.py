@@ -28,6 +28,7 @@ from .errors import (
     EndpointUnavailable,
     FileUnreadable,
     FormatError,
+    MissingPrediction,
 )
 from .mockserver import MockScript, MockServer
 
@@ -162,21 +163,21 @@ def cmd_eval(args) -> int:
     cfg = _load_cfg(args)
     try:
         samples = evaluation.load_benchmark(args.benchmark)
-    except (OSError, ValueError) as exc:
+        model_ids = sorted({m for s in samples for m in s.predictions})
+        confusions = [evaluation.confusion(samples, model) for model in model_ids]
+    except (OSError, ValueError, MissingPrediction) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARTIAL
     if not samples:
         print("error: benchmark is empty", file=sys.stderr)
         return EXIT_PARTIAL
-    model_ids = sorted({m for s in samples for m in s.predictions})
     reference = args.reference or cfg.chat.get("reference_model") or model_ids[0]
     if reference not in model_ids:
         print(f"error: reference model {reference!r} not in benchmark", file=sys.stderr)
         return EXIT_CONFIG
 
     rows = []
-    for model in model_ids:
-        cm = evaluation.confusion(samples, model)
+    for model, cm in zip(model_ids, confusions):
         m = evaluation.metrics(cm)
         rows.append({
             "model": model,

@@ -11,28 +11,27 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Optional
-
-import numpy as np
 
 MOCK_EMBED_DIM = 32
 
 
 def mock_embedding(text: str, dim: int = MOCK_EMBED_DIM) -> list[float]:
     """Deterministic bag-of-words projection into `dim` buckets."""
-    vec = np.zeros(dim, dtype=np.float64)
+    vec = [0.0] * dim
     for token in text.lower().split():
         digest = hashlib.sha1(token.encode("utf-8")).digest()
         bucket = int.from_bytes(digest[:4], "big") % dim
         sign = 1.0 if digest[4] % 2 == 0 else -1.0
         vec[bucket] += sign
-    if not vec.any():
+    if not any(vec):
         vec[0] = 1.0
-    vec /= np.linalg.norm(vec)
-    return vec.tolist()
+    norm = math.sqrt(math.fsum(x * x for x in vec))
+    return [x / norm for x in vec]
 
 
 class MockScript:

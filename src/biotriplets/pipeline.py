@@ -25,8 +25,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional
 
-import numpy as np
-
 from .classifier import CandidatePair, ChatEndpoint, ExemplarSet, Judgment, classify
 from .docmodel import Section, WebDocument, flatten_section_text, read_jsonl, section_path
 from .errors import MatchOutOfRange, StaleCandidates
@@ -293,7 +291,7 @@ def _section_vectors(
     candidates: list[CandidatePair],
     embedder: EmbeddingEndpoint,
     cfg: RetrievalConfig,
-) -> tuple[list[list[Chunk]], dict[str, np.ndarray]]:
+) -> tuple[list[list[Chunk]], dict[str, list[float]]]:
     """Each candidate's chunks, and the unit vectors of the distinct query
     and chunk texts of those with more than one chunk, embedded in one
     `embed` call (none when there are no such texts)."""
@@ -318,7 +316,7 @@ def _section_vectors(
 def _process_candidate(
     candidate: CandidatePair,
     chunks: list[Chunk],
-    vectors: dict[str, np.ndarray],
+    vectors: dict[str, list[float]],
     chat: ChatEndpoint,
     retrieval_cfg: RetrievalConfig,
     exemplars: ExemplarSet,

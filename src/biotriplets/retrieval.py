@@ -6,15 +6,15 @@ guaranteed to contain the matched term) plus 128-word windows with a
 words is one chunk, which is retrieved whatever its vectors are, so it is
 not embedded. The chunks of a longer section are embedded through an
 external endpoint and ranked by cosine similarity against the yes/no
-question: one product of the unit chunk vectors with the unit query.
+question: the dot product of the unit chunk and query vectors, lists of floats.
 """
 
 from __future__ import annotations
 
 import logging
+import math
+import operator
 from dataclasses import dataclass
-
-import numpy as np
 
 from .endpoint import Endpoint
 from .errors import EndpointRejected, MatchOutOfRange, UnknownRelationType
@@ -97,30 +97,26 @@ def build_query(head: str, relation_id: str, tail: str) -> str:
     return f"Is {head} {phrase} {tail}?"
 
 
-def unit_rows(vectors: list[np.ndarray]) -> np.ndarray:
-    """The vectors as the rows of a matrix, each scaled to unit length."""
-    matrix = np.array(vectors, dtype=np.float64)
-    return matrix / np.linalg.norm(matrix, axis=1, keepdims=True)
+def unit_rows(vectors: list[list[float]]) -> list[list[float]]:
+    """The vectors, each scaled to unit length."""
+    norms = [math.hypot(*v) for v in vectors]
+    return [[x / norm for x in v] for v, norm in zip(vectors, norms)]
 
 
 def retrieve_top_k(
-    query_vec: np.ndarray,
-    chunks: list[tuple[Chunk, np.ndarray]],
+    query_vec: list[float],
+    chunks: list[tuple[Chunk, list[float]]],
     cfg: RetrievalConfig,
 ) -> list[Chunk]:
     """Up to top_k chunks by descending similarity; the anchor always makes it.
 
     The vectors are of unit length (`unit_rows`), so a chunk's cosine
-    similarity is its row of one matrix-vector product. Equal vectors share
-    a row, so they tie exactly; ties break toward the earlier word span.
+    similarity is its dot product with the query. An exactly rounded sum
+    gives equal vectors equal scores; ties break toward the earlier word span.
     """
-    # a matrix product can round equal rows differently, so score each
-    # distinct vector once
-    keys = [vec.tobytes() for _, vec in chunks]
-    rows = dict(zip(keys, (vec for _, vec in chunks)))
-    scores = dict(zip(rows, (np.array(list(rows.values())) @ query_vec).tolist()))
+    scores = [math.fsum(map(operator.mul, vec, query_vec)) for _, vec in chunks]
     top = sorted(range(len(chunks)),
-                 key=lambda i: (-scores[keys[i]], chunks[i][0].word_span[0]))[: cfg.top_k]
+                 key=lambda i: (-scores[i], chunks[i][0].word_span[0]))[: cfg.top_k]
     anchor = next((i for i, (chunk, _) in enumerate(chunks) if chunk.is_anchor), None)
     if anchor is not None and anchor not in top:
         # it ranks below every chunk kept, so the order holds
@@ -128,20 +124,25 @@ def retrieve_top_k(
     return [chunks[i][0] for i in top]
 
 
-def _reply_vectors(body: dict, n: int) -> list[np.ndarray]:
-    """The reply's embeddings in input order; its indices must be 0..n-1,
-    and its vectors flat, of one length and not all zero."""
+def _reply_vectors(body: dict, n: int) -> list[list[float]]:
+    """The reply's embeddings in input order; its indices must be 0..n-1, and
+    its vectors flat lists of numbers, of one length, with a positive finite norm."""
     data = sorted(body["data"], key=lambda d: d["index"])
     if [d["index"] for d in data] != list(range(n)):
         raise ValueError(f"reply indices do not match the {n} inputs sent")
-    vectors = [np.asarray(d["embedding"], dtype=np.float64) for d in data]
-    if any(v.ndim != 1 for v in vectors):
+    vectors = [d["embedding"] for d in data]
+    # bool is a subclass of int, so compare exact types
+    if not all(isinstance(v, list) and set(map(type, v)) <= {int, float} for v in vectors):
         raise TypeError("an embedding is not a flat list of numbers")
-    dims = sorted({v.shape[0] for v in vectors})
+    dims = sorted({len(v) for v in vectors})
     if len(dims) > 1:
         raise ValueError(f"mixed dimensions {dims}")
-    if not all(v.any() for v in vectors):
-        raise ValueError("an all-zero embedding")
+    try:
+        norms = [math.hypot(*v) for v in vectors]
+    except OverflowError as exc:  # an int beyond the float range
+        raise ValueError(str(exc)) from None
+    if not all(0 < norm < math.inf for norm in norms):
+        raise ValueError("an all-zero or non-finite embedding")
     return vectors
 
 
@@ -149,9 +150,9 @@ def _reply_vectors(body: dict, n: int) -> list[np.ndarray]:
 class EmbeddingEndpoint(Endpoint):
     batch_limit: int = 128
 
-    def embed(self, texts: list[str]) -> list[np.ndarray]:
+    def embed(self, texts: list[str]) -> list[list[float]]:
         """Embed texts in input order, batching to the endpoint's limit."""
-        vectors: list[np.ndarray] = []
+        vectors: list[list[float]] = []
         for i in range(0, len(texts), self.batch_limit):
             batch = texts[i : i + self.batch_limit]
             vectors.extend(self.post(
@@ -159,7 +160,7 @@ class EmbeddingEndpoint(Endpoint):
                 {"model": self.model, "input": batch},
                 lambda body: _reply_vectors(body, len(batch)),
             ))
-        dims = {v.shape[0] for v in vectors}
+        dims = {len(v) for v in vectors}
         if len(dims) > 1:
             raise EndpointRejected(
                 f"POST {self.base_url.rstrip('/')}/v1/embeddings: unreadable reply: "

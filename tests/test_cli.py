@@ -399,6 +399,18 @@ class TestEval:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and f"{bench} line 13 " in err
 
+    def test_model_missing_from_a_sample_exits_1_with_one_line(self, site, capsys):
+        root, config, _ = site
+        bench = root / "bench.jsonl"
+        self.make_benchmark(bench)
+        with open(bench, "a") as fh:
+            fh.write(json.dumps({"sample_id": "s12", "gold": "No",
+                                 "predictions": {"model-a": {"answer": "No"}}}) + "\n")
+        assert run(config, "eval", str(bench)) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: sample s12 has no prediction for model-b"]
+        assert not (root / "work" / "metrics.json").exists()
+
     def test_unknown_reference(self, site):
         root, config, _ = site
         bench = root / "bench.jsonl"
@@ -441,13 +453,14 @@ class TestMockServe:
         assert [e["status"] for e in server.log.entries] == [503, 503, 200]
 
 
-def test_cli_import_loads_no_third_party_http_client():
+def test_cli_import_loads_no_third_party_package():
     src = Path(cli.__file__).resolve().parents[1]
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
     loaded = subprocess.run(
-        [sys.executable, "-c", "import biotriplets.cli, sys; "
-         "print(' '.join(m for m in ('requests', 'urllib3', 'charset_normalizer') "
+        [sys.executable, "-c", "import sys, biotriplets.cli, biotriplets.pipeline, "
+         "biotriplets.retrieval, biotriplets.mockserver; "
+         "print(' '.join(m for m in ('requests', 'urllib3', 'charset_normalizer', 'numpy') "
          "if m in sys.modules))"],
         env=env, capture_output=True, text=True, timeout=60, check=True,
     ).stdout

@@ -120,7 +120,7 @@ def test_request_bodies_and_authorization(server):
     server.reply(200, CHAT_OK)
     assert chat(server, api_key="chat-key").complete(MESSAGES)[0] == "reply"
     vectors = embedder(server, api_key="embed-key").embed(["a", "b"])
-    assert [v.tolist() for v in vectors] == [[1.0, 0.0], [0.0, 1.0]]
+    assert vectors == [[1.0, 0.0], [0.0, 1.0]]
     chat(server).complete(MESSAGES)
 
     chat_req, embed_req, keyless = server.requests
@@ -177,9 +177,15 @@ def test_client_error_rejected_after_one_request(server, kind, status):
     ("embed", {"data": [{"index": 0, "embedding": [1.0]}, {"index": 1, "embedding": [1.0, 0.0]}]}),
     ("embed", {"data": [{"index": 0, "embedding": [1.0, 0.0]}, {"index": 1, "embedding": [0.0, 0.0]}]}),
     ("embed", {"data": [{"index": 0, "embedding": [1.0, 0.0]}, {"index": 1, "embedding": []}]}),
+    ("embed", b'{"data": [{"index": 0, "embedding": [1.0, 0.0]}, {"index": 1, "embedding": [NaN, 1.0]}]}'),
+    ("embed", b'{"data": [{"index": 0, "embedding": [1.0, 0.0]}, {"index": 1, "embedding": [-Infinity, 1.0]}]}'),
+    ("embed", {"data": [{"index": 0, "embedding": [1.0, 0.0]}, {"index": 1, "embedding": [True, False]}]}),
+    ("embed", {"data": [{"index": 0, "embedding": [1.0, 0.0]}, {"index": 1, "embedding": [10 ** 400, 1]}]}),
+    ("embed", {"data": [{"index": 0, "embedding": [1.0, 0.0]}, {"index": 1, "embedding": [1.7e308, 1.7e308]}]}),
 ], ids=["null-content", "no-choices", "empty-choices", "not-json",
         "no-index", "short-index", "wrong-index", "null-embedding",
-        "mixed-dimensions", "zero-vector", "empty-vector"])
+        "mixed-dimensions", "zero-vector", "empty-vector",
+        "nan", "infinity", "bool", "huge-int", "norm-overflow"])
 def test_unreadable_reply_rejected_without_retry(server, kind, body):
     server.reply(200, body)
     with pytest.raises(errors.EndpointRejected, match="unreadable reply"):

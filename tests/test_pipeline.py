@@ -3,7 +3,6 @@ import random
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
-import numpy as np
 import pytest
 
 from biotriplets.classifier import CandidatePair, ChatEndpoint, build_prompt, load_exemplars
@@ -277,8 +276,8 @@ class TestSectionEmbedding:
             assert len(chunks) > cfg.top_k
             query = build_query(c.head_surface, c.relation, c.tail_title)
             expected = retrieve_top_k(
-                np.array(mock_embedding(query)),
-                [(chunk, np.array(mock_embedding(chunk.text))) for chunk in chunks], cfg)
+                mock_embedding(query),
+                [(chunk, mock_embedding(chunk.text)) for chunk in chunks], cfg)
             reordered += expected != chunks[: cfg.top_k]
             sent = build_prompt(c, expected, exemplars).to_messages()[-1]["content"]
             assert prompts[query] == sent

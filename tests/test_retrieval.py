@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from biotriplets.errors import EndpointUnavailable, MatchOutOfRange, UnknownRelationType
-from biotriplets.mockserver import mock_embedding
+from biotriplets.mockserver import MOCK_EMBED_DIM, mock_embedding
 from biotriplets.retrieval import (
     Chunk,
     EmbeddingEndpoint,
@@ -224,13 +225,37 @@ class TestUnitRanking:
         assert np.allclose(rows, [[0.6, 0.8], [0.0, -1.0]])
 
 
+def numpy_mock_embedding(text, dim=MOCK_EMBED_DIM):
+    """The mock's embedding as it was computed with numpy."""
+    vec = np.zeros(dim, dtype=np.float64)
+    for token in text.lower().split():
+        digest = hashlib.sha1(token.encode("utf-8")).digest()
+        vec[int.from_bytes(digest[:4], "big") % dim] += 1.0 if digest[4] % 2 == 0 else -1.0
+    if not vec.any():
+        vec[0] = 1.0
+    vec /= np.linalg.norm(vec)
+    return vec.tolist()
+
+
+def test_mock_embedding_matches_numpy_formula_bit_for_bit():
+    rng = random.Random(8)
+    vocab = [f"t{i}" for i in range(300)] + ["Fever", "fever", "FEVER", "é", "naïve"]
+    texts = ["", "   \n\t", "a", "a a a a a a", "x y x y x y y"]
+    texts += [" ".join(rng.choices(vocab, k=rng.randint(0, 40))) for _ in range(200)]
+    texts += [" ".join(rng.choices(vocab[: rng.randint(1, 20)], k=rng.randint(512, 1600)))
+              for _ in range(40)]
+    for text in texts:
+        got, expected = mock_embedding(text), numpy_mock_embedding(text)
+        assert [x.hex() for x in got] == [x.hex() for x in expected], text[:60]
+
+
 class TestEmbedClient:
     def test_arity(self, mock_server):
         server = mock_server()
         ep = EmbeddingEndpoint(base_url=server.base_url, model="m")
         vectors = ep.embed(["a"])
         assert len(vectors) == 1
-        assert vectors[0].shape == (32,)
+        assert len(vectors[0]) == 32
 
     def test_batching_preserves_order(self, mock_server):
         server = mock_server()
