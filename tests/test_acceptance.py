@@ -11,6 +11,7 @@ import string
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -179,6 +180,12 @@ def test_criterion_6_kappa_properties():
                 assert cohen_kappa(x, x) == 1.0
 
 
+# The golden run's outputs, pinned: a change that alters any byte of them
+# fails criterion 7 instead of passing as long as two runs agree.
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_FILES = ("report.txt", "report.json", "triplets.jsonl", "malformed.jsonl")
+
+
 def _golden_run(root, server_url):
     write_fixture_site(root)
     write_thesaurus(root / "thesaurus.tsv")
@@ -198,6 +205,9 @@ def test_criterion_7_end_to_end_golden_run(tmp_path, mock_server):
         bytes_a = (work_a / "triplets.jsonl").read_bytes()
         bytes_b = (work_b / "triplets.jsonl").read_bytes()
         assert bytes_a and bytes_a == bytes_b, "byte-identical triplets output"
+        for name in GOLDEN_FILES:
+            assert (work_a / name).read_bytes() == (GOLDEN / name).read_bytes(), (
+                f"{name} differs from the pinned golden output")
         report_text = (work_a / "report.txt").read_text()
         assert re.search(r"\b\d+\(\d+\.\d%\)", report_text), "count(rate%) cells"
         report = json.loads((work_a / "report.json").read_text())
