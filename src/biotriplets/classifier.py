@@ -54,21 +54,16 @@ class CandidatePair:
     relation: str
     head_surface: str
     head_concept_id: str
-    head_semantic_types: frozenset[str]
     tail_title: str
     section_path: str
     section_index: int
     match_word_index: int
 
     def to_dict(self) -> dict:
-        d = self.__dict__.copy()
-        d["head_semantic_types"] = sorted(self.head_semantic_types)
-        return d
+        return dict(self.__dict__)
 
     @classmethod
     def from_dict(cls, d: dict) -> "CandidatePair":
-        d = dict(d)
-        d["head_semantic_types"] = frozenset(d["head_semantic_types"])
         return cls(**d)
 
 

@@ -110,25 +110,31 @@ def cmd_extract(args) -> int:
                   file=sys.stderr)
             return EXIT_CONFIG
     candidates = pipeline.read_candidates(cfg.workdir / "candidates.jsonl")
+    relations = [r.id for r in cfg.relations]
+    unconfigured = sorted({c.relation for c in candidates}.difference(relations))
+    if unconfigured:
+        print(f"error: {cfg.workdir / 'candidates.jsonl'} holds relation "
+              f"{', '.join(unconfigured)}, which the config does not list; rerun match",
+              file=sys.stderr)
+        return EXIT_CONFIG
     documents = docmodel.read_documents(cfg.workdir / "documents.jsonl")
     try:
-        exemplars = classifier.load_exemplars(
-            cfg.exemplars_path, [r.id for r in cfg.relations])
+        exemplars = classifier.load_exemplars(cfg.exemplars_path, relations)
         chat = cfg.chat_endpoint()
         embedder = cfg.embedding_endpoint()
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    journal_path = cfg.workdir / "journal.jsonl"
     try:
-        result = pipeline.run_extraction(
+        classified = pipeline.run_extraction(
             candidates,
             documents,
             chat,
             embedder,
             cfg.retrieval,
             exemplars,
-            journal_path=cfg.workdir / "journal.jsonl",
-            relations=[r.id for r in cfg.relations],
+            journal_path=journal_path,
             workers=cfg.workers,
             limit=args.limit,
             deterministic=args.deterministic,
@@ -142,20 +148,21 @@ def cmd_extract(args) -> int:
     finally:
         chat.close()
         embedder.close()
-    deduped, duplicates = pipeline.dedupe_triplets(result.triplets, cfg.site_priority)
+    records = pipeline.Journal(journal_path).load()
+    triplets, report, malformed = pipeline.summarize(candidates, records, relations)
+    deduped, duplicates = pipeline.dedupe_triplets(triplets, cfg.site_priority)
     pipeline.write_triplets(deduped, cfg.workdir / "triplets.jsonl")
-    text, as_dict = pipeline.render_report(result.report)
+    text = pipeline.report_table(report)
     (cfg.workdir / "report.txt").write_text(text + "\n", encoding="utf-8")
     (cfg.workdir / "report.json").write_text(
-        json.dumps(as_dict, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
+        json.dumps(report, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
     )
     with open(cfg.workdir / "malformed.jsonl", "w", encoding="utf-8") as fh:
-        for rec in result.malformed:
+        for rec in malformed:
             fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
     print(text)
     print(f"{len(deduped)} triplets ({duplicates} cross-site duplicates removed), "
-          f"{len(result.malformed)} malformed, "
-          f"{result.classified} candidates classified this run")
+          f"{len(malformed)} malformed, {classified} candidates classified this run")
     return EXIT_OK
 
 
@@ -212,13 +219,12 @@ def cmd_eval(args) -> int:
 
 def cmd_mock_serve(args) -> int:
     script = MockScript.from_file(args.script) if args.script else MockScript()
-    kinds = {"chat", "embed"} if args.kind == "both" else {args.kind}
     try:
-        server = MockServer(script, log_path=args.log, port=args.port, kinds=kinds)
+        server = MockServer(script, log_path=args.log, port=args.port)
     except OSError as exc:
         print(f"error: cannot bind port {args.port}: {exc}", file=sys.stderr)
         return EXIT_PARTIAL
-    print(f"mock server ({args.kind}) listening on {server.base_url}")
+    print(f"mock server listening on {server.base_url}")
     try:
         server.start().thread.join()
     except KeyboardInterrupt:
@@ -255,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="reference model for the malformed-label convention")
 
     p_mock = sub.add_parser("mock-serve", help="run the deterministic mock endpoint")
-    p_mock.add_argument("--kind", choices=["both", "chat", "embed"], default="both")
     p_mock.add_argument("--script", default=None, help="canned-response script file")
     p_mock.add_argument("--port", type=int, default=0)
     p_mock.add_argument("--log", default=None, help="request log JSONL path")

@@ -98,8 +98,14 @@ def _endpoint(cls, section: str, table: dict, key_variable: str, *keys: str):
     return cls(
         model=table.get("model", "default"),
         api_key=os.environ.get(key_variable, ""),
-        **{k: table[k] for k in ("base_url", "max_retries", "timeout", *keys) if k in table},
+        **_given(table, ("base_url", "max_retries", "timeout", *keys)),
     )
+
+
+def _given(table: dict, keys) -> dict:
+    """The entries of `table` under `keys`; a key the table leaves out is
+    not passed, so it keeps the default of the class it is passed to."""
+    return {k: table[k] for k in keys if k in table}
 
 
 def load_config(path: str | Path) -> Config:
@@ -139,11 +145,7 @@ def _config(data: dict, base: Path) -> Config:
         cfg.exemplars_path = resolve(paths["exemplars"])
 
     for site_id, raw in data.get("sites", {}).items():
-        cfg.sites[site_id] = SiteProfile(
-            site_id=site_id,
-            list_marker_style=raw.get("list_marker_style", "plain"),
-            strip_selectors=list(raw.get("strip_selectors", [])),
-        )
+        cfg.sites[site_id] = SiteProfile(site_id=site_id, **_given(raw, _SCHEMA["sites.*"]))
 
     if "relations" in data:
         relations = []
@@ -159,20 +161,14 @@ def _config(data: dict, base: Path) -> Config:
             raise ConfigError("relation ids must be unique")
         cfg.relations = relations
 
-    r = data.get("retrieval", {})
-    cfg.retrieval = RetrievalConfig(
-        anchor_min_words=r.get("anchor_min_words", 512),
-        chunk_words=r.get("chunk_words", 128),
-        overlap_words=r.get("overlap_words", 32),
-        top_k=r.get("top_k", 10),
-    )
+    cfg.retrieval = RetrievalConfig(**_given(data.get("retrieval", {}), _SCHEMA["retrieval"]))
 
     cfg.chat = data.get("chat", {})
     cfg.embedding = data.get("embedding", {})
 
     p = data.get("pipeline", {})
-    cfg.workers = p.get("workers", 4)
+    cfg.workers = p.get("workers", cfg.workers)
     if cfg.workers < 1:
         raise ConfigError(f"pipeline.workers must be at least 1, not {cfg.workers}")
-    cfg.site_priority = list(p.get("site_priority", []))
+    cfg.site_priority = p.get("site_priority", cfg.site_priority)
     return cfg

@@ -89,7 +89,7 @@ class RequestLog:
                     fh.flush()
 
 
-def _make_handler(script: MockScript, log: RequestLog, kinds: set[str]):
+def _make_handler(script: MockScript, log: RequestLog):
     class Handler(BaseHTTPRequestHandler):
         def log_message(self, *args):  # silence default stderr chatter
             pass
@@ -105,7 +105,7 @@ def _make_handler(script: MockScript, log: RequestLog, kinds: set[str]):
         def do_POST(self):
             length = int(self.headers.get("Content-Length", 0))
             request = json.loads(self.rfile.read(length) or b"{}")
-            if self.path == "/v1/chat/completions" and "chat" in kinds:
+            if self.path == "/v1/chat/completions":
                 user_messages = [
                     m["content"] for m in request.get("messages", [])
                     if m.get("role") == "user"
@@ -122,7 +122,7 @@ def _make_handler(script: MockScript, log: RequestLog, kinds: set[str]):
                     self._send_json(status, {"error": f"scripted {status}"})
                     return
                 self._send_json(200, {"choices": [{"message": {"content": content}}]})
-            elif self.path == "/v1/embeddings" and "embed" in kinds:
+            elif self.path == "/v1/embeddings":
                 inputs = request.get("input", [])
                 status = script.next_status(None)
                 log.record({
@@ -154,11 +154,10 @@ class MockServer:
         script: Optional[MockScript] = None,
         log_path: Optional[str | Path] = None,
         port: int = 0,
-        kinds: set[str] = frozenset({"chat", "embed"}),
     ):
         self.script = script or MockScript()
         self.log = RequestLog(log_path)
-        handler = _make_handler(self.script, self.log, set(kinds))
+        handler = _make_handler(self.script, self.log)
         self.httpd = ThreadingHTTPServer(("127.0.0.1", port), handler)
         # a short poll keeps stop() quick; the default waits up to 0.5 s
         self.thread = threading.Thread(

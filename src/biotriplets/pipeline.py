@@ -9,6 +9,10 @@ candidate one chunk, the one retrieved whatever the vectors, so it is
 neither embedded nor ranked. Classification progress is journaled to an
 append-only JSONL file keyed by candidate id, so an interrupted run
 resumes without re-querying finished candidates.
+
+`run_extraction` only classifies. `summarize` then derives the triplets,
+the report and the malformed records from the journal in one pass over the
+candidates, so every count and every triplet is a journaled verdict.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import re
 import threading
 from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -137,7 +141,6 @@ def enumerate_candidates(
                             relation=relation.id,
                             head_surface=match.surface,
                             head_concept_id=match.concept_id,
-                            head_semantic_types=match.semantic_types,
                             tail_title=doc.main_title,
                             section_path=path,
                             section_index=section_index,
@@ -164,46 +167,6 @@ def read_candidates(path: str | Path) -> list[CandidatePair]:
 
 # --------------------------------------------------------------------------
 # Extraction run with append-only journal.
-
-
-@dataclass
-class CellCounts:
-    candidates: int = 0
-    positives: int = 0
-    negatives: int = 0
-    malformed: int = 0
-
-    @property
-    def positive_rate(self) -> float:
-        return self.positives / self.candidates if self.candidates else 0.0
-
-
-@dataclass
-class ExtractionReport:
-    relations: list[str]
-    cells: dict[tuple[str, str], CellCounts] = field(default_factory=dict)
-    pages: dict[str, int] = field(default_factory=dict)
-
-    def cell(self, site_id: str, relation: str) -> CellCounts:
-        return self.cells.setdefault((site_id, relation), CellCounts())
-
-    @property
-    def totals(self) -> CellCounts:
-        total = CellCounts()
-        for c in self.cells.values():
-            total.candidates += c.candidates
-            total.positives += c.positives
-            total.negatives += c.negatives
-            total.malformed += c.malformed
-        return total
-
-
-@dataclass
-class ExtractionResult:
-    triplets: list[RelationTriplet]
-    report: ExtractionReport
-    malformed: list[dict]
-    classified: int  # candidates classified by this run
 
 
 class Journal:
@@ -338,12 +301,12 @@ def run_extraction(
     retrieval_cfg: RetrievalConfig,
     exemplars: ExemplarSet,
     journal_path: str | Path,
-    relations: Optional[list[str]] = None,
     workers: int = 4,
     limit: Optional[int] = None,
     deterministic: bool = False,
-) -> ExtractionResult:
-    """Classify every candidate not already journaled, then aggregate.
+) -> int:
+    """Classify every candidate not already journaled; returns how many
+    this run classified.
 
     `documents` holds the sections the candidates point at; only those of
     pending candidates are read. `limit` caps how many pending candidates
@@ -389,49 +352,91 @@ def run_extraction(
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(work, section, members) for section, members in sections]
-    classified = sum(f.result() for f in futures)
+    return sum(f.result() for f in futures)
 
-    done = journal.load()
-    relation_ids = relations or sorted({c.relation for c in candidates})
-    report = ExtractionReport(relations=list(relation_ids))
+
+# --------------------------------------------------------------------------
+# Summary of the journal, dedup and reporting.
+
+_COUNTS = ("candidates", "positives", "negatives", "malformed")
+
+
+def summarize(
+    candidates: list[CandidatePair], records: dict[str, dict], relations: list[str]
+) -> tuple[list[RelationTriplet], dict, list[dict]]:
+    """The triplets, report and malformed records of the candidates that
+    have a journal record in `records`, in candidate order.
+
+    The report is what report.json holds. For each site, in sorted order,
+    it gives the site's number of pages and, for each of `relations`, a
+    cell: the site's journaled candidates of that relation counted by
+    answer, their positive rate and its "count(rate%)" display. The totals
+    count every journaled candidate. A candidate without a record is
+    pending: it counts only toward its site's pages.
+    """
     triplets: list[RelationTriplet] = []
     malformed: list[dict] = []
     pages: dict[str, set[str]] = {}
-
-    for candidate in candidates:
-        pages.setdefault(candidate.site_id, set()).add(candidate.page_url)
-        rec = done.get(candidate.candidate_id)
+    cells: dict[tuple[str, str], dict[str, int]] = {}
+    totals = dict.fromkeys(_COUNTS, 0)
+    for c in candidates:
+        pages.setdefault(c.site_id, set()).add(c.page_url)
+        rec = records.get(c.candidate_id)
         if rec is None:
-            continue  # still pending (limited run)
-        cell = report.cell(candidate.site_id, candidate.relation)
-        cell.candidates += 1
+            continue
         answer = rec["answer"]
         if answer == "Yes":
-            cell.positives += 1
+            kind = "positives"
             triplets.append(
                 RelationTriplet(
-                    head_concept_id=candidate.head_concept_id,
-                    head_surface=candidate.head_surface,
-                    relation=candidate.relation,
-                    tail_title=candidate.tail_title,
-                    site_id=candidate.site_id,
-                    page_url=candidate.page_url,
-                    section_path=candidate.section_path,
+                    head_concept_id=c.head_concept_id,
+                    head_surface=c.head_surface,
+                    relation=c.relation,
+                    tail_title=c.tail_title,
+                    site_id=c.site_id,
+                    page_url=c.page_url,
+                    section_path=c.section_path,
                     reason=rec["reason"],
                     model_id=rec["model_id"],
                 )
             )
         elif answer == "No":
-            cell.negatives += 1
+            kind = "negatives"
         else:
-            cell.malformed += 1
-            malformed.append({"candidate_id": candidate.candidate_id, **rec})
-    report.pages = {site: len(urls) for site, urls in pages.items()}
-    return ExtractionResult(triplets, report, malformed, classified)
+            kind = "malformed"
+            malformed.append({"candidate_id": c.candidate_id, **rec})
+        cell = cells.setdefault((c.site_id, c.relation), dict.fromkeys(_COUNTS, 0))
+        for counts in (cell, totals):
+            counts["candidates"] += 1
+            counts[kind] += 1
+
+    def cell_dict(site: str, relation: str) -> dict:
+        counts = cells.get((site, relation), dict.fromkeys(_COUNTS, 0))
+        rate = counts["positives"] / counts["candidates"] if counts["candidates"] else 0.0
+        return {**counts, "positive_rate": rate,
+                "display": f"{counts['positives']}({rate * 100:.1f}%)"}
+
+    report = {
+        "relations": relations,
+        "sites": {
+            site: {"pages": len(urls), "cells": {r: cell_dict(site, r) for r in relations}}
+            for site, urls in sorted(pages.items())
+        },
+        "totals": totals,
+    }
+    return triplets, report, malformed
 
 
-# --------------------------------------------------------------------------
-# Dedup and reporting.
+def report_table(report: dict) -> str:
+    """report.txt from a `summarize` report: a row per site with its pages
+    and the display of each relation's cell, columns padded to their widest
+    entry."""
+    relations = report["relations"]
+    rows = [["Site", "Pages"] + [r.capitalize() for r in relations]]
+    rows += [[site, str(s["pages"])] + [s["cells"][r]["display"] for r in relations]
+             for site, s in report["sites"].items()]
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return "\n".join("  ".join(c.ljust(w) for c, w in zip(row, widths)) for row in rows)
 
 
 def dedupe_triplets(
@@ -457,67 +462,6 @@ def dedupe_triplets(
             best[key] = (*rank, t)
     deduped = [entry[2] for entry in sorted(best.values(), key=lambda e: e[1])]
     return deduped, duplicates
-
-
-def render_report(report: ExtractionReport) -> tuple[str, dict]:
-    """Text table plus machine-readable dict; cells as "count(rate%)"."""
-
-    def cell_text(counts: CellCounts) -> str:
-        return f"{counts.positives}({counts.positive_rate * 100:.1f}%)"
-
-    sites = sorted({site for site, _ in report.cells} | set(report.pages))
-    empty = CellCounts()
-    cells = {
-        (site, relation): report.cells.get((site, relation), empty)
-        for site in sites
-        for relation in report.relations
-    }
-    headers = ["Site", "Pages"] + [r.capitalize() for r in report.relations]
-    rows = []
-    for site in sites:
-        row = [site, str(report.pages.get(site, 0))]
-        for relation in report.relations:
-            row.append(cell_text(cells[site, relation]))
-        rows.append(row)
-
-    widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
-              for i, h in enumerate(headers)]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths))]
-    for row in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
-    text = "\n".join(lines)
-
-    def cell_dict(counts: CellCounts) -> dict:
-        return {
-            "candidates": counts.candidates,
-            "positives": counts.positives,
-            "negatives": counts.negatives,
-            "malformed": counts.malformed,
-            "positive_rate": counts.positive_rate,
-            "display": cell_text(counts),
-        }
-
-    totals = report.totals
-    as_dict = {
-        "relations": report.relations,
-        "sites": {
-            site: {
-                "pages": report.pages.get(site, 0),
-                "cells": {
-                    relation: cell_dict(cells[site, relation])
-                    for relation in report.relations
-                },
-            }
-            for site in sites
-        },
-        "totals": {
-            "candidates": totals.candidates,
-            "positives": totals.positives,
-            "negatives": totals.negatives,
-            "malformed": totals.malformed,
-        },
-    }
-    return text, as_dict
 
 
 def write_triplets(triplets: Iterable[RelationTriplet], path: str | Path) -> None:

@@ -25,7 +25,6 @@ def make_candidate(**overrides):
         relation="treatment",
         head_surface="streptomycin",
         head_concept_id="C0201",
-        head_semantic_types=frozenset({"Chemical or Drug"}),
         tail_title="Plague",
         section_path="Plague > Treatment",
         section_index=0,

@@ -293,6 +293,7 @@ class TestExtract:
         assert len(err.splitlines()) == 1, err
         assert "rerun" in err and "match" in err and "Traceback" not in err
         assert not server.log.entries, "no request before the inputs are checked"
+        return err
 
     def test_missing_documents(self, site, capsys):
         root, config, server = site
@@ -326,6 +327,16 @@ class TestExtract:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1, err
         assert "rerun match" in err
+
+    def test_candidates_of_unconfigured_relation(self, site, capsys):
+        root, config, server = site
+        run(config, "preprocess")
+        run(config, "match")
+        with open(config, "a", encoding="utf-8") as fh:
+            fh.write('\n[relations.treatment]\nsemantic_types = ["Chemical or Drug"]\n')
+        err = self.assert_rerun_match(config, server, capsys)
+        assert "diagnosis, manifestation" in err
+        assert not (root / "work" / "report.json").exists()
 
     def test_candidates_in_old_format(self, site, capsys):
         root, config, server = site

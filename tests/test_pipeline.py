@@ -17,15 +17,14 @@ from biotriplets.errors import EndpointRejected, EndpointUnavailable
 from biotriplets.matcher import MatcherAutomaton, Thesaurus
 from biotriplets.mockserver import mock_embedding
 from biotriplets.pipeline import (
-    CellCounts,
-    ExtractionReport,
     Journal,
     RelationTriplet,
     default_relations,
     dedupe_triplets,
     enumerate_candidates,
-    render_report,
+    report_table,
     run_extraction,
+    summarize,
     token_starts,
     word_index,
 )
@@ -152,7 +151,6 @@ def make_candidates(count, relation="treatment", site_id="s1"):
             relation=relation,
             head_surface=names[i],
             head_concept_id=f"C{i}",
-            head_semantic_types=frozenset({"Chemical or Drug"}),
             tail_title="Disease",
             section_path="Disease > Treatment",
             section_index=0,
@@ -237,8 +235,8 @@ class TestSectionEmbedding:
         assert len({c.section_index for c in candidates}) == 2
         assert sum(c.section_index == 0 for c in candidates) == 5
         server = mock_server()
-        result = self.run(doc, candidates, server, tmp_path / "j.jsonl")
-        assert result.classified == len(candidates)
+        classified = self.run(doc, candidates, server, tmp_path / "j.jsonl")
+        assert classified == len(candidates)
         requests = embed_requests(server)
         for inputs in requests:
             assert len(inputs) == len(set(inputs)), "a text sent twice in one request"
@@ -286,8 +284,8 @@ class TestSectionEmbedding:
     def test_limit_embeds_only_classified_candidates(self, tmp_path, mock_server):
         doc, candidates = long_section_site()
         server = mock_server()
-        result = self.run(doc, candidates, server, tmp_path / "j.jsonl", limit=3)
-        assert result.classified == 3
+        classified = self.run(doc, candidates, server, tmp_path / "j.jsonl", limit=3)
+        assert classified == 3
         expected = section_texts(doc, candidates[:3])
         assert sorted(embed_requests(server)) == sorted(expected.values())
 
@@ -314,11 +312,11 @@ class TestSectionEmbedding:
         server = mock_server()
         chat = SignallingChat(base_url=server.base_url, model="mock")
         embed = WaitingEmbedder(base_url=server.base_url, model="mock-embed")
-        result = run_extraction(candidates, [doc], chat, embed, RetrievalConfig(),
-                                load_exemplars(), journal_path=tmp_path / "j.jsonl",
-                                workers=2)
+        classified = run_extraction(candidates, [doc], chat, embed, RetrievalConfig(),
+                                    load_exemplars(), journal_path=tmp_path / "j.jsonl",
+                                    workers=2)
         assert waited == [True], "the short section waited on the long one"
-        assert result.classified == len(candidates)
+        assert classified == len(candidates)
 
     def test_failed_embedding_keeps_journal(self, tmp_path, mock_server):
         doc, candidates = long_section_site()
@@ -346,15 +344,19 @@ class TestSectionEmbedding:
 
 
 class TestRunExtraction:
+    RELATIONS = ["manifestation", "diagnosis", "treatment"]
+
     def run(self, candidates, server, journal, documents=None, **kw):
+        """Classify, then summarise the journal: (classified, triplets,
+        report, malformed)."""
         chat, embed = endpoints(server)
         if documents is None:
             documents = make_documents(len(candidates))
-        return run_extraction(
+        classified = run_extraction(
             candidates, documents, chat, embed, RetrievalConfig(), load_exemplars(),
-            journal_path=journal, relations=["manifestation", "diagnosis", "treatment"],
-            workers=2, **kw,
+            journal_path=journal, workers=2, **kw,
         )
+        return (classified, *summarize(candidates, Journal(journal).load(), self.RELATIONS))
 
     def test_counting_contract(self, tmp_path, mock_server):
         server = mock_server({
@@ -365,31 +367,34 @@ class TestRunExtraction:
                 {"contains": "Is drugname3", "raw": "not json"},
             ],
         })
-        result = self.run(make_candidates(4), server, tmp_path / "j.jsonl")
-        assert len(result.triplets) == 2
-        cell = result.report.cell("s1", "treatment")
-        assert (cell.candidates, cell.positives, cell.negatives, cell.malformed) == (4, 2, 1, 1)
-        assert len(result.malformed) == 1
+        _, triplets, report, malformed = self.run(make_candidates(4), server,
+                                                  tmp_path / "j.jsonl")
+        assert len(triplets) == 2
+        cell = report["sites"]["s1"]["cells"]["treatment"]
+        counts = (cell["candidates"], cell["positives"], cell["negatives"], cell["malformed"])
+        assert counts == (4, 2, 1, 1)
+        assert len(malformed) == 1
         # conservation
-        assert cell.positives + cell.negatives + cell.malformed == cell.candidates
+        assert cell["positives"] + cell["negatives"] + cell["malformed"] == cell["candidates"]
 
     def test_empty_candidates(self, tmp_path, mock_server):
         server = mock_server()
-        result = self.run([], server, tmp_path / "j.jsonl")
-        assert result.triplets == []
-        assert result.report.cells == {}
+        _, triplets, report, _ = self.run([], server, tmp_path / "j.jsonl")
+        assert triplets == []
+        assert report["sites"] == {}
+        assert set(report["totals"].values()) == {0}
 
     def test_resume_skips_journaled(self, tmp_path, mock_server):
         server = mock_server({"default": {"answer": "Yes", "reason": "r"}})
         journal = tmp_path / "j.jsonl"
         candidates = make_candidates(4)
-        first = self.run(candidates, server, journal, limit=2)
-        assert first.classified == 2
-        second = self.run(candidates, server, journal)
-        assert second.classified == 2
+        first, *_ = self.run(candidates, server, journal, limit=2)
+        assert first == 2
+        second, triplets, _, _ = self.run(candidates, server, journal)
+        assert second == 2
         chat_requests = [e for e in server.log.entries if e["kind"] == "chat"]
         assert len(chat_requests) == 4
-        assert len(second.triplets) == 4
+        assert len(triplets) == 4
 
     def test_endpoint_failure_preserves_journal(self, tmp_path, mock_server):
         server = mock_server({
@@ -408,8 +413,8 @@ class TestRunExtraction:
             )
         done_before = len(journal.read_text().splitlines()) if journal.exists() else 0
         # resume finishes the rest without re-doing journaled work
-        result = self.run(candidates, server, journal)
-        assert result.classified == 3 - done_before
+        classified, *_ = self.run(candidates, server, journal)
+        assert classified == 3 - done_before
 
     def test_no_candidate_started_after_a_failure(self, tmp_path, mock_server):
         server = mock_server({"rules": [{"contains": "Is drugname0", "statuses": [400]}]})
@@ -423,8 +428,8 @@ class TestRunExtraction:
 
     def test_triplet_provenance_complete(self, tmp_path, mock_server):
         server = mock_server({"default": {"answer": "Yes", "reason": "because"}})
-        result = self.run(make_candidates(2), server, tmp_path / "j.jsonl")
-        for t in result.triplets:
+        _, triplets, _, _ = self.run(make_candidates(2), server, tmp_path / "j.jsonl")
+        for t in triplets:
             assert t.reason
             assert t.section_path
             assert t.model_id == "mock"
@@ -473,35 +478,35 @@ class TestDedupe:
         assert twice == once and dupes == 0
 
 
+def summary_table(relation, answers, pending=0):
+    """report.txt and report of one site whose candidates of `relation`
+    were journaled with `answers`, plus `pending` candidates without a
+    record."""
+    candidates = make_candidates(len(answers) + pending, relation=relation, site_id="s")
+    records = {
+        c.candidate_id: {"candidate_id": c.candidate_id, "answer": answer,
+                         "reason": "r", "model_id": "m"}
+        for c, answer in zip(candidates, answers)
+    }
+    _, report, _ = summarize(candidates, records, [relation])
+    return report_table(report), report
+
+
 class TestRenderReport:
     def test_cell_format(self):
-        report = ExtractionReport(relations=["manifestation"])
-        cell = report.cell("medsite", "manifestation")
-        cell.candidates = 109486
-        cell.positives = 80910
-        cell.negatives = 28576
-        text, as_dict = render_report(report)
+        text, as_dict = summary_table("manifestation", ["Yes"] * 80910 + ["No"] * 28576)
         assert "80910(73.9%)" in text
-        assert as_dict["sites"]["medsite"]["cells"]["manifestation"]["display"] == "80910(73.9%)"
+        assert as_dict["sites"]["s"]["cells"]["manifestation"]["display"] == "80910(73.9%)"
 
     def test_zero_candidates(self):
-        report = ExtractionReport(relations=["diagnosis"])
-        report.cell("s", "diagnosis")
-        text, _ = render_report(report)
+        text, _ = summary_table("diagnosis", [], pending=1)
         assert "0(0.0%)" in text
 
     def test_rate_to_one_decimal(self):
-        report = ExtractionReport(relations=["manifestation"])
-        cell = report.cell("s", "manifestation")
-        cell.candidates = 10992
-        cell.positives = 9354  # 85.1%
-        text, _ = render_report(report)
+        text, _ = summary_table("manifestation", ["Yes"] * 9354 + ["No"] * 1638)  # 85.1%
         assert "9354(85.1%)" in text
 
     def test_json_conservation(self):
-        report = ExtractionReport(relations=["treatment"])
-        cell = report.cell("s", "treatment")
-        cell.candidates, cell.positives, cell.negatives, cell.malformed = 10, 6, 3, 1
-        _, as_dict = render_report(report)
+        _, as_dict = summary_table("treatment", ["Yes"] * 6 + ["No"] * 3 + ["Malformed"])
         c = as_dict["sites"]["s"]["cells"]["treatment"]
         assert c["positives"] + c["negatives"] + c["malformed"] == c["candidates"]
