@@ -64,7 +64,14 @@ class CandidatePair:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CandidatePair":
-        return cls(**d)
+        """Raises TypeError on a missing or unknown key, or on a value that
+        is not a str (not an int for the two indexes; a bool is no int)."""
+        pair = cls(**d)
+        for name, value in d.items():
+            expected = int if name in ("section_index", "match_word_index") else str
+            if type(value) is not expected:
+                raise TypeError(f"{name} is {type(value).__name__}, not {expected.__name__}")
+        return pair
 
 
 @dataclass(frozen=True)

@@ -86,7 +86,8 @@ def cmd_match(args) -> int:
         thesaurus = matcher.load_thesaurus(cfg.thesaurus_path)
         print(f"loaded {len(thesaurus)} surfaces "
               f"({thesaurus.skipped_rows} rows skipped, "
-              f"{thesaurus.skipped_short} too short)")
+              f"{thesaurus.skipped_short} too short, "
+              f"{thesaurus.concept_conflicts} concept conflicts)")
         automaton = matcher.MatcherAutomaton(thesaurus)
     except (FileUnreadable, FormatError, EmptyDictionary) as exc:
         print(f"error: thesaurus {cfg.thesaurus_path}: {exc}", file=sys.stderr)

@@ -16,7 +16,7 @@ import logging
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import EmptyDictionary, FileUnreadable, FormatError, UnknownRelationType
 
@@ -26,7 +26,14 @@ MIN_SURFACE_LEN = 3
 
 
 def fold(text: str) -> str:
-    """Length-preserving lowercase; keeps byte spans aligned with input."""
+    """Length-preserving lowercase, so character offsets into the result
+    are offsets into `text`. Each character is lowered on its own and kept
+    as it is where lowering would lengthen it (U+0130 İ). `str.lower`
+    gives the same result unless it lengthens a character (then the
+    length differs) or lowers a capital sigma by its context (final ς)."""
+    low = text.lower()
+    if len(low) == len(text) and "\u03a3" not in text:
+        return low
     out = []
     for ch in text:
         low = ch.lower()
@@ -34,8 +41,7 @@ def fold(text: str) -> str:
     return "".join(out)
 
 
-@dataclass(frozen=True)
-class TermEntry:
+class TermEntry(NamedTuple):
     surface: str
     concept_id: str
     semantic_types: frozenset[str]
@@ -69,10 +75,12 @@ class Thesaurus:
 
 
 def load_thesaurus(path: str | Path) -> Thesaurus:
-    """Parse the TSV leniently: malformed or short rows are skipped, not fatal."""
+    """Parse the TSV leniently: malformed or short rows are skipped, not fatal.
+    Rows with the same types field share one frozenset."""
     thesaurus = Thesaurus()
+    type_sets: dict[str, frozenset[str]] = {}
     try:
-        fh = open(path, encoding="utf-8")
+        fh = open(path, encoding="utf-8-sig")
     except OSError as exc:
         raise FileUnreadable(str(exc)) from exc
     with fh:
@@ -84,7 +92,7 @@ def load_thesaurus(path: str | Path) -> Thesaurus:
                 cols = line.split("\t")
                 if len(cols) != 3:
                     raise FormatError(line_no, f"expected 3 columns, got {len(cols)}")
-                surface, concept_id, types_field = (c.strip() for c in cols)
+                surface, concept_id, types_field = [c.strip() for c in cols]
                 if not surface or not concept_id or not types_field:
                     thesaurus.skipped_rows += 1
                     continue
@@ -93,7 +101,11 @@ def load_thesaurus(path: str | Path) -> Thesaurus:
                 ):
                     thesaurus.skipped_short += 1
                     continue
-                types = {t.strip() for t in types_field.split(";") if t.strip()}
+                types = type_sets.get(types_field)
+                if types is None:
+                    types = type_sets[types_field] = frozenset(
+                        t.strip() for t in types_field.split(";") if t.strip()
+                    )
                 if not types:
                     thesaurus.skipped_rows += 1
                     continue
@@ -120,7 +132,7 @@ class MatcherAutomaton:
     def __init__(self, thesaurus: Thesaurus):
         if not thesaurus.index:
             raise EmptyDictionary("cannot build a matcher from an empty thesaurus")
-        self.index = dict(thesaurus.index)
+        self.index = thesaurus.index  # shared: a loaded thesaurus is not changed
         self.lengths = frozenset(len(surface) for surface in self.index)
         self.max_len = max(self.lengths)
 

@@ -12,6 +12,7 @@ import pytest
 from biotriplets import cli
 from conftest import (
     GOLDEN_CHAT_SCRIPT,
+    THESAURUS_ROWS,
     write_config,
     write_fixture_site,
     write_thesaurus,
@@ -111,6 +112,16 @@ class TestMatch:
         assert lines
         c = json.loads(lines[0])
         assert {"candidate_id", "relation", "head_surface", "section_index"} <= set(c)
+
+    def test_counts_printed(self, site, capsys):
+        root, config, _ = site
+        run(config, "preprocess")
+        rows = THESAURUS_ROWS + [("Fever", "C9", "A"), ("of", "C8", "A"), ("cough", "", "A")]
+        write_thesaurus(root / "thesaurus.tsv", rows)
+        capsys.readouterr()
+        assert run(config, "match") == 0
+        assert (f"loaded {len(THESAURUS_ROWS)} surfaces "
+                "(1 rows skipped, 1 too short, 1 concept conflicts)") in capsys.readouterr().out
 
     def assert_config_error(self, root, config, capsys, *expected):
         capsys.readouterr()
@@ -337,6 +348,21 @@ class TestExtract:
         err = self.assert_rerun_match(config, server, capsys)
         assert "diagnosis, manifestation" in err
         assert not (root / "work" / "report.json").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("section_index", "1"), ("match_word_index", True), ("head_surface", 3),
+    ])
+    def test_candidate_field_of_wrong_type(self, site, capsys, key, value):
+        root, config, server = site
+        run(config, "preprocess")
+        run(config, "match")
+        path = root / "work" / "candidates.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        c = json.loads(lines[-1])
+        c[key] = value
+        path.write_text("".join(lines[:-1]) + json.dumps(c) + "\n")
+        err = self.assert_rerun_match(config, server, capsys)
+        assert f"line {len(lines)}" in err and key in err
 
     def test_candidates_in_old_format(self, site, capsys):
         root, config, server = site

@@ -1,4 +1,5 @@
 import random
+import sys
 from dataclasses import dataclass
 
 import pytest
@@ -47,6 +48,52 @@ def oracle_match(surfaces, text):
     return spans
 
 
+def fold_per_char(text):
+    """The reference for fold: each character lowered on its own, and kept
+    as it is where lowering would lengthen it."""
+    out = []
+    for ch in text:
+        low = ch.lower()
+        out.append(low if len(low) == 1 else ch)
+    return "".join(out)
+
+
+class TestFold:
+    # X stands for the character under test; Σ lowers to ς at a word's end
+    CONTEXTS = ["X", "aX", "Xa", "AX b", "ΑΒX", "XΣ"]
+    # the characters whose str.lower differs from the per-character mapping
+    SPECIAL = "\u0130\u03a3"  # İ, Σ
+
+    def test_every_code_point_alone_and_in_context(self):
+        for plane in range(0, sys.maxunicode + 1, 0x10000):
+            chars = [chr(cp) for cp in range(plane, plane + 0x10000)]
+            alone = list(map(fold_per_char, chars))
+            assert list(map(fold, chars)) == alone
+            # one string per context, the cases joined by newlines; the
+            # reference folds each character alone, so it folds the joined
+            # string to the join of the folded parts
+            plain = [(ch, low) for ch, low in zip(chars, alone) if ch not in self.SPECIAL]
+            for context in self.CONTEXTS:
+                before, after = context.split("X")
+                sep = after + "\n" + before
+                text = before + sep.join(ch for ch, _ in plain) + after
+                expected = (fold_per_char(before)
+                            + fold_per_char(sep).join(low for _, low in plain)
+                            + fold_per_char(after))
+                assert fold(text) == expected, (context, hex(plane))
+        for context in self.CONTEXTS:
+            for ch in self.SPECIAL:
+                text = context.replace("X", ch)
+                assert fold(text) == fold_per_char(text), text
+
+    def test_random_strings(self):
+        rng = random.Random(20261018)
+        alphabet = "aAΣσςİıßẞǅΩ KΚ-_'1"
+        for _ in range(20000):
+            text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
+            assert fold(text) == fold_per_char(text), text
+
+
 class TestLoadThesaurus:
     def test_basic_row(self, tmp_path):
         f = tmp_path / "t.tsv"
@@ -62,6 +109,24 @@ class TestLoadThesaurus:
         th = load_thesaurus(f)
         assert th.index["nausea"].semantic_types == {"A", "B"}
         assert len(th) == 1
+
+    def test_rows_with_one_types_field_share_one_set(self, tmp_path):
+        f = tmp_path / "t.tsv"
+        f.write_text("fever\tC1\tA; B\nrash\tC2\tA; B\n"
+                     "cough\tC3\tA; B\ncough\tC3\tC\n")
+        th = load_thesaurus(f)
+        fever, rash, cough = (th.index[s] for s in ("fever", "rash", "cough"))
+        assert fever.semantic_types is rash.semantic_types
+        assert fever.semantic_types == {"A", "B"}
+        assert cough.semantic_types == {"A", "B", "C"}
+
+    def test_byte_order_mark(self, tmp_path):
+        f = tmp_path / "t.tsv"
+        f.write_text("\ufeffFever\tC1\tSign, Symptom, or Finding\n", encoding="utf-8")
+        th = load_thesaurus(f)
+        assert list(th.index) == ["fever"]
+        matches = match_terms(MatcherAutomaton(th), "high fever noted")
+        assert [m.span for m in matches] == [(5, 10)]
 
     def test_empty_field_row_skipped(self, tmp_path):
         f = tmp_path / "t.tsv"
