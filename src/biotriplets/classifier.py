@@ -64,8 +64,8 @@ class CandidatePair:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CandidatePair":
-        """Raises TypeError on a missing or unknown key, or on a value that
-        is not a str (not an int for the two indexes; a bool is no int)."""
+        """Raises TypeError on a missing or unknown key, on an index that is
+        not an int (a bool is rejected), or on another value that is not a str."""
         pair = cls(**d)
         for name, value in d.items():
             expected = int if name in ("section_index", "match_word_index") else str
