@@ -18,7 +18,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from . import classifier, docmodel, evaluation, matcher, pipeline
+from . import classifier, docmodel, matcher, pipeline
 from .config import Config, load_config
 from .errors import (
     BiotripletsError,
@@ -30,7 +30,6 @@ from .errors import (
     FormatError,
     MissingPrediction,
 )
-from .mockserver import MockScript, MockServer
 
 EXIT_OK = 0
 EXIT_PARTIAL = 1
@@ -168,6 +167,8 @@ def cmd_extract(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from . import evaluation
+
     cfg = _load_cfg(args)
     try:
         samples = evaluation.load_benchmark(args.benchmark)
@@ -219,6 +220,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_mock_serve(args) -> int:
+    from .mockserver import MockScript, MockServer
+
     script = MockScript.from_file(args.script) if args.script else MockScript()
     try:
         server = MockServer(script, log_path=args.log, port=args.port)

@@ -9,24 +9,25 @@ worker holds at most one request, so the worker count bounds concurrency.
 Each worker thread keeps one HTTP/1.1 connection per endpoint and reuses it
 while the server keeps it open. Proxies come from HTTP(S)_PROXY/NO_PROXY,
 read once per endpoint; TLS is verified against the default trust store.
+The HTTP, TLS and proxy modules are imported by the methods that use them,
+so a stage that sends no request does not load them.
 """
 
 from __future__ import annotations
 
 import base64
-import http.client
 import json
-import select
-import ssl
 import threading
 import time
 import urllib.parse
-import urllib.request
 from dataclasses import dataclass, field
-from typing import Any, Callable, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, TypeVar
 
 from . import __version__
 from .errors import ConfigError, EndpointRejected, EndpointUnavailable
+
+if TYPE_CHECKING:
+    import http.client
 
 T = TypeVar("T")
 
@@ -47,6 +48,8 @@ def _retry_after(value: str) -> float | None:
 def _dropped(conn: http.client.HTTPConnection) -> bool:
     """True when an idle connection's socket is readable: the server has
     closed it (or sent bytes no request asked for), so it cannot be reused."""
+    import select
+
     return bool(select.select([conn.sock], [], [], 0)[0])
 
 
@@ -60,6 +63,9 @@ class Endpoint:
     retry_backoff: float = 0.2
 
     def __post_init__(self):
+        import ssl
+        import urllib.request
+
         url = urllib.parse.urlsplit(self.base_url.rstrip("/"))
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ConfigError(f"endpoint base_url {self.base_url!r} is not an "
@@ -107,6 +113,8 @@ class Endpoint:
         return conn
 
     def _open(self) -> http.client.HTTPConnection:
+        import http.client
+
         host, port = self._proxy or self._server
         if self._https:
             conn = http.client.HTTPSConnection(
@@ -134,6 +142,8 @@ class Endpoint:
         that is not JSON or that `parse` rejects with ValueError, LookupError
         or TypeError, raise EndpointRejected without a retry.
         """
+        import http.client
+
         url = f"{self.base_url.rstrip('/')}{path}"
         body = json.dumps(payload, allow_nan=False).encode()
         delay, failure = 0.0, "no request sent"

@@ -123,6 +123,22 @@ class TestMatch:
         assert (f"loaded {len(THESAURUS_ROWS)} surfaces "
                 "(1 rows skipped, 1 too short, 1 concept conflicts)") in capsys.readouterr().out
 
+    def test_loads_no_http_client(self, site):
+        root, config, _ = site
+        assert run(config, "preprocess") == 0
+        src = Path(cli.__file__).resolve().parents[1]
+        loaded = subprocess.run(
+            [sys.executable, "-S", "-c",
+             "import sys; from biotriplets import cli; "
+             f"assert cli.main(['--config', {str(config)!r}, 'match']) == 0; "
+             "print(' '.join(m for m in ('http.client', 'ssl', 'urllib.request', "
+             "'http.server', 'decimal') if m in sys.modules))"],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=60, check=True,
+        ).stdout.splitlines()
+        assert loaded[-1].split() == []
+        assert (root / "work" / "candidates.jsonl").exists()
+
     def assert_config_error(self, root, config, capsys, *expected):
         capsys.readouterr()
         assert run(config, "match") == 2

@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 from dataclasses import dataclass
 
@@ -221,6 +222,19 @@ class TestMatchTerms:
         a = make_automaton(["fever", "high fever", "rash"])
         text = "high fever with rash and fever again"
         assert match_terms(a, text) == match_terms(a, text)
+
+
+class TestFirstToken:
+    def test_alnum_class_is_str_isalnum(self):
+        # the first-token index relies on `[^\W_]` being str.isalnum, and on
+        # `\S` skipping exactly the characters str.strip removes
+        text = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert "".join(re.findall(r"[^\W_]", text)) == "".join(filter(str.isalnum, text))
+        assert "".join(re.findall(r"\s", text)) == "".join(filter(str.isspace, text))
+
+    def test_empty_surface_never_matches(self):
+        a = make_automaton(["", "fever"])
+        assert [m.surface for m in match_terms(a, " fever ")] == ["fever"]
 
 
 class TestOracleEquivalence:
