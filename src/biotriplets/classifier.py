@@ -13,13 +13,12 @@ import json
 import logging
 import time
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 from typing import Iterable, Optional
 
 from .endpoint import Endpoint
 from .errors import EmptyContext, ExemplarConfigError
-from .retrieval import Chunk, build_query
+from .retrieval import Chunk
 
 logger = logging.getLogger(__name__)
 
@@ -99,6 +98,8 @@ def load_exemplars(
     that is missing, unreadable, otherwise shaped, or without exemplars for
     one of `relations` raises ExemplarConfigError naming it."""
     if path is None:
+        from importlib import resources  # only extract reads exemplars
+
         source = resources.files("biotriplets.data").joinpath("exemplars.json")
     else:
         source = Path(path)
@@ -151,6 +152,7 @@ class PromptBundle:
 
 def build_prompt(
     candidate: CandidatePair,
+    question: str,
     retrieved: list[Chunk],
     exemplars: ExemplarSet,
 ) -> PromptBundle:
@@ -164,9 +166,7 @@ def build_prompt(
         system_preamble=SYSTEM_PREAMBLE.format(tail=candidate.tail_title),
         exemplars=tuple(exemplars.for_relation(candidate.relation)),
         context_block="\n".join(lines),
-        question=build_query(
-            candidate.head_surface, candidate.relation, candidate.tail_title
-        ),
+        question=question,
     )
 
 
@@ -244,10 +244,11 @@ class ChatEndpoint(Endpoint):
 
 def classify(
     candidate: CandidatePair,
+    question: str,
     retrieved: list[Chunk],
     endpoint: ChatEndpoint,
     exemplars: ExemplarSet,
 ) -> Judgment:
-    bundle = build_prompt(candidate, retrieved, exemplars)
+    bundle = build_prompt(candidate, question, retrieved, exemplars)
     content, latency = endpoint.complete(bundle.to_messages())
     return parse_judgment(content, latency_ms=latency, model_id=endpoint.model)

@@ -134,6 +134,7 @@ def cmd_extract(args) -> int:
             embedder,
             cfg.retrieval,
             exemplars,
+            cfg.relations,
             journal_path=journal_path,
             workers=cfg.workers,
             limit=args.limit,

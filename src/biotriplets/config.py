@@ -18,8 +18,7 @@ from typing import Optional
 from .classifier import ChatEndpoint
 from .docmodel import SiteProfile
 from .errors import ConfigError
-from .pipeline import RelationType, default_relations
-from .retrieval import EmbeddingEndpoint, RetrievalConfig
+from .retrieval import DEFAULT_RELATIONS, EmbeddingEndpoint, RelationType, RetrievalConfig
 
 _ENDPOINT = {"base_url": str, "model": str, "max_retries": int, "timeout": float}
 
@@ -72,7 +71,7 @@ class Config:
     manifest_path: Optional[Path] = None
     exemplars_path: Optional[Path] = None
     sites: dict[str, SiteProfile] = field(default_factory=dict)
-    relations: list[RelationType] = field(default_factory=default_relations)
+    relations: tuple[RelationType, ...] = DEFAULT_RELATIONS
     retrieval: RetrievalConfig = field(default_factory=RetrievalConfig)
     chat: dict = field(default_factory=dict)
     embedding: dict = field(default_factory=dict)
@@ -148,18 +147,20 @@ def _config(data: dict, base: Path) -> Config:
         cfg.sites[site_id] = SiteProfile(site_id=site_id, **_given(raw, _SCHEMA["sites.*"]))
 
     if "relations" in data:
+        if not data["relations"]:
+            raise ConfigError("relations lists no relation")
+        phrases = {r.id: r.phrase for r in DEFAULT_RELATIONS}
         relations = []
         for rid, raw in data["relations"].items():
+            # a default relation that leaves out its phrase keeps the default one
+            phrase = raw.get("phrase", phrases.get(rid, ""))
+            if not phrase.strip():
+                raise ConfigError(f"relation {rid!r} needs a phrase")
             types = raw.get("semantic_types")
             if not types:
                 raise ConfigError(f"relation {rid!r} needs semantic_types")
-            relations.append(
-                RelationType(rid, raw.get("phrase", rid), frozenset(types))
-            )
-        ids = [r.id for r in relations]
-        if len(ids) != len(set(ids)):
-            raise ConfigError("relation ids must be unique")
-        cfg.relations = relations
+            relations.append(RelationType(rid, phrase, frozenset(types)))
+        cfg.relations = tuple(relations)
 
     cfg.retrieval = RetrievalConfig(**_given(data.get("retrieval", {}), _SCHEMA["retrieval"]))
 

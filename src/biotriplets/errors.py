@@ -50,10 +50,6 @@ class EndpointRejected(EndpointUnavailable):
     reply that cannot be read; retrying the same request would not help."""
 
 
-class UnknownRelationType(BiotripletsError):
-    pass
-
-
 # --- classifier ---
 
 class EmptyContext(BiotripletsError):

@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
-from .errors import EmptyDictionary, FileUnreadable, FormatError, UnknownRelationType
+from .errors import EmptyDictionary, FileUnreadable, FormatError
+from .retrieval import RelationType
 
 logger = logging.getLogger(__name__)
 
@@ -191,10 +192,6 @@ def match_terms(automaton: MatcherAutomaton, text: str) -> list[TermMatch]:
     return matches
 
 
-def semantic_filter(matches, relation) -> list[TermMatch]:
+def semantic_filter(matches: list[TermMatch], relation: RelationType) -> list[TermMatch]:
     """Keep matches whose semantic types intersect the relation's allowed set."""
-    allowed = getattr(relation, "allowed_semantic_types", None)
-    if not allowed:
-        raise UnknownRelationType(f"relation {relation!r} has no semantic types")
-    allowed = frozenset(allowed)
-    return [m for m in matches if m.semantic_types & allowed]
+    return [m for m in matches if m.semantic_types & relation.allowed_semantic_types]

@@ -27,17 +27,18 @@ from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .classifier import CandidatePair, ChatEndpoint, ExemplarSet, Judgment, classify
 from .docmodel import Section, WebDocument, flatten_section_text, read_jsonl, section_path
 from .errors import MatchOutOfRange, StaleCandidates
 from .matcher import MatcherAutomaton, match_terms, semantic_filter
 from .retrieval import (
+    DEFAULT_RELATIONS,
     Chunk,
     EmbeddingEndpoint,
+    RelationType,
     RetrievalConfig,
-    build_query,
     chunk_for_candidate,
     retrieve_top_k,
     unit_rows,
@@ -45,27 +46,8 @@ from .retrieval import (
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_SEMANTIC_TYPES = {
-    "manifestation": {"Sign, Symptom, or Finding"},
-    "diagnosis": {"Diagnostic Procedure", "Laboratory Procedure"},
-    "treatment": {"Therapeutic or Preventive Procedure", "Chemical or Drug"},
-}
-
-
-@dataclass(frozen=True)
-class RelationType:
-    id: str
-    phrase: str
-    allowed_semantic_types: frozenset[str]
-
-
-def default_relations() -> list[RelationType]:
-    from .retrieval import RELATION_PHRASES
-
-    return [
-        RelationType(rid, RELATION_PHRASES[rid], frozenset(types))
-        for rid, types in DEFAULT_SEMANTIC_TYPES.items()
-    ]
+# Only the benchmark's workload generator (perfbench/workloads.py) reads this.
+DEFAULT_SEMANTIC_TYPES = {r.id: r.allowed_semantic_types for r in DEFAULT_RELATIONS}
 
 
 @dataclass(frozen=True)
@@ -110,7 +92,7 @@ def word_index(text: str, starts: list[int], offset: int) -> int:
 def enumerate_candidates(
     docs: Iterable[WebDocument],
     automaton: MatcherAutomaton,
-    relations: list[RelationType],
+    relations: Sequence[RelationType],
 ) -> list[CandidatePair]:
     """One candidate per (head concept, relation, page), anchored at the
     first mention on the page."""
@@ -252,16 +234,17 @@ def pending_sections(
 def _section_vectors(
     section: Section,
     candidates: list[CandidatePair],
+    questions: list[str],
     embedder: EmbeddingEndpoint,
     cfg: RetrievalConfig,
 ) -> tuple[list[list[Chunk]], dict[str, list[float]]]:
-    """Each candidate's chunks, and the unit vectors of the distinct query
-    and chunk texts of those with more than one chunk, embedded in one
-    `embed` call (none when there are no such texts)."""
+    """Each candidate's chunks, and the unit vectors of the distinct texts
+    (its question and chunks) of each candidate with more than one chunk,
+    embedded in one `embed` call (none when there are no such texts)."""
     flat = flatten_section_text(section)
     chunks: list[list[Chunk]] = []
     texts: dict[str, None] = {}
-    for c in candidates:
+    for c, question in zip(candidates, questions):
         try:
             chunks.append(chunk_for_candidate(flat, c.match_word_index, cfg))
         except MatchOutOfRange as exc:
@@ -269,7 +252,7 @@ def _section_vectors(
                 f"candidate {c.candidate_id}: {exc} in {c.section_path!r}; rerun match"
             ) from None
         if len(chunks[-1]) > 1:
-            texts[build_query(c.head_surface, c.relation, c.tail_title)] = None
+            texts[question] = None
             texts.update(dict.fromkeys(chunk.text for chunk in chunks[-1]))
     if not texts:
         return chunks, {}
@@ -278,6 +261,7 @@ def _section_vectors(
 
 def _process_candidate(
     candidate: CandidatePair,
+    question: str,
     chunks: list[Chunk],
     vectors: dict[str, list[float]],
     chat: ChatEndpoint,
@@ -286,11 +270,9 @@ def _process_candidate(
 ) -> Judgment:
     """Classify one candidate; a candidate with one chunk is not ranked."""
     if len(chunks) > 1:
-        query = build_query(candidate.head_surface, candidate.relation, candidate.tail_title)
-        chunks = retrieve_top_k(
-            vectors[query], [(chunk, vectors[chunk.text]) for chunk in chunks], retrieval_cfg
-        )
-    return classify(candidate, chunks, chat, exemplars)
+        chunks = retrieve_top_k(vectors[question],
+                                [(k, vectors[k.text]) for k in chunks], retrieval_cfg)
+    return classify(candidate, question, chunks, chat, exemplars)
 
 
 def run_extraction(
@@ -300,6 +282,7 @@ def run_extraction(
     embedder: EmbeddingEndpoint,
     retrieval_cfg: RetrievalConfig,
     exemplars: ExemplarSet,
+    relations: Sequence[RelationType],
     journal_path: str | Path,
     workers: int = 4,
     limit: Optional[int] = None,
@@ -309,12 +292,13 @@ def run_extraction(
     this run classified.
 
     `documents` holds the sections the candidates point at; only those of
-    pending candidates are read. `limit` caps how many pending candidates
-    this run processes; the rest stay pending for a later resume. Each
-    worker takes one pending section at a time: it embeds the section, then
-    classifies and journals its candidates in turn. Endpoint failure aborts
-    with the journal intact: once a candidate has failed, no worker starts
-    another.
+    pending candidates are read. `relations` must hold every candidate's
+    relation. `limit` caps how many pending candidates this run processes;
+    the rest stay pending for a later resume. Each worker takes one pending
+    section at a time: it builds each candidate's question once, embeds the
+    section, then classifies and journals its candidates in turn. Endpoint
+    failure aborts with the journal intact: once a candidate has failed, no
+    worker starts another.
     """
     journal = Journal(journal_path)
     done = journal.load()
@@ -323,18 +307,23 @@ def run_extraction(
         pending = pending[:limit]
     sections = pending_sections(pending, documents)
     failed = threading.Event()
+    by_id = {r.id: r for r in relations}
 
     def work(section: Section, members: list[CandidatePair]) -> int:
         """Classify the section's candidates in turn; returns how many."""
         if failed.is_set():
             return 0  # the run is stopping: send no new request
         try:
-            chunks, vectors = _section_vectors(section, members, embedder, retrieval_cfg)
-            for count, (candidate, its_chunks) in enumerate(zip(members, chunks)):
+            questions = [by_id[c.relation].question(c.head_surface, c.tail_title)
+                         for c in members]
+            chunks, vectors = _section_vectors(
+                section, members, questions, embedder, retrieval_cfg)
+            for count, (candidate, question, its_chunks) in enumerate(
+                    zip(members, questions, chunks)):
                 if failed.is_set():
                     return count
                 judgment = _process_candidate(
-                    candidate, its_chunks, vectors, chat, retrieval_cfg, exemplars
+                    candidate, question, its_chunks, vectors, chat, retrieval_cfg, exemplars
                 )
                 record = {
                     "candidate_id": candidate.candidate_id,

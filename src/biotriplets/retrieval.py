@@ -1,4 +1,4 @@
-"""Chunking, embedding, and top-K chunk selection for one candidate.
+"""Relations and their questions; chunking, embedding and top-K retrieval.
 
 Long section text is split into an anchor chunk (at least 512 words,
 guaranteed to contain the matched term) plus 128-word windows with a
@@ -17,15 +17,32 @@ import operator
 from dataclasses import dataclass
 
 from .endpoint import Endpoint
-from .errors import EndpointRejected, MatchOutOfRange, UnknownRelationType
+from .errors import EndpointRejected, MatchOutOfRange
 
 logger = logging.getLogger(__name__)
 
-RELATION_PHRASES = {
-    "manifestation": "an informative manifestation of",
-    "diagnosis": "an informative diagnostic procedure for",
-    "treatment": "an informative therapeutic procedure or drug for",
-}
+
+@dataclass(frozen=True)
+class RelationType:
+    """A relation: its id, its question's phrase, and its heads' semantic types."""
+
+    id: str
+    phrase: str
+    allowed_semantic_types: frozenset[str]
+
+    def question(self, head: str, tail: str) -> str:
+        """The yes/no question; used both for retrieval and as the final prompt."""
+        return f"Is {head} {self.phrase} {tail}?"
+
+
+DEFAULT_RELATIONS = (
+    RelationType("manifestation", "an informative manifestation of",
+                 frozenset({"Sign, Symptom, or Finding"})),
+    RelationType("diagnosis", "an informative diagnostic procedure for",
+                 frozenset({"Diagnostic Procedure", "Laboratory Procedure"})),
+    RelationType("treatment", "an informative therapeutic procedure or drug for",
+                 frozenset({"Therapeutic or Preventive Procedure", "Chemical or Drug"})),
+)
 
 
 @dataclass(frozen=True)
@@ -89,12 +106,9 @@ def chunk_for_candidate(
 
 
 def build_query(head: str, relation_id: str, tail: str) -> str:
-    """The yes/no question; used both for retrieval and as the final prompt."""
-    try:
-        phrase = RELATION_PHRASES[relation_id]
-    except KeyError:
-        raise UnknownRelationType(relation_id) from None
-    return f"Is {head} {phrase} {tail}?"
+    """The question of the default relation `relation_id`. Only the
+    benchmark's workload generator (perfbench/workloads.py) calls this."""
+    return {r.id: r for r in DEFAULT_RELATIONS}[relation_id].question(head, tail)
 
 
 def unit_rows(vectors: list[list[float]]) -> list[list[float]]:

@@ -14,7 +14,7 @@ from biotriplets.classifier import (
     parse_judgment,
 )
 from biotriplets.errors import EmptyContext, EndpointUnavailable, ExemplarConfigError
-from biotriplets.retrieval import Chunk
+from biotriplets.retrieval import DEFAULT_RELATIONS, Chunk
 
 
 def make_candidate(**overrides):
@@ -34,6 +34,8 @@ def make_candidate(**overrides):
     return CandidatePair(**defaults)
 
 
+TREATMENT = next(r for r in DEFAULT_RELATIONS if r.id == "treatment")
+QUESTION = TREATMENT.question("streptomycin", "Plague")
 CHUNKS = [
     Chunk("streptomycin and doxycycline are options", (0, 6), True),
     Chunk("supportive care is also given", (6, 11)),
@@ -61,7 +63,7 @@ class TestExemplars:
 
 class TestBuildPrompt:
     def test_structure(self):
-        bundle = build_prompt(make_candidate(), CHUNKS, load_exemplars())
+        bundle = build_prompt(make_candidate(), QUESTION, CHUNKS, load_exemplars())
         assert len(bundle.exemplars) == 3
         assert CHUNKS[0].text in bundle.context_block
         assert CHUNKS[1].text in bundle.context_block
@@ -76,21 +78,21 @@ class TestBuildPrompt:
     def test_main_title_always_disclosed(self):
         # tail absent from every chunk, still named in the prompt
         chunks = [Chunk("no disease name here", (0, 4), True)]
-        bundle = build_prompt(make_candidate(), chunks, load_exemplars())
+        bundle = build_prompt(make_candidate(), QUESTION, chunks, load_exemplars())
         assert "main title: Plague" in bundle.context_block
         assert "Plague" in bundle.system_preamble
 
     def test_section_path_prefixes_chunks(self):
-        bundle = build_prompt(make_candidate(), CHUNKS, load_exemplars())
+        bundle = build_prompt(make_candidate(), QUESTION, CHUNKS, load_exemplars())
         assert "[Plague > Treatment]" in bundle.context_block
 
     def test_empty_context_rejected(self):
         with pytest.raises(EmptyContext):
-            build_prompt(make_candidate(), [], load_exemplars())
+            build_prompt(make_candidate(), QUESTION, [], load_exemplars())
 
     def test_prompt_determinism(self):
-        a = build_prompt(make_candidate(), CHUNKS, load_exemplars())
-        b = build_prompt(make_candidate(), CHUNKS, load_exemplars())
+        a = build_prompt(make_candidate(), QUESTION, CHUNKS, load_exemplars())
+        b = build_prompt(make_candidate(), QUESTION, CHUNKS, load_exemplars())
         assert a == b
 
 
@@ -152,7 +154,7 @@ class TestClassify:
     def test_scripted_yes(self, mock_server):
         server = mock_server({"default": {"answer": "Yes", "reason": "scripted"}})
         endpoint = ChatEndpoint(base_url=server.base_url, model="mock")
-        j = classify(make_candidate(), CHUNKS, endpoint, load_exemplars())
+        j = classify(make_candidate(), QUESTION, CHUNKS, endpoint, load_exemplars())
         assert j.answer == "Yes"
         assert j.reason == "scripted"
         assert j.model_id == "mock"
@@ -162,7 +164,7 @@ class TestClassify:
                               "default": {"answer": "Yes", "reason": "r"}})
         endpoint = ChatEndpoint(base_url=server.base_url, model="mock",
                                 max_retries=2, retry_backoff=0.0)
-        j = classify(make_candidate(), CHUNKS, endpoint, load_exemplars())
+        j = classify(make_candidate(), QUESTION, CHUNKS, endpoint, load_exemplars())
         assert j.answer == "Yes"
         statuses = [e["status"] for e in server.log.entries]
         assert statuses == [429, 429, 200]
@@ -172,20 +174,20 @@ class TestClassify:
         endpoint = ChatEndpoint(base_url=server.base_url, model="mock",
                                 max_retries=2, retry_backoff=0.0)
         with pytest.raises(EndpointUnavailable):
-            classify(make_candidate(), CHUNKS, endpoint, load_exemplars())
+            classify(make_candidate(), QUESTION, CHUNKS, endpoint, load_exemplars())
 
     def test_prose_reply_is_malformed(self, mock_server):
         server = mock_server({"default": {}, "rules": [
             {"contains": "Is streptomycin", "raw": "cannot answer in json, sorry"}
         ]})
         endpoint = ChatEndpoint(base_url=server.base_url, model="mock")
-        j = classify(make_candidate(), CHUNKS, endpoint, load_exemplars())
+        j = classify(make_candidate(), QUESTION, CHUNKS, endpoint, load_exemplars())
         assert j.answer == "Malformed"
         assert j.raw_output == "cannot answer in json, sorry"
 
     def test_reproducible_against_mock(self, mock_server):
         server = mock_server({"default": {"answer": "No", "reason": "stable"}})
         endpoint = ChatEndpoint(base_url=server.base_url, model="mock")
-        a = classify(make_candidate(), CHUNKS, endpoint, load_exemplars())
-        b = classify(make_candidate(), CHUNKS, endpoint, load_exemplars())
+        a = classify(make_candidate(), QUESTION, CHUNKS, endpoint, load_exemplars())
+        b = classify(make_candidate(), QUESTION, CHUNKS, endpoint, load_exemplars())
         assert (a.answer, a.reason) == (b.answer, b.reason)

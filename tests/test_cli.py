@@ -132,7 +132,7 @@ class TestMatch:
              "import sys; from biotriplets import cli; "
              f"assert cli.main(['--config', {str(config)!r}, 'match']) == 0; "
              "print(' '.join(m for m in ('http.client', 'ssl', 'urllib.request', "
-             "'http.server', 'decimal') if m in sys.modules))"],
+             "'http.server', 'decimal', 'importlib.resources') if m in sys.modules))"],
             env={**os.environ, "PYTHONPATH": str(src)},
             capture_output=True, text=True, timeout=60, check=True,
         ).stdout.splitlines()
@@ -312,6 +312,33 @@ class TestExtract:
         assert len(err.splitlines()) == 1, err
         assert "exemplars.json" in err and expected in err and "Traceback" not in err
         assert not server.log.entries, "no request before the exemplars are checked"
+
+    def test_custom_relation(self, tmp_path, mock_server):
+        server = mock_server(GOLDEN_CHAT_SCRIPT)
+        write_fixture_site(tmp_path)
+        write_thesaurus(tmp_path / "thesaurus.tsv")
+        config = write_config(tmp_path, server.base_url,
+                              paths='exemplars = "exemplars.json"')
+        with open(config, "a", encoding="utf-8") as fh:
+            fh.write('[relations.causes]\nphrase = "a cause of"\n'
+                     'semantic_types = ["Sign, Symptom, or Finding"]\n'
+                     # a default relation without a phrase keeps its own
+                     '[relations.treatment]\nsemantic_types = ["Chemical or Drug"]\n')
+        data = json.loads(resources.files("biotriplets.data")
+                          .joinpath("exemplars.json").read_text(encoding="utf-8"))
+        data["causes"] = [{"question": f"Is symptom {i} a cause of disease {i}?",
+                           "answer": "Yes", "reason": "r"} for i in range(3)]
+        (tmp_path / "exemplars.json").write_text(json.dumps(data), encoding="utf-8")
+        for stage in ("preprocess", "match"):
+            assert run(config, stage) == 0
+        assert run(config, "extract", "--deterministic") == 0
+        questions = {e["prompt_tail"].rpartition("\n\n")[2]
+                     for e in server.log.entries if e["kind"] == "chat"}
+        assert "Is fever a cause of Plague?" in questions
+        assert ("Is streptomycin an informative therapeutic procedure or drug for Plague?"
+                in questions)
+        report = json.loads((tmp_path / "work" / "report.json").read_text())
+        assert report["relations"] == ["causes", "treatment"]
 
     def assert_rerun_match(self, config, server, capsys):
         capsys.readouterr()

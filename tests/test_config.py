@@ -71,7 +71,12 @@ def test_value_of_wrong_type(tmp_path, text, expected):
     ("[retrieval]\nchunk_words = 64\noverlap_words = 64", "overlap_words must be <"),
     ("[pipeline]\nworkers = 0", "workers must be at least 1"),
     ("[relations.causes]\nphrase = \"a cause of\"", "needs semantic_types"),
-], ids=["marker-style", "overlap", "workers", "relation-types"])
+    ('[relations.causes]\nsemantic_types = ["Disease"]', "'causes' needs a phrase"),
+    ('[relations.treatment]\nphrase = ""\nsemantic_types = ["Drug"]',
+     "'treatment' needs a phrase"),
+    ("[relations]", "relations lists no relation"),
+], ids=["marker-style", "overlap", "workers", "relation-types", "relation-phrase",
+        "empty-phrase", "no-relation"])
 def test_unusable_value(tmp_path, text, expected):
     with pytest.raises(ConfigError, match=expected):
         load_config(config_file(tmp_path, text))

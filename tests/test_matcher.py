@@ -1,11 +1,10 @@
 import random
 import re
 import sys
-from dataclasses import dataclass
 
 import pytest
 
-from biotriplets.errors import EmptyDictionary, FileUnreadable, FormatError, UnknownRelationType
+from biotriplets.errors import EmptyDictionary, FileUnreadable, FormatError
 from biotriplets.matcher import (
     MatcherAutomaton,
     TermMatch,
@@ -15,6 +14,7 @@ from biotriplets.matcher import (
     match_terms,
     semantic_filter,
 )
+from biotriplets.retrieval import RelationType
 
 
 def make_automaton(surfaces):
@@ -301,23 +301,16 @@ class TestOracleEquivalence:
                 assert end == len(text) or not text[end].isalnum()
 
 
-@dataclass(frozen=True)
-class FakeRelation:
-    id: str
-    allowed_semantic_types: frozenset
-
-
 def mk_match(types):
     return TermMatch("x", "C1", frozenset(types), (0, 1))
 
 
 class TestSemanticFilter:
-    TREATMENT = FakeRelation(
-        "treatment",
-        frozenset({"Therapeutic or Preventive Procedure", "Chemical or Drug"}),
+    TREATMENT = RelationType(
+        "treatment", "t", frozenset({"Therapeutic or Preventive Procedure", "Chemical or Drug"})
     )
-    DIAGNOSIS = FakeRelation(
-        "diagnosis", frozenset({"Diagnostic Procedure", "Laboratory Procedure"})
+    DIAGNOSIS = RelationType(
+        "diagnosis", "d", frozenset({"Diagnostic Procedure", "Laboratory Procedure"})
     )
 
     def test_drug_kept_for_treatment(self):
@@ -330,7 +323,3 @@ class TestSemanticFilter:
 
     def test_empty_input(self):
         assert semantic_filter([], self.TREATMENT) == []
-
-    def test_unknown_relation(self):
-        with pytest.raises(UnknownRelationType):
-            semantic_filter([mk_match({"A"})], FakeRelation("x", frozenset()))

@@ -1,8 +1,11 @@
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
-INPROC = Path(__file__).resolve().parents[1] / "perfbench" / "inproc.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+INPROC = PERFBENCH / "inproc.py"
+WORKLOADS = PERFBENCH / "workloads.py"
 
 
 def test_every_traced_name_resolves():
@@ -19,3 +22,20 @@ def test_every_traced_name_resolves():
         if not callable(owner):
             missing.append(f"{name}: {module}.{path}")
     assert missing == []
+
+
+def test_workload_questions_are_the_pipelines(monkeypatch):
+    # the remote-outage fault rules match prompts by these questions; if
+    # they drifted apart, no fault would fire and the benchmark would fail
+    from biotriplets.retrieval import DEFAULT_RELATIONS
+
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+    spec.loader.exec_module(workloads)
+    assert workloads.RELATION_ORDER == [r.id for r in DEFAULT_RELATIONS]
+    for r in DEFAULT_RELATIONS:
+        assert workloads.DEFAULT_SEMANTIC_TYPES[r.id] == r.allowed_semantic_types
+        question = r.question("yoheadterm", "Tail Title")
+        assert workloads.build_query("yoheadterm", r.id, "Tail Title") == question
+        assert question.startswith(workloads.QUESTION_PREFIX + "yoheadterm ")

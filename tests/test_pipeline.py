@@ -19,7 +19,6 @@ from biotriplets.mockserver import mock_embedding
 from biotriplets.pipeline import (
     Journal,
     RelationTriplet,
-    default_relations,
     dedupe_triplets,
     enumerate_candidates,
     report_table,
@@ -29,15 +28,21 @@ from biotriplets.pipeline import (
     word_index,
 )
 from biotriplets.retrieval import (
+    DEFAULT_RELATIONS,
     EmbeddingEndpoint,
     RetrievalConfig,
-    build_query,
     chunk_for_candidate,
     retrieve_top_k,
 )
 
 PROFILE = SiteProfile(site_id="s1")
-RELATIONS = default_relations()
+RELATIONS = DEFAULT_RELATIONS
+
+
+def question(c):
+    """The question of candidate `c` of a default relation."""
+    relation = next(r for r in RELATIONS if r.id == c.relation)
+    return relation.question(c.head_surface, c.tail_title)
 
 
 def automaton_from(rows):
@@ -213,7 +218,7 @@ def section_texts(doc, candidates, cfg=RetrievalConfig()):
         if len(chunks) == 1:
             continue
         texts = out.setdefault(c.section_index, {})
-        texts[build_query(c.head_surface, c.relation, c.tail_title)] = None
+        texts[question(c)] = None
         texts.update(dict.fromkeys(chunk.text for chunk in chunks))
     return {index: list(texts) for index, texts in out.items()}
 
@@ -226,7 +231,7 @@ class TestSectionEmbedding:
     def run(self, doc, candidates, server, journal, **kw):
         chat, embed = endpoints(server)
         return run_extraction(
-            candidates, [doc], chat, embed, RetrievalConfig(), load_exemplars(),
+            candidates, [doc], chat, embed, RetrievalConfig(), load_exemplars(), RELATIONS,
             journal_path=journal, workers=2, **kw,
         )
 
@@ -265,19 +270,19 @@ class TestSectionEmbedding:
         server = mock_server()
         chat = RecordingChat(base_url=server.base_url, model="mock")
         embed = EmbeddingEndpoint(base_url=server.base_url, model="mock-embed")
-        run_extraction(candidates, [doc], chat, embed, cfg, exemplars,
+        run_extraction(candidates, [doc], chat, embed, cfg, exemplars, RELATIONS,
                        journal_path=tmp_path / "j.jsonl", workers=2)
         flat = flatten_section_text(list(doc.walk_sections())[0])
         reordered = 0
         for c in (c for c in candidates if c.section_index == 0):
             chunks = chunk_for_candidate(flat, c.match_word_index, cfg)
             assert len(chunks) > cfg.top_k
-            query = build_query(c.head_surface, c.relation, c.tail_title)
+            query = question(c)
             expected = retrieve_top_k(
                 mock_embedding(query),
                 [(chunk, mock_embedding(chunk.text)) for chunk in chunks], cfg)
             reordered += expected != chunks[: cfg.top_k]
-            sent = build_prompt(c, expected, exemplars).to_messages()[-1]["content"]
+            sent = build_prompt(c, query, expected, exemplars).to_messages()[-1]["content"]
             assert prompts[query] == sent
         assert reordered, "the vectors set the context of some candidate"
 
@@ -291,7 +296,7 @@ class TestSectionEmbedding:
 
     def test_no_worker_waits_on_another_workers_section(self, tmp_path, mock_server):
         doc, candidates = long_section_site()
-        short = [build_query(c.head_surface, c.relation, c.tail_title)
+        short = [question(c)
                  for c in candidates if c.section_index == 1]
         answered = threading.Event()
         waited = []
@@ -313,8 +318,8 @@ class TestSectionEmbedding:
         chat = SignallingChat(base_url=server.base_url, model="mock")
         embed = WaitingEmbedder(base_url=server.base_url, model="mock-embed")
         classified = run_extraction(candidates, [doc], chat, embed, RetrievalConfig(),
-                                    load_exemplars(), journal_path=tmp_path / "j.jsonl",
-                                    workers=2)
+                                    load_exemplars(), RELATIONS,
+                                    journal_path=tmp_path / "j.jsonl", workers=2)
         assert waited == [True], "the short section waited on the long one"
         assert classified == len(candidates)
 
@@ -330,14 +335,14 @@ class TestSectionEmbedding:
         with ThreadPoolExecutor(max_workers=1) as pool:
             future = pool.submit(
                 run_extraction, candidates, [doc], chat, embed, RetrievalConfig(),
-                load_exemplars(), journal_path=journal, workers=3,
+                load_exemplars(), RELATIONS, journal_path=journal, workers=3,
             )
             with pytest.raises(EndpointUnavailable):
                 future.result(timeout=30)
         assert journal.read_bytes() == before
         # the short section's chats may run meanwhile; the long section,
         # whose embedding failed, sends none
-        failed = [build_query(c.head_surface, c.relation, c.tail_title)
+        failed = [question(c)
                   for c in candidates if c.section_index == 0]
         chats = [e for e in server.log.entries if e["kind"] == "chat"]
         assert not any(q in e["prompt_tail"] for e in chats[1:] for q in failed)
@@ -353,7 +358,7 @@ class TestRunExtraction:
         if documents is None:
             documents = make_documents(len(candidates))
         classified = run_extraction(
-            candidates, documents, chat, embed, RetrievalConfig(), load_exemplars(),
+            candidates, documents, chat, embed, RetrievalConfig(), load_exemplars(), RELATIONS,
             journal_path=journal, workers=2, **kw,
         )
         return (classified, *summarize(candidates, Journal(journal).load(), self.RELATIONS))
@@ -409,7 +414,7 @@ class TestRunExtraction:
         with pytest.raises(EndpointUnavailable):
             run_extraction(
                 candidates, make_documents(3), chat, embed, RetrievalConfig(),
-                load_exemplars(), journal_path=journal, workers=1,
+                load_exemplars(), RELATIONS, journal_path=journal, workers=1,
             )
         done_before = len(journal.read_text().splitlines()) if journal.exists() else 0
         # resume finishes the rest without re-doing journaled work
@@ -422,7 +427,7 @@ class TestRunExtraction:
         with pytest.raises(EndpointRejected):
             run_extraction(
                 make_candidates(30), make_documents(30), chat, embed, RetrievalConfig(),
-                load_exemplars(), journal_path=tmp_path / "j.jsonl", workers=1,
+                load_exemplars(), RELATIONS, journal_path=tmp_path / "j.jsonl", workers=1,
             )
         assert [e["status"] for e in server.log.entries] == [400]
 

@@ -5,13 +5,13 @@ import random
 import numpy as np
 import pytest
 
-from biotriplets.errors import EndpointUnavailable, MatchOutOfRange, UnknownRelationType
+from biotriplets.errors import EndpointUnavailable, MatchOutOfRange
 from biotriplets.mockserver import MOCK_EMBED_DIM, mock_embedding
 from biotriplets.retrieval import (
+    DEFAULT_RELATIONS,
     Chunk,
     EmbeddingEndpoint,
     RetrievalConfig,
-    build_query,
     chunk_for_candidate,
     retrieve_top_k,
     unit_rows,
@@ -86,26 +86,27 @@ class TestChunking:
             check_coverage(chunk_for_candidate(words(n), m, CFG), n)
 
 
+def default_question(head, relation_id, tail):
+    relation = next(r for r in DEFAULT_RELATIONS if r.id == relation_id)
+    return relation.question(head, tail)
+
+
 class TestBuildQuery:
     def test_manifestation(self):
-        q = build_query("nausea", "manifestation",
-                        "Clostridioides difficile–Induced Diarrhea")
+        q = default_question("nausea", "manifestation",
+                             "Clostridioides difficile–Induced Diarrhea")
         assert q == ("Is nausea an informative manifestation of "
                      "Clostridioides difficile–Induced Diarrhea?")
 
     def test_diagnosis(self):
-        q = build_query("CBC", "diagnosis", "Hemolytic-uremic syndrome")
+        q = default_question("CBC", "diagnosis", "Hemolytic-uremic syndrome")
         assert q == ("Is CBC an informative diagnostic procedure for "
                      "Hemolytic-uremic syndrome?")
 
     def test_treatment(self):
-        q = build_query("streptomycin", "treatment", "Plague")
+        q = default_question("streptomycin", "treatment", "Plague")
         assert q == ("Is streptomycin an informative therapeutic procedure "
                      "or drug for Plague?")
-
-    def test_unknown_relation(self):
-        with pytest.raises(UnknownRelationType):
-            build_query("x", "causes", "y")
 
 
 def scored_chunks(scores, anchor_index=0):
