@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Iterable, Optional
 
 from .endpoint import Endpoint
-from .errors import EmptyContext, ExemplarConfigError
+from .errors import ConfigError
 from .retrieval import Chunk
 
 logger = logging.getLogger(__name__)
@@ -79,24 +79,13 @@ class Exemplar:
     answer_json: str
 
 
-@dataclass
-class ExemplarSet:
-    by_relation: dict[str, list[Exemplar]]
-
-    def for_relation(self, relation: str) -> list[Exemplar]:
-        try:
-            return self.by_relation[relation]
-        except KeyError:
-            raise ExemplarConfigError(f"no exemplars for relation {relation!r}") from None
-
-
 def load_exemplars(
     path: Optional[str | Path] = None, relations: Iterable[str] = ()
-) -> ExemplarSet:
+) -> dict[str, list[Exemplar]]:
     """Load the few-shot exemplar file: a JSON object mapping each relation
     to exactly three objects with "question", "answer" and "reason". A file
     that is missing, unreadable, otherwise shaped, or without exemplars for
-    one of `relations` raises ExemplarConfigError naming it."""
+    one of `relations` raises ConfigError naming it."""
     if path is None:
         from importlib import resources  # only extract reads exemplars
 
@@ -105,18 +94,16 @@ def load_exemplars(
         source = Path(path)
     try:
         data = json.loads(source.read_text(encoding="utf-8"))
-        exemplars = ExemplarSet({
-            relation: _relation_exemplars(relation, items)
-            for relation, items in data.items()
-        })
-        missing = [r for r in relations if r not in exemplars.by_relation]
+        exemplars = {relation: _relation_exemplars(relation, items)
+                     for relation, items in data.items()}
+        missing = [r for r in relations if r not in exemplars]
         if missing:
             raise ValueError(f"no exemplars for relations {missing}")
         return exemplars
     except KeyError as exc:
-        raise ExemplarConfigError(f"exemplars {source}: an exemplar lacks {exc}") from None
+        raise ConfigError(f"exemplars {source}: an exemplar lacks {exc}") from None
     except (OSError, ValueError, TypeError, AttributeError) as exc:
-        raise ExemplarConfigError(f"exemplars {source}: {exc}") from None
+        raise ConfigError(f"exemplars {source}: {exc}") from None
 
 
 def _relation_exemplars(relation: str, items: list[dict]) -> list[Exemplar]:
@@ -154,17 +141,15 @@ def build_prompt(
     candidate: CandidatePair,
     question: str,
     retrieved: list[Chunk],
-    exemplars: ExemplarSet,
+    exemplars: dict[str, list[Exemplar]],
 ) -> PromptBundle:
-    if not retrieved:
-        raise EmptyContext(f"no retrieved chunks for {candidate.candidate_id}")
     lines = [f"main title: {candidate.tail_title}"]
     for chunk in retrieved:
         lines.append(f"[{candidate.section_path}]")
         lines.append(chunk.text)
     return PromptBundle(
         system_preamble=SYSTEM_PREAMBLE.format(tail=candidate.tail_title),
-        exemplars=tuple(exemplars.for_relation(candidate.relation)),
+        exemplars=tuple(exemplars[candidate.relation]),
         context_block="\n".join(lines),
         question=question,
     )
@@ -247,7 +232,7 @@ def classify(
     question: str,
     retrieved: list[Chunk],
     endpoint: ChatEndpoint,
-    exemplars: ExemplarSet,
+    exemplars: dict[str, list[Exemplar]],
 ) -> Judgment:
     bundle = build_prompt(candidate, question, retrieved, exemplars)
     content, latency = endpoint.complete(bundle.to_messages())

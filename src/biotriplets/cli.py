@@ -7,7 +7,9 @@ rerun after preprocess), extract -> triplets.jsonl + report, eval ->
 metrics and agreement outputs. mock-serve hosts the deterministic
 chat/embedding servers used by the test suite.
 
-Exit codes: 0 success, 1 partial failure, 2 configuration error.
+Exit codes: 0 success, 1 partial failure, 2 configuration error. A stage
+raises ConfigError for an input it cannot use; `main` alone turns it into
+one line on stderr and exit 2.
 """
 
 from __future__ import annotations
@@ -20,16 +22,7 @@ from pathlib import Path
 
 from . import classifier, docmodel, matcher, pipeline
 from .config import Config, load_config
-from .errors import (
-    BiotripletsError,
-    ConfigError,
-    EmptyDictionary,
-    EndpointRejected,
-    EndpointUnavailable,
-    FileUnreadable,
-    FormatError,
-    MissingPrediction,
-)
+from .errors import ConfigError, DocumentError, EndpointRejected, EndpointUnavailable
 
 EXIT_OK = 0
 EXIT_PARTIAL = 1
@@ -47,8 +40,7 @@ def _load_cfg(args) -> Config:
 def cmd_preprocess(args) -> int:
     cfg = _load_cfg(args)
     if cfg.manifest_path is None:
-        print("error: no manifest configured (paths.manifest)", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("no manifest configured (paths.manifest)")
     entries = docmodel.read_manifest(cfg.manifest_path)
     if not entries:
         print("warning: manifest is empty, nothing to do", file=sys.stderr)
@@ -60,8 +52,8 @@ def cmd_preprocess(args) -> int:
             html = docmodel.read_html_file(entry["path"])
             profile = cfg.site_profile(entry["site_id"])
             docs.append(docmodel.preprocess_html(html, profile, entry["url"]))
-        except (OSError, KeyError, BiotripletsError) as exc:
-            failures.append((entry.get("path", "?"), exc))
+        except (OSError, DocumentError) as exc:
+            failures.append((entry["path"], exc))
     out = cfg.workdir / "documents.jsonl"
     docmodel.write_documents(docs, out)
     print(f"wrote {len(docs)} documents to {out}")
@@ -75,22 +67,16 @@ def cmd_preprocess(args) -> int:
 def cmd_match(args) -> int:
     cfg = _load_cfg(args)
     if cfg.thesaurus_path is None:
-        print("error: no thesaurus configured (paths.thesaurus)", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("no thesaurus configured (paths.thesaurus)")
     documents_path = cfg.workdir / "documents.jsonl"
     if not documents_path.exists():
-        print(f"error: {documents_path} not found; rerun preprocess", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        thesaurus = matcher.load_thesaurus(cfg.thesaurus_path)
-        print(f"loaded {len(thesaurus)} surfaces "
-              f"({thesaurus.skipped_rows} rows skipped, "
-              f"{thesaurus.skipped_short} too short, "
-              f"{thesaurus.concept_conflicts} concept conflicts)")
-        automaton = matcher.MatcherAutomaton(thesaurus)
-    except (FileUnreadable, FormatError, EmptyDictionary) as exc:
-        print(f"error: thesaurus {cfg.thesaurus_path}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"{documents_path} not found; rerun preprocess")
+    thesaurus = matcher.load_thesaurus(cfg.thesaurus_path)
+    print(f"loaded {len(thesaurus)} surfaces "
+          f"({thesaurus.skipped_rows} rows skipped, "
+          f"{thesaurus.skipped_short} too short, "
+          f"{thesaurus.concept_conflicts} concept conflicts)")
+    automaton = matcher.MatcherAutomaton(thesaurus)
     docs = docmodel.read_documents(documents_path)
     candidates = pipeline.enumerate_candidates(docs, automaton, cfg.relations)
     out = cfg.workdir / "candidates.jsonl"
@@ -106,25 +92,18 @@ def cmd_extract(args) -> int:
     cfg = _load_cfg(args)
     for name in ("candidates.jsonl", "documents.jsonl"):
         if not (cfg.workdir / name).exists():
-            print(f"error: {cfg.workdir / name} not found; rerun preprocess and match",
-                  file=sys.stderr)
-            return EXIT_CONFIG
+            raise ConfigError(f"{cfg.workdir / name} not found; rerun preprocess and match")
     candidates = pipeline.read_candidates(cfg.workdir / "candidates.jsonl")
     relations = [r.id for r in cfg.relations]
     unconfigured = sorted({c.relation for c in candidates}.difference(relations))
     if unconfigured:
-        print(f"error: {cfg.workdir / 'candidates.jsonl'} holds relation "
-              f"{', '.join(unconfigured)}, which the config does not list; rerun match",
-              file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"{cfg.workdir / 'candidates.jsonl'} holds relation "
+                          f"{', '.join(unconfigured)}, which the config does not list; "
+                          "rerun match")
     documents = docmodel.read_documents(cfg.workdir / "documents.jsonl")
-    try:
-        exemplars = classifier.load_exemplars(cfg.exemplars_path, relations)
-        chat = cfg.chat_endpoint()
-        embedder = cfg.embedding_endpoint()
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    exemplars = classifier.load_exemplars(cfg.exemplars_path, relations)
+    chat = cfg.chat_endpoint()
+    embedder = cfg.embedding_endpoint()
     journal_path = cfg.workdir / "journal.jsonl"
     try:
         classified = pipeline.run_extraction(
@@ -175,7 +154,7 @@ def cmd_eval(args) -> int:
         samples = evaluation.load_benchmark(args.benchmark)
         model_ids = sorted({m for s in samples for m in s.predictions})
         confusions = [evaluation.confusion(samples, model) for model in model_ids]
-    except (OSError, ValueError, MissingPrediction) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARTIAL
     if not samples:
@@ -183,8 +162,7 @@ def cmd_eval(args) -> int:
         return EXIT_PARTIAL
     reference = args.reference or cfg.chat.get("reference_model") or model_ids[0]
     if reference not in model_ids:
-        print(f"error: reference model {reference!r} not in benchmark", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"reference model {reference!r} not in benchmark")
 
     rows = []
     for model, cm in zip(model_ids, confusions):

@@ -16,7 +16,7 @@ from html.parser import HTMLParser
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
-from .errors import ConfigError, EmptyDocument, ParseFailure, SectionNotInDocument
+from .errors import ConfigError, DocumentError
 
 MAX_SECTION_LEVEL = 4
 
@@ -64,11 +64,6 @@ class Section:
             children=[cls.from_dict(c) for c in d.get("children", [])],
         )
 
-    def walk(self) -> Iterator["Section"]:
-        yield self
-        for child in self.children:
-            yield from child.walk()
-
 
 @dataclass
 class WebDocument:
@@ -77,9 +72,17 @@ class WebDocument:
     main_title: str
     sections: list[Section] = field(default_factory=list)
 
-    def walk_sections(self) -> Iterator[Section]:
-        for s in self.sections:
-            yield from s.walk()
+    def walk_sections(self) -> Iterator[tuple[Section, str]]:
+        """Each section in document order, with its breadcrumb: the main
+        title and the headings down to the section, blank ones left out."""
+
+        def walk(sections: list[Section], trail: str) -> Iterator[tuple[Section, str]]:
+            for s in sections:
+                here = f"{trail} > {s.heading}" if s.heading else trail
+                yield s, here
+                yield from walk(s.children, here)
+
+        return walk(self.sections, self.main_title)
 
     def to_dict(self) -> dict:
         return {
@@ -166,7 +169,7 @@ def _parse_tree(html: str) -> _Node:
     builder.feed(html)
     builder.close()
     if not builder.saw_tag:
-        raise ParseFailure("no HTML tags found in input")
+        raise DocumentError("no HTML tags found in input")
     return builder.root
 
 
@@ -258,9 +261,17 @@ def _render_text(node: _Node, style: str, list_depth: int = 0) -> str:
 def preprocess_html(html: str, profile: SiteProfile, url: str) -> WebDocument:
     """Turn one raw page into a WebDocument.
 
-    Tolerates tag soup; raises ParseFailure when the input has no tags at
-    all and EmptyDocument when no main title can be found.
+    Tolerates tag soup; raises DocumentError when the input has no tags at
+    all, when no main title can be found, and when its elements nest too
+    deeply for the recursive renderers (about 1000 unclosed inline tags).
     """
+    try:
+        return _document(html, profile, url)
+    except RecursionError:
+        raise DocumentError(f"elements nested too deeply in {url}") from None
+
+
+def _document(html: str, profile: SiteProfile, url: str) -> WebDocument:
     root = _parse_tree(html)
     _prune(root, profile.strip_selectors)
 
@@ -276,7 +287,7 @@ def preprocess_html(html: str, profile: SiteProfile, url: str) -> WebDocument:
                 main_title = _plain_text(node)
                 break
     if not main_title:
-        raise EmptyDocument(f"no main title found in {url}")
+        raise DocumentError(f"no main title found in {url}")
 
     doc = WebDocument(site_id=profile.site_id, page_url=url, main_title=main_title)
 
@@ -337,25 +348,6 @@ def preprocess_html(html: str, profile: SiteProfile, url: str) -> WebDocument:
     return doc
 
 
-def section_path(doc: WebDocument, section: Section) -> str:
-    """Breadcrumb from the main title down to the given section."""
-
-    def find(nodes: list[Section], trail: list[str]) -> Optional[list[str]]:
-        for s in nodes:
-            here = trail + ([s.heading] if s.heading else [])
-            if s is section:
-                return here
-            hit = find(s.children, here)
-            if hit is not None:
-                return hit
-        return None
-
-    trail = find(doc.sections, [])
-    if trail is None:
-        raise SectionNotInDocument(f"section {section.heading!r} not in {doc.page_url}")
-    return " > ".join([doc.main_title] + trail)
-
-
 def flatten_section_text(section: Section) -> str:
     """Section text plus all descendant texts, heading lines interleaved."""
     parts: list[str] = []
@@ -376,8 +368,9 @@ def flatten_section_text(section: Section) -> str:
 
 def read_jsonl(path, parse, what: str, action: str, error=ConfigError) -> list:
     """`parse` of each non-blank JSON line of `path`. A line that is not
-    JSON, or that `parse` rejects with ValueError, KeyError or TypeError,
-    raises `error` naming the file, the line and the `action` to take."""
+    JSON (or nests past the recursion limit), or that `parse` rejects with
+    ValueError, KeyError or TypeError, raises `error` naming the file, the
+    line and the `action` to take."""
     out = []
     with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, 1):
@@ -385,7 +378,7 @@ def read_jsonl(path, parse, what: str, action: str, error=ConfigError) -> list:
                 continue
             try:
                 out.append(parse(json.loads(line)))
-            except (ValueError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError, RecursionError) as exc:
                 raise error(
                     f"{path} line {line_no} is not {what} ({exc}); {action}"
                 ) from None
@@ -398,10 +391,18 @@ def json_object(value) -> dict:
     return value
 
 
+def _manifest_entry(value) -> dict:
+    entry = json_object(value)
+    for key in ("site_id", "url", "path"):
+        if not isinstance(entry[key], str):
+            raise TypeError(f"{key} is {type(entry[key]).__name__}, not str")
+    return entry
+
+
 def read_manifest(path: str | Path) -> list[dict]:
-    """Manifest is JSON lines: {site_id, url, path}."""
+    """Manifest is JSON lines: {site_id, url, path}, each a string."""
     try:
-        return read_jsonl(path, json_object, "a manifest entry", "fix the manifest")
+        return read_jsonl(path, _manifest_entry, "a manifest entry", "fix the manifest")
     except OSError as exc:
         raise ConfigError(f"cannot read manifest: {exc}") from None
 

@@ -40,9 +40,12 @@ USER_AGENT = f"biotriplets/{__version__}"
 
 def _retry_after(value: str) -> float | None:
     """A Retry-After header's delta-seconds, capped; None for an absent
-    header or one in HTTP-date form."""
+    header or one in HTTP-date form. Only ASCII digits count: `str.isdigit`
+    also holds for the latin-1 header byte 0xB2 (²), which float() rejects."""
     value = value.strip()
-    return min(float(value), MAX_RETRY_AFTER_S) if value.isdigit() else None
+    if not (value.isascii() and value.isdigit()):
+        return None
+    return min(float(value), MAX_RETRY_AFTER_S)
 
 
 def _dropped(conn: http.client.HTTPConnection) -> bool:
@@ -139,8 +142,9 @@ class Endpoint:
         A transport error, 5xx or 429 is retried up to `max_retries` times,
         after the reply's Retry-After or else `retry_backoff` doubled per
         retry; then EndpointUnavailable is raised. Any other 4xx, and a body
-        that is not JSON or that `parse` rejects with ValueError, LookupError
-        or TypeError, raise EndpointRejected without a retry.
+        that is not JSON (or nests past the recursion limit) or that `parse`
+        rejects with ValueError, LookupError or TypeError, raise
+        EndpointRejected without a retry.
         """
         import http.client
 
@@ -170,6 +174,6 @@ class Endpoint:
                 raise EndpointRejected(f"POST {url}: HTTP {resp.status}: {text}")
             try:
                 return parse(json.loads(data))
-            except (ValueError, LookupError, TypeError) as exc:
+            except (ValueError, LookupError, TypeError, RecursionError) as exc:
                 raise EndpointRejected(f"POST {url}: unreadable reply: {exc!r}") from None
         raise EndpointUnavailable(f"POST {url}: {failure}")

@@ -15,12 +15,6 @@ from typing import Optional
 
 from .classifier import Judgment
 from .docmodel import json_object, read_jsonl
-from .errors import (
-    EmptyMatrix,
-    LengthMismatch,
-    MissingPrediction,
-    MissingReference,
-)
 
 YES = "Yes"
 NO = "No"
@@ -56,6 +50,10 @@ def load_benchmark(path: str | Path) -> list[BenchmarkSample]:
                       ValueError)
 
 
+def _missing(sample_id: str, model_id: str) -> ValueError:
+    return ValueError(f"sample {sample_id} has no prediction for {model_id}")
+
+
 def effective_label(
     judgment: Judgment, gold: Optional[str] = None, reference: Optional[str] = None
 ) -> str:
@@ -69,7 +67,7 @@ def effective_label(
     if gold is not None:
         return _opposite(gold)
     if reference is None:
-        raise MissingReference("malformed judgment needs a gold or reference label")
+        raise ValueError("malformed judgment needs a gold or reference label")
     return _opposite(reference)
 
 
@@ -89,7 +87,7 @@ def confusion(samples: list[BenchmarkSample], model_id: str) -> ConfusionMatrix:
     tp = fp = fn = tn = 0
     for s in samples:
         if model_id not in s.predictions:
-            raise MissingPrediction(s.sample_id, model_id)
+            raise _missing(s.sample_id, model_id)
         pred = effective_label(s.predictions[model_id], gold=s.gold)
         if pred == YES and s.gold == YES:
             tp += 1
@@ -114,7 +112,7 @@ class Metrics:
 def metrics(cm: ConfusionMatrix) -> Metrics:
     """Accuracy/precision/recall/F1; zero-denominator metrics are 0, flagged."""
     if cm.total == 0:
-        raise EmptyMatrix("confusion matrix has no samples")
+        raise ValueError("confusion matrix has no samples")
     degenerate = set()
     accuracy = (cm.tp + cm.tn) / cm.total
     if cm.tp + cm.fp > 0:
@@ -147,10 +145,10 @@ def cohen_kappa(labels_a: list[str], labels_b: list[str]) -> float:
     constant and identical (p_e = 1).
     """
     if len(labels_a) != len(labels_b):
-        raise LengthMismatch(f"{len(labels_a)} vs {len(labels_b)}")
+        raise ValueError(f"{len(labels_a)} vs {len(labels_b)} labels")
     n = len(labels_a)
     if n == 0:
-        raise LengthMismatch("need at least one label pair")
+        raise ValueError("need at least one label pair")
     p_o = sum(a == b for a, b in zip(labels_a, labels_b)) / n
     a_yes = sum(a == YES for a in labels_a) / n
     b_yes = sum(b == YES for b in labels_b) / n
@@ -190,7 +188,7 @@ def agreement_matrix(
     reference_labels = []
     for s in samples:
         if reference_model not in s.predictions:
-            raise MissingPrediction(s.sample_id, reference_model)
+            raise _missing(s.sample_id, reference_model)
         j = s.predictions[reference_model]
         if j.answer in (YES, NO):
             reference_labels.append(j.answer)
@@ -206,7 +204,7 @@ def agreement_matrix(
         labels = []
         for s, ref in zip(samples, reference_labels):
             if model not in s.predictions:
-                raise MissingPrediction(s.sample_id, model)
+                raise _missing(s.sample_id, model)
             labels.append(effective_label(s.predictions[model], reference=ref))
         vectors[model] = labels
 

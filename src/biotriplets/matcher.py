@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
-from .errors import EmptyDictionary, FileUnreadable, FormatError
+from .errors import ConfigError
 from .retrieval import RelationType
 
 logger = logging.getLogger(__name__)
@@ -85,23 +85,22 @@ class Thesaurus:
 
 
 def load_thesaurus(path: str | Path) -> Thesaurus:
-    """Parse the TSV leniently: malformed or short rows are skipped, not fatal.
-    Rows with the same types field share one frozenset."""
+    """Parse the TSV leniently: incomplete or short rows are skipped, not
+    fatal. Rows with the same types field share one frozenset. A file that
+    cannot be read or is not UTF-8, a row without 3 columns, and a file that
+    keeps no surface raise ConfigError naming the file."""
     thesaurus = Thesaurus()
     type_sets: dict[str, frozenset[str]] = {}
     try:
-        fh = open(path, encoding="utf-8-sig")
-    except OSError as exc:
-        raise FileUnreadable(str(exc)) from exc
-    with fh:
-        try:
+        with open(path, encoding="utf-8-sig") as fh:
             for line_no, line in enumerate(fh, start=1):
                 line = line.rstrip("\n")
                 if not line:
                     continue
                 cols = line.split("\t")
                 if len(cols) != 3:
-                    raise FormatError(line_no, f"expected 3 columns, got {len(cols)}")
+                    raise ConfigError(f"thesaurus {path}: line {line_no}: "
+                                      f"expected 3 columns, got {len(cols)}")
                 surface, concept_id, types_field = [c.strip() for c in cols]
                 if not surface or not concept_id or not types_field:
                     thesaurus.skipped_rows += 1
@@ -120,8 +119,12 @@ def load_thesaurus(path: str | Path) -> Thesaurus:
                     thesaurus.skipped_rows += 1
                     continue
                 thesaurus.add(surface, concept_id, types)
-        except UnicodeDecodeError as exc:
-            raise FileUnreadable(f"not UTF-8 text: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"thesaurus {path}: not UTF-8 text: {exc}") from None
+    except OSError as exc:
+        raise ConfigError(f"thesaurus {path}: {exc}") from None
+    if not thesaurus.index:
+        raise ConfigError(f"thesaurus {path}: cannot build a matcher from an empty thesaurus")
     return thesaurus
 
 
@@ -140,8 +143,6 @@ class MatcherAutomaton:
     """
 
     def __init__(self, thesaurus: Thesaurus):
-        if not thesaurus.index:
-            raise EmptyDictionary("cannot build a matcher from an empty thesaurus")
         self.index = thesaurus.index  # shared: a loaded thesaurus is not changed
         lengths: defaultdict[str, set[int]] = defaultdict(set)
         for surface in self.index:

@@ -29,9 +29,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from .classifier import CandidatePair, ChatEndpoint, ExemplarSet, Judgment, classify
-from .docmodel import Section, WebDocument, flatten_section_text, read_jsonl, section_path
-from .errors import MatchOutOfRange, StaleCandidates
+from .classifier import CandidatePair, ChatEndpoint, Exemplar, Judgment, classify
+from .docmodel import Section, WebDocument, flatten_section_text, read_jsonl
+from .errors import ConfigError
 from .matcher import MatcherAutomaton, match_terms, semantic_filter
 from .retrieval import (
     DEFAULT_RELATIONS,
@@ -99,10 +99,9 @@ def enumerate_candidates(
     candidates = []
     seen: set[tuple[str, str, str]] = set()
     for doc in docs:
-        for section_index, section in enumerate(doc.walk_sections()):
+        for section_index, (section, path) in enumerate(doc.walk_sections()):
             if not section.text:
                 continue
-            path = section_path(doc, section)
             matches = match_terms(automaton, section.text)
             if not matches:
                 continue
@@ -144,7 +143,7 @@ def write_candidates(candidates: Iterable[CandidatePair], path: str | Path) -> N
 
 def read_candidates(path: str | Path) -> list[CandidatePair]:
     return read_jsonl(path, CandidatePair.from_dict, "a current candidate record",
-                      "rerun match", StaleCandidates)
+                      "rerun match")
 
 
 # --------------------------------------------------------------------------
@@ -202,32 +201,31 @@ def pending_sections(
     """Group pending candidates by the section they point at, in first-seen
     order.
 
-    Raises StaleCandidates when a section is missing from the documents or
+    Raises ConfigError when a section is missing from the documents or
     sits at another path than the candidate recorded.
     """
     groups: dict[tuple[str, str, int], list[CandidatePair]] = {}
     for c in pending:
         groups.setdefault((c.site_id, c.page_url, c.section_index), []).append(c)
     pages = {key[:2] for key in groups}
-    docs: dict[tuple[str, str], tuple[WebDocument, list[Section]]] = {}
+    sections: dict[tuple[str, str], list[tuple[Section, str]]] = {}
     for doc in documents:
         key = (doc.site_id, doc.page_url)
-        if key in pages and key not in docs:
-            docs[key] = (doc, list(doc.walk_sections()))
+        if key in pages and key not in sections:
+            sections[key] = list(doc.walk_sections())
 
     out = []
-    for key, members in groups.items():
-        doc, sections = docs.get(key[:2], (None, []))
-        index = key[2]
-        path = section_path(doc, sections[index]) if 0 <= index < len(sections) else None
+    for (site_id, page_url, index), members in groups.items():
+        walk = sections.get((site_id, page_url), [])
+        section, path = walk[index] if 0 <= index < len(walk) else (None, None)
         for c in members:
             if c.section_path != path:
-                raise StaleCandidates(
+                raise ConfigError(
                     f"candidate {c.candidate_id} points at section {index} "
                     f"({c.section_path!r}) of {c.page_url}, which documents.jsonl "
                     f"does not have; rerun match"
                 )
-        out.append((sections[index], members))
+        out.append((section, members))
     return out
 
 
@@ -247,8 +245,8 @@ def _section_vectors(
     for c, question in zip(candidates, questions):
         try:
             chunks.append(chunk_for_candidate(flat, c.match_word_index, cfg))
-        except MatchOutOfRange as exc:
-            raise StaleCandidates(
+        except ValueError as exc:
+            raise ConfigError(
                 f"candidate {c.candidate_id}: {exc} in {c.section_path!r}; rerun match"
             ) from None
         if len(chunks[-1]) > 1:
@@ -266,7 +264,7 @@ def _process_candidate(
     vectors: dict[str, list[float]],
     chat: ChatEndpoint,
     retrieval_cfg: RetrievalConfig,
-    exemplars: ExemplarSet,
+    exemplars: dict[str, list[Exemplar]],
 ) -> Judgment:
     """Classify one candidate; a candidate with one chunk is not ranked."""
     if len(chunks) > 1:
@@ -281,7 +279,7 @@ def run_extraction(
     chat: ChatEndpoint,
     embedder: EmbeddingEndpoint,
     retrieval_cfg: RetrievalConfig,
-    exemplars: ExemplarSet,
+    exemplars: dict[str, list[Exemplar]],
     relations: Sequence[RelationType],
     journal_path: str | Path,
     workers: int = 4,

@@ -17,7 +17,7 @@ import operator
 from dataclasses import dataclass
 
 from .endpoint import Endpoint
-from .errors import EndpointRejected, MatchOutOfRange
+from .errors import EndpointRejected
 
 logger = logging.getLogger(__name__)
 
@@ -53,6 +53,10 @@ class RetrievalConfig:
     top_k: int = 10
 
     def __post_init__(self):
+        if self.chunk_words < 1:
+            raise ValueError("chunk_words must be >= 1")
+        if self.overlap_words < 0:
+            raise ValueError("overlap_words must be >= 0")
         if self.overlap_words >= self.chunk_words:
             raise ValueError("overlap_words must be < chunk_words")
         if self.top_k < 1:
@@ -74,12 +78,12 @@ def chunk_for_candidate(
     """Anchor chunk around the match plus overlapping windows over the rest.
 
     Every word of the input lands in at least one chunk; exactly one chunk
-    is the anchor.
+    is the anchor. A match outside the text raises ValueError.
     """
     words = text.split()
     n = len(words)
     if not 0 <= match_word_index < n:
-        raise MatchOutOfRange(f"word index {match_word_index} outside [0, {n})")
+        raise ValueError(f"word index {match_word_index} outside [0, {n})")
 
     if n <= cfg.anchor_min_words:
         return [Chunk(" ".join(words), (0, n), is_anchor=True)]

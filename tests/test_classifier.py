@@ -7,13 +7,12 @@ import pytest
 from biotriplets.classifier import (
     CandidatePair,
     ChatEndpoint,
-    ExemplarSet,
     build_prompt,
     classify,
     load_exemplars,
     parse_judgment,
 )
-from biotriplets.errors import EmptyContext, EndpointUnavailable, ExemplarConfigError
+from biotriplets.errors import ConfigError, EndpointUnavailable
 from biotriplets.retrieval import DEFAULT_RELATIONS, Chunk
 
 
@@ -46,19 +45,19 @@ class TestExemplars:
     def test_default_set_has_three_per_relation(self):
         exemplars = load_exemplars()
         for relation in ("manifestation", "diagnosis", "treatment"):
-            assert len(exemplars.for_relation(relation)) == 3
+            assert len(exemplars[relation]) == 3
 
     def test_wrong_count_rejected(self, tmp_path):
         bad = tmp_path / "ex.json"
         bad.write_text(json.dumps({
             "treatment": [{"question": "q", "answer": "Yes", "reason": "r"}]
         }))
-        with pytest.raises(ExemplarConfigError):
+        with pytest.raises(ConfigError, match="has 1 exemplars, expected 3"):
             load_exemplars(bad)
 
     def test_unknown_relation(self):
-        with pytest.raises(ExemplarConfigError):
-            load_exemplars().for_relation("causes")
+        with pytest.raises(ConfigError, match=r"no exemplars for relations \['causes'\]"):
+            load_exemplars(relations=["treatment", "causes"])
 
 
 class TestBuildPrompt:
@@ -85,10 +84,6 @@ class TestBuildPrompt:
     def test_section_path_prefixes_chunks(self):
         bundle = build_prompt(make_candidate(), QUESTION, CHUNKS, load_exemplars())
         assert "[Plague > Treatment]" in bundle.context_block
-
-    def test_empty_context_rejected(self):
-        with pytest.raises(EmptyContext):
-            build_prompt(make_candidate(), QUESTION, [], load_exemplars())
 
     def test_prompt_determinism(self):
         a = build_prompt(make_candidate(), QUESTION, CHUNKS, load_exemplars())

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -33,6 +34,16 @@ def run(config, *argv):
     return cli.main(["--config", str(config), *argv])
 
 
+def add_entry(manifest, drop=None, **fields):
+    """Append a manifest line for a page of the fixture site, with `fields`
+    replaced and the key `drop` left out."""
+    entry = {"site_id": "fixture", "url": "https://x/extra",
+             "path": str(manifest.parent / "pages" / "plague.html"), **fields}
+    entry.pop(drop, None)
+    with open(manifest, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(entry) + "\n")
+
+
 class TestPreprocess:
     def test_writes_one_line_per_page(self, site):
         root, config, _ = site
@@ -56,6 +67,19 @@ class TestPreprocess:
         lines = (root / "work" / "documents.jsonl").read_text().splitlines()
         assert len(lines) == 5
 
+    def test_page_nested_too_deeply_skipped(self, site, capsys):
+        # about 1000 unclosed inline tags pass the recursion limit of the
+        # renderers; the page is skipped and the others written
+        root, config, _ = site
+        deep = root / "pages" / "deep.html"
+        deep.write_text("<h1>Deep</h1><h2>S</h2>" + "<font>w " * 1000, encoding="utf-8")
+        add_entry(root / "manifest.jsonl", path=str(deep))
+        assert run(config, "preprocess") == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert "deep.html" in err and "nested too deeply" in err and "Traceback" not in err
+        assert len((root / "work" / "documents.jsonl").read_text().splitlines()) == 5
+
     def test_empty_manifest_warns(self, site, capsys):
         root, config, _ = site
         (root / "manifest.jsonl").write_text("")
@@ -71,7 +95,14 @@ class TestPreprocess:
         (lambda m: m.write_text(m.read_text() + "not json\n"), "line 6"),
         (lambda m: m.write_text('["not", "an", "object"]\n'), "line 1"),
         (lambda m: m.unlink(), "cannot read manifest"),
-    ], ids=["not-json", "not-object", "missing"])
+        (lambda m: m.write_text("[" * 200_000 + "\n"), "line 1"),
+        (lambda m: add_entry(m, site_id=["fixture"]), "line 6 is not a manifest entry "
+                                                      "(site_id is list, not str)"),
+        (lambda m: add_entry(m, url=None), "url is NoneType, not str"),
+        (lambda m: add_entry(m, path=3), "path is int, not str"),
+        (lambda m: add_entry(m, drop="path"), "line 6 is not a manifest entry ('path')"),
+    ], ids=["not-json", "not-object", "missing", "nested-past-recursion-limit",
+            "site-id-list", "url-null", "path-number", "path-missing"])
     def test_unreadable_manifest(self, site, capsys, damage, expected):
         root, config, _ = site
         damage(root / "manifest.jsonl")
@@ -531,6 +562,24 @@ class TestMockServe:
             codes.append(status)
         assert codes == [503, 503, 200]
         assert [e["status"] for e in server.log.entries] == [503, 503, 200]
+
+
+def test_every_error_class_is_handled_and_exit_2_decided_in_main():
+    # an exception class that no handler tells apart is one too many
+    src = Path(cli.__file__).resolve().parent
+    errors = ast.parse((src / "errors.py").read_text(encoding="utf-8"))
+    classes = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    tree = ast.parse((src / "cli.py").read_text(encoding="utf-8"))
+    handled = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            names = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            handled.update(n.id for n in names if isinstance(n, ast.Name))
+    assert sorted(classes - handled - {"BiotripletsError"}) == []
+    main = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main")
+    uses = [n for n in ast.walk(tree) if isinstance(n, ast.Name) and n.id == "EXIT_CONFIG"]
+    in_main = [n for n in ast.walk(main) if isinstance(n, ast.Name) and n.id == "EXIT_CONFIG"]
+    assert len(uses) == 2 and len(in_main) == 1  # its definition and main's handler
 
 
 def test_cli_import_loads_no_third_party_package():

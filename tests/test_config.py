@@ -75,8 +75,12 @@ def test_value_of_wrong_type(tmp_path, text, expected):
     ('[relations.treatment]\nphrase = ""\nsemantic_types = ["Drug"]',
      "'treatment' needs a phrase"),
     ("[relations]", "relations lists no relation"),
+    ("[retrieval]\noverlap_words = -200\nanchor_min_words = 128\nchunk_words = 128",
+     "overlap_words must be >= 0"),
+    ("[retrieval]\nchunk_words = 0\noverlap_words = -1", "chunk_words must be >= 1"),
+    ("[retrieval]\ntop_k = 0", "top_k must be >= 1"),
 ], ids=["marker-style", "overlap", "workers", "relation-types", "relation-phrase",
-        "empty-phrase", "no-relation"])
+        "empty-phrase", "no-relation", "negative-overlap", "chunk-below-1", "top-k-0"])
 def test_unusable_value(tmp_path, text, expected):
     with pytest.raises(ConfigError, match=expected):
         load_config(config_file(tmp_path, text))

@@ -3,13 +3,14 @@ import re
 import pytest
 
 from biotriplets.docmodel import (
+    Section,
     SiteProfile,
     WebDocument,
     flatten_section_text,
     preprocess_html,
-    section_path,
 )
-from biotriplets.errors import EmptyDocument, ParseFailure, SectionNotInDocument
+from biotriplets.errors import DocumentError
+from conftest import HTML_PAGES
 
 PLAIN = SiteProfile(site_id="msd", list_marker_style="plain")
 NUMBERED = SiteProfile(site_id="medscape", list_marker_style="numbered")
@@ -23,7 +24,7 @@ class TestPreprocess:
             PLAIN, "u",
         )
         assert doc.main_title == "Plague"
-        sections = list(doc.walk_sections())
+        sections = [s for s, _ in doc.walk_sections()]
         assert len(sections) == 1
         assert sections[0].heading == "Treatment"
         assert sections[0].level == 2
@@ -41,7 +42,7 @@ class TestPreprocess:
             "</ul>"
         )
         doc = preprocess_html(html, NUMBERED, "u")
-        text = list(doc.walk_sections())[0].text
+        text = next(doc.walk_sections())[0].text
         # independent check: DOM nesting depth of each item via a direct walk
         assert text.count("|1|") == 2
         assert text.count("|2|") == 2
@@ -56,11 +57,11 @@ class TestPreprocess:
         assert doc.main_title == "From Title"
 
     def test_empty_document(self):
-        with pytest.raises(EmptyDocument):
+        with pytest.raises(DocumentError, match="no main title"):
             preprocess_html("<p>no title here</p>", PLAIN, "u")
 
     def test_parse_failure_on_non_html(self):
-        with pytest.raises(ParseFailure):
+        with pytest.raises(DocumentError, match="no HTML tags"):
             preprocess_html("just plain text, nothing else", PLAIN, "u")
 
     def test_boilerplate_removed(self):
@@ -69,7 +70,7 @@ class TestPreprocess:
             "<h2>S</h2><p>body text</p><footer>foot</footer>",
             PLAIN, "u",
         )
-        text = " ".join(s.text for s in doc.walk_sections())
+        text = " ".join(s.text for s, _ in doc.walk_sections())
         assert "menu" not in text
         assert "var x" not in text
         assert "foot" not in text
@@ -82,7 +83,7 @@ class TestPreprocess:
             '<div id="promo">deal</div><p>keep me</p>',
             profile, "u",
         )
-        text = list(doc.walk_sections())[0].text
+        text = next(doc.walk_sections())[0].text
         assert text == "keep me"
 
     def test_no_html_residue(self):
@@ -90,7 +91,7 @@ class TestPreprocess:
             "<h1>T</h1><h2>S</h2><p>a <b>bold</b> claim <br> more</p>",
             PLAIN, "u",
         )
-        for s in doc.walk_sections():
+        for s, _ in doc.walk_sections():
             assert not re.search(r"<[a-zA-Z/!]", s.text)
             assert not re.search(r"<[a-zA-Z/!]", s.heading)
 
@@ -98,7 +99,7 @@ class TestPreprocess:
         doc = preprocess_html(
             "<h1>T</h1><h2>S</h2><p>a\n\n   b\t\tc</p>", PLAIN, "u"
         )
-        assert list(doc.walk_sections())[0].text == "a b c"
+        assert next(doc.walk_sections())[0].text == "a b c"
 
     def test_heading_levels_never_jump(self):
         # h4 straight after h2 clamps to level 3
@@ -106,7 +107,7 @@ class TestPreprocess:
             "<h1>T</h1><h2>A</h2><p>x</p><h4>Deep</h4><p>y</p>", PLAIN, "u"
         )
         prev = 1
-        for s in doc.walk_sections():
+        for s, _ in doc.walk_sections():
             assert s.level <= prev + 1
             prev = s.level
 
@@ -130,7 +131,7 @@ class TestPreprocess:
         )
         for profile in (PLAIN, NUMBERED):
             doc = preprocess_html(html, profile, "u")
-            for s in doc.walk_sections():
+            for s, _ in doc.walk_sections():
                 for token in ("|1|", "|2|", "|3|"):
                     assert s.text.count(token) % 2 == 0
                 if profile is PLAIN:
@@ -148,7 +149,7 @@ class TestPreprocess:
             "<table><tr><td>a</td><td>b</td></tr><tr><td>c</td><td>d</td></tr></table>",
             PLAIN, "u",
         )
-        text = list(doc.walk_sections())[0].text
+        text = next(doc.walk_sections())[0].text
         assert "a | b" in text and "c | d" in text
 
     def test_lossy_utf8_input(self):
@@ -161,12 +162,38 @@ class TestPreprocess:
         doc1 = preprocess_html(html, PLAIN, "u")
         # render the produced text back into trivial HTML and re-run
         body = "".join(
-            f"<h2>{s.heading}</h2><p>{s.text}</p>" for s in doc1.walk_sections()
+            f"<h2>{s.heading}</h2><p>{s.text}</p>" for s, _ in doc1.walk_sections()
         )
         doc2 = preprocess_html(f"<h1>{doc1.main_title}</h1>{body}", PLAIN, "u")
-        assert [s.text for s in doc2.walk_sections()] == [
-            s.text for s in doc1.walk_sections()
+        assert [s.text for s, _ in doc2.walk_sections()] == [
+            s.text for s, _ in doc1.walk_sections()
         ]
+
+
+def reference_walk(doc):
+    """(section, breadcrumb) in document order, each breadcrumb found by
+    searching the whole tree for the section, as a per-section lookup did
+    before the walk built them."""
+
+    def preorder(sections):
+        for s in sections:
+            yield s
+            yield from preorder(s.children)
+
+    def section_path(section):
+        def find(nodes, trail):
+            for s in nodes:
+                here = trail + ([s.heading] if s.heading else [])
+                if s is section:
+                    return here
+                hit = find(s.children, here)
+                if hit is not None:
+                    return hit
+            return None
+
+        return " > ".join([doc.main_title] + find(doc.sections, []))
+
+    return [(s, section_path(s)) for s in preorder(doc.sections)]
 
 
 class TestSectionPath:
@@ -178,19 +205,31 @@ class TestSectionPath:
 
     def test_single_level(self):
         doc = preprocess_html("<h1>Plague</h1><h2>Treatment</h2><p>x</p>", PLAIN, "u")
-        sec = doc.sections[0]
-        assert section_path(doc, sec) == "Plague > Treatment"
+        assert list(doc.walk_sections()) == [(doc.sections[0], "Plague > Treatment")]
 
     def test_nested(self):
         doc = self.make_doc()
         imaging = doc.sections[0].children[0]
-        assert section_path(doc, imaging) == "X > Workup > Imaging"
+        assert [path for s, path in doc.walk_sections() if s is imaging] == [
+            "X > Workup > Imaging"]
 
-    def test_section_not_in_document(self):
-        doc = self.make_doc()
-        other = preprocess_html("<h1>Y</h1><h2>Z</h2><p>c</p>", PLAIN, "u")
-        with pytest.raises(SectionNotInDocument):
-            section_path(doc, other.sections[0])
+    def test_walk_matches_tree_search(self):
+        docs = [preprocess_html(html, PLAIN, name) for name, html in HTML_PAGES.items()]
+        docs.append(preprocess_html(
+            "<h1>T</h1><p>intro</p><h2>A</h2><p>a</p><h3>B</h3><p>b</p>"
+            "<h4>C</h4><p>c</p><h5>D</h5><p>d</p><h3>E</h3><h2>F</h2><h4>G</h4><p>g</p>",
+            PLAIN, "nested"))
+        # blank headings below the top level, which preprocessing never makes
+        docs.append(WebDocument("s", "blank", "T", [Section("A", 2, children=[
+            Section("", 3, "x", [Section("B", 4), Section("", 4)]), Section("C", 3)])]))
+        for doc in docs:
+            walked = list(doc.walk_sections())
+            expected = reference_walk(doc)
+            assert [id(s) for s, _ in walked] == [id(s) for s, _ in expected]
+            assert [p for _, p in walked] == [p for _, p in expected], doc.page_url
+        assert [p for _, p in docs[-2].walk_sections()] == [
+            "T", "T > A", "T > A > B", "T > A > B > C", "T > A > B > D",
+            "T > A > E", "T > F", "T > F > G"]
 
 
 class TestFlatten:

@@ -182,10 +182,11 @@ def test_client_error_rejected_after_one_request(server, kind, status):
     ("embed", {"data": [{"index": 0, "embedding": [1.0, 0.0]}, {"index": 1, "embedding": [True, False]}]}),
     ("embed", {"data": [{"index": 0, "embedding": [1.0, 0.0]}, {"index": 1, "embedding": [10 ** 400, 1]}]}),
     ("embed", {"data": [{"index": 0, "embedding": [1.0, 0.0]}, {"index": 1, "embedding": [1.7e308, 1.7e308]}]}),
+    ("chat", b"[" * 200_000),
 ], ids=["null-content", "no-choices", "empty-choices", "not-json",
         "no-index", "short-index", "wrong-index", "null-embedding",
         "mixed-dimensions", "zero-vector", "empty-vector",
-        "nan", "infinity", "bool", "huge-int", "norm-overflow"])
+        "nan", "infinity", "bool", "huge-int", "norm-overflow", "nested-past-recursion-limit"])
 def test_unreadable_reply_rejected_without_retry(server, kind, body):
     server.reply(200, body)
     with pytest.raises(errors.EndpointRejected, match="unreadable reply"):
@@ -210,6 +211,18 @@ def test_retry_after_capped(server, monkeypatch):
     started = time.monotonic()
     assert chat(server).complete(MESSAGES)[0] == "reply"
     assert 0.3 <= time.monotonic() - started < 5
+
+
+def test_retry_after_of_non_ascii_digit_waits_the_backoff(server):
+    # "\xb2" goes out as the latin-1 byte 0xB2 and comes back as "²", for
+    # which str.isdigit holds but float() fails
+    for _ in range(2):
+        server.reply(503, {}, {"Retry-After": "\xb2"})
+    with pytest.raises(errors.EndpointUnavailable, match="HTTP 503"):
+        ChatEndpoint(base_url=server.base_url, model="chat-m", max_retries=1,
+                     retry_backoff=0.3).complete(MESSAGES)
+    first, second = server.requests
+    assert 0.3 <= second["at"] - first["at"] < 5
 
 
 def test_config_reads_endpoint_keys_and_ignores_retired_ones(tmp_path):

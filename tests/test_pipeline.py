@@ -91,7 +91,7 @@ class TestEnumerate:
         a = automaton_from([("blood culture", "C1", ["Laboratory Procedure"])])
         doc = doc_from("<h1>D</h1><h2>W</h2><p>order a blood culture today</p>")
         c = enumerate_candidates([doc], a, RELATIONS)[0]
-        section = list(doc.walk_sections())[c.section_index]
+        section, _ = list(doc.walk_sections())[c.section_index]
         words = flatten_section_text(section).split()
         assert words[c.match_word_index] == "blood"
 
@@ -210,7 +210,7 @@ def section_texts(doc, candidates, cfg=RetrievalConfig()):
     """Per section, in first-seen order: the distinct query and chunk
     texts of the given candidates that have more than one chunk. A section
     whose candidates have one chunk each is left out: it sends no request."""
-    sections = list(doc.walk_sections())
+    sections = [section for section, _ in doc.walk_sections()]
     out = {}
     for c in candidates:
         flat = flatten_section_text(sections[c.section_index])
@@ -272,7 +272,7 @@ class TestSectionEmbedding:
         embed = EmbeddingEndpoint(base_url=server.base_url, model="mock-embed")
         run_extraction(candidates, [doc], chat, embed, cfg, exemplars, RELATIONS,
                        journal_path=tmp_path / "j.jsonl", workers=2)
-        flat = flatten_section_text(list(doc.walk_sections())[0])
+        flat = flatten_section_text(next(doc.walk_sections())[0])
         reordered = 0
         for c in (c for c in candidates if c.section_index == 0):
             chunks = chunk_for_candidate(flat, c.match_word_index, cfg)

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from biotriplets.errors import EndpointUnavailable, MatchOutOfRange
+from biotriplets.errors import EndpointUnavailable
 from biotriplets.mockserver import MOCK_EMBED_DIM, mock_embedding
 from biotriplets.retrieval import (
     DEFAULT_RELATIONS,
@@ -75,7 +75,7 @@ class TestChunking:
         check_coverage(chunks, 600)
 
     def test_out_of_range(self):
-        with pytest.raises(MatchOutOfRange):
+        with pytest.raises(ValueError, match=r"word index 10 outside \[0, 10\)"):
             chunk_for_candidate(words(10), 10, CFG)
 
     def test_randomized_invariants(self):
