@@ -528,6 +528,19 @@ class TestEval:
         self.make_benchmark(bench)
         assert run(config, "eval", str(bench), "--reference", "nope") == 2
 
+    def test_outputs_match_golden(self, tmp_path, capsys):
+        # three models; "Malformed" and "maybe" answers; the reference is
+        # malformed on s6 and s9; gamma never answers Yes
+        golden = Path(__file__).parent / "golden" / "eval"
+        work = tmp_path / "work"
+        assert cli.main(["--workdir", str(work), "eval",
+                         str(golden / "benchmark.jsonl"), "--reference", "beta"]) == 0
+        for name in ("metrics.txt", "metrics.json", "agreement.json"):
+            assert (work / name).read_bytes() == (golden / name).read_bytes(), name
+        out = capsys.readouterr().out
+        assert out == ((golden / "metrics.txt").read_text() + "agreement matrix over "
+                       f"3 models (reference: beta) written to {work / 'agreement.json'}\n")
+
 
 def post_chat(base_url, content):
     """POST one chat request with the standard library; (status, reply body)."""
