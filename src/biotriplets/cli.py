@@ -157,8 +157,8 @@ def cmd_eval(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARTIAL
-    if not samples:
-        print("error: benchmark is empty", file=sys.stderr)
+    if not model_ids:
+        print(f"error: {args.benchmark} holds no prediction", file=sys.stderr)
         return EXIT_PARTIAL
     reference = args.reference or cfg.chat.get("reference_model") or model_ids[0]
     if reference not in model_ids:
@@ -191,9 +191,9 @@ def cmd_eval(args) -> int:
         json.dumps(rows, indent=2) + "\n", encoding="utf-8"
     )
     (cfg.workdir / "agreement.json").write_text(
-        json.dumps(agreement.to_dict(), indent=2) + "\n", encoding="utf-8"
+        json.dumps(agreement, indent=2) + "\n", encoding="utf-8"
     )
-    print(f"agreement matrix over {len(agreement.model_ids)} models "
+    print(f"agreement matrix over {len(model_ids)} models "
           f"(reference: {reference}) written to {cfg.workdir / 'agreement.json'}")
     return EXIT_OK
 

@@ -34,6 +34,9 @@ T = TypeVar("T")
 # Longest Retry-After honoured; a larger value waits this long.
 MAX_RETRY_AFTER_S = 60.0
 
+# Longest socket timeout accepted: a day.
+MAX_TIMEOUT_S = 86400.0
+
 # Some hosted gateways refuse a request without a User-Agent.
 USER_AGENT = f"biotriplets/{__version__}"
 
@@ -73,6 +76,12 @@ class Endpoint:
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ConfigError(f"endpoint base_url {self.base_url!r} is not an "
                               f"http:// or https:// URL")
+        if self.max_retries < 0:
+            raise ConfigError(f"endpoint max_retries must be at least 0, "
+                              f"not {self.max_retries}")
+        if not 0 < self.timeout <= MAX_TIMEOUT_S:
+            raise ConfigError(f"endpoint timeout must be in (0, {MAX_TIMEOUT_S:g}] "
+                              f"seconds, not {self.timeout!r}")
         self._https = url.scheme == "https"
         self._context = ssl.create_default_context() if self._https else None
         self._server = (url.hostname, url.port or (443 if self._https else 80))

@@ -8,27 +8,21 @@ reference model's label for agreement analysis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
-from typing import Optional
 
-from .classifier import Judgment
 from .docmodel import json_object, read_jsonl
 
 YES = "Yes"
 NO = "No"
 
 
-def _opposite(label: str) -> str:
-    return NO if label == YES else YES
-
-
 @dataclass
 class BenchmarkSample:
     sample_id: str
     gold: str  # "Yes" | "No"
-    predictions: dict[str, Judgment]
+    predictions: dict[str, str]  # model -> answer: "Yes", "No" or anything else
 
 
 def _sample(record) -> BenchmarkSample:
@@ -37,9 +31,7 @@ def _sample(record) -> BenchmarkSample:
         raise ValueError(f"gold {d['gold']!r} is neither {YES!r} nor {NO!r}")
     predictions = {}
     for model, p in json_object(d["predictions"]).items():
-        p = json_object(p)
-        predictions[model] = Judgment(answer=p["answer"], reason=p.get("reason", ""),
-                                      raw_output=p.get("raw_output", ""), model_id=model)
+        predictions[model] = json_object(p)["answer"]
     return BenchmarkSample(str(d["sample_id"]), d["gold"], predictions)
 
 
@@ -50,25 +42,19 @@ def load_benchmark(path: str | Path) -> list[BenchmarkSample]:
                       ValueError)
 
 
-def _missing(sample_id: str, model_id: str) -> ValueError:
-    return ValueError(f"sample {sample_id} has no prediction for {model_id}")
+def _answer(sample: BenchmarkSample, model_id: str) -> str:
+    if model_id not in sample.predictions:
+        raise ValueError(f"sample {sample.sample_id} has no prediction for {model_id}")
+    return sample.predictions[model_id]
 
 
-def effective_label(
-    judgment: Judgment, gold: Optional[str] = None, reference: Optional[str] = None
-) -> str:
-    """Binary label for a judgment under the malformed-output convention.
-
-    Metric mode passes gold; agreement mode passes the reference model's
-    label for the same sample.
-    """
-    if judgment.answer in (YES, NO):
-        return judgment.answer
-    if gold is not None:
-        return _opposite(gold)
-    if reference is None:
-        raise ValueError("malformed judgment needs a gold or reference label")
-    return _opposite(reference)
+def effective_label(answer: str, against: str) -> str:
+    """`answer` if it is Yes or No; under the malformed-output convention
+    any other answer is the opposite of `against`: the gold label for
+    metrics, the reference model's label for agreement."""
+    if answer in (YES, NO):
+        return answer
+    return NO if against == YES else YES
 
 
 @dataclass(frozen=True)
@@ -78,17 +64,11 @@ class ConfusionMatrix:
     fn: int
     tn: int
 
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.fn + self.tn
-
 
 def confusion(samples: list[BenchmarkSample], model_id: str) -> ConfusionMatrix:
     tp = fp = fn = tn = 0
     for s in samples:
-        if model_id not in s.predictions:
-            raise _missing(s.sample_id, model_id)
-        pred = effective_label(s.predictions[model_id], gold=s.gold)
+        pred = effective_label(_answer(s, model_id), s.gold)
         if pred == YES and s.gold == YES:
             tp += 1
         elif pred == YES:
@@ -106,31 +86,27 @@ class Metrics:
     precision: float
     recall: float
     f1: float
-    degenerate: frozenset[str] = field(default_factory=frozenset)
 
 
 def metrics(cm: ConfusionMatrix) -> Metrics:
-    """Accuracy/precision/recall/F1; zero-denominator metrics are 0, flagged."""
-    if cm.total == 0:
+    """Accuracy/precision/recall/F1; a zero-denominator metric is 0."""
+    total = cm.tp + cm.fp + cm.fn + cm.tn
+    if total == 0:
         raise ValueError("confusion matrix has no samples")
-    degenerate = set()
-    accuracy = (cm.tp + cm.tn) / cm.total
+    accuracy = (cm.tp + cm.tn) / total
     if cm.tp + cm.fp > 0:
         precision = cm.tp / (cm.tp + cm.fp)
     else:
         precision = 0.0
-        degenerate.add("precision")
     if cm.tp + cm.fn > 0:
         recall = cm.tp / (cm.tp + cm.fn)
     else:
         recall = 0.0
-        degenerate.add("recall")
     if precision + recall > 0:
         f1 = 2 * precision * recall / (precision + recall)
     else:
         f1 = 0.0
-        degenerate.add("f1")
-    return Metrics(accuracy, precision, recall, f1, frozenset(degenerate))
+    return Metrics(accuracy, precision, recall, f1)
 
 
 def round3(x: float) -> float:
@@ -158,55 +134,22 @@ def cohen_kappa(labels_a: list[str], labels_b: list[str]) -> float:
     return (p_o - p_e) / (1 - p_e)
 
 
-@dataclass
-class AgreementMatrix:
-    model_ids: list[str]
-    kappa: list[list[float]]
-    flagged_samples: list[str] = field(default_factory=list)
+def agreement_matrix(samples: list[BenchmarkSample], reference_model: str) -> dict:
+    """agreement.json: pairwise kappa over effective labels, Malformed
+    mapped to the opposite of the reference model's label.
 
-    def to_dict(self) -> dict:
-        return {
-            "model_ids": self.model_ids,
-            "kappa": self.kappa,
-            "flagged_samples": self.flagged_samples,
-        }
-
-
-def agreement_matrix(
-    samples: list[BenchmarkSample], reference_model: str
-) -> AgreementMatrix:
-    """Pairwise kappa over effective labels, Malformed mapped to the
-    opposite of the reference model's label.
-
-    The reference model's own vector uses its raw labels; a malformed
-    reference reply has no opposite to take, so it maps to No and the
-    sample is flagged.
+    The reference model's own malformed reply has no opposite to take, so
+    it maps to No and the sample is flagged.
     """
     model_ids = sorted({m for s in samples for m in s.predictions})
-    flagged = []
-
-    reference_labels = []
-    for s in samples:
-        if reference_model not in s.predictions:
-            raise _missing(s.sample_id, reference_model)
-        j = s.predictions[reference_model]
-        if j.answer in (YES, NO):
-            reference_labels.append(j.answer)
-        else:
-            reference_labels.append(NO)
-            flagged.append(s.sample_id)
-
-    vectors: dict[str, list[str]] = {}
-    for model in model_ids:
-        if model == reference_model:
-            vectors[model] = reference_labels
-            continue
-        labels = []
-        for s, ref in zip(samples, reference_labels):
-            if model not in s.predictions:
-                raise _missing(s.sample_id, model)
-            labels.append(effective_label(s.predictions[model], reference=ref))
-        vectors[model] = labels
+    reference = [effective_label(_answer(s, reference_model), YES) for s in samples]
+    flagged = [s.sample_id for s in samples
+               if s.predictions[reference_model] not in (YES, NO)]
+    vectors = {
+        m: reference if m == reference_model
+        else [effective_label(_answer(s, m), ref) for s, ref in zip(samples, reference)]
+        for m in model_ids
+    }
 
     size = len(model_ids)
     kappa = [[1.0] * size for _ in range(size)]
@@ -214,4 +157,4 @@ def agreement_matrix(
         for j in range(i + 1, size):
             k = cohen_kappa(vectors[model_ids[i]], vectors[model_ids[j]])
             kappa[i][j] = kappa[j][i] = k
-    return AgreementMatrix(model_ids, kappa, flagged)
+    return {"model_ids": model_ids, "kappa": kappa, "flagged_samples": flagged}

@@ -150,6 +150,10 @@ def read_candidates(path: str | Path) -> list[CandidatePair]:
 # Extraction run with append-only journal.
 
 
+# The string fields of every journal record.
+_VERDICT_KEYS = ("candidate_id", "answer", "reason", "model_id")
+
+
 class Journal:
     """Append-only JSONL of finished candidates, the resume checkpoint."""
 
@@ -159,17 +163,25 @@ class Journal:
         self._tail_checked = False
 
     def load(self) -> dict[str, dict]:
+        """Verdict records by candidate id. A line that is not JSON is
+        skipped; a JSON line that is not a verdict record raises ConfigError
+        naming the file and the line."""
         done = {}
         if self.path.exists():
             with open(self.path, "rb") as fh:
-                for line in fh:
+                for line_no, line in enumerate(fh, 1):
                     line = line.strip()
                     if not line:
                         continue
                     try:
                         rec = json.loads(line)
-                    except ValueError:
+                    except (ValueError, RecursionError):
                         continue  # torn tail line from a killed run
+                    if not (isinstance(rec, dict) and all(
+                            isinstance(rec.get(k), str) for k in _VERDICT_KEYS)):
+                        raise ConfigError(
+                            f"{self.path} line {line_no} is not a verdict record; "
+                            "delete that line so its candidate is asked again")
                     done[rec["candidate_id"]] = rec
         return done
 

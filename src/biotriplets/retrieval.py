@@ -17,7 +17,7 @@ import operator
 from dataclasses import dataclass
 
 from .endpoint import Endpoint
-from .errors import EndpointRejected
+from .errors import ConfigError, EndpointRejected
 
 logger = logging.getLogger(__name__)
 
@@ -167,6 +167,12 @@ def _reply_vectors(body: dict, n: int) -> list[list[float]]:
 @dataclass
 class EmbeddingEndpoint(Endpoint):
     batch_limit: int = 128
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.batch_limit < 1:
+            raise ConfigError(f"endpoint batch_limit must be at least 1, "
+                              f"not {self.batch_limit}")
 
     def embed(self, texts: list[str]) -> list[list[float]]:
         """Embed texts in input order, batching to the endpoint's limit."""

@@ -314,6 +314,53 @@ class TestExtract:
         assert "Traceback" not in err
         assert not server.log.entries
 
+    @pytest.mark.parametrize("old,new", [
+        ('"mock-chat"', '"mock-chat"\ntimeout = -1'),
+        ('"mock-chat"', '"mock-chat"\ntimeout = nan'),
+        ('"mock-embed"', '"mock-embed"\ntimeout = inf'),
+        ('"mock-chat"', '"mock-chat"\ntimeout = 0'),
+        ("max_retries = 2", "max_retries = -1"),
+        ("batch_limit = 128", "batch_limit = 0"),
+    ], ids=["timeout-negative", "timeout-nan", "timeout-inf", "timeout-zero",
+            "max-retries-negative", "batch-limit-zero"])
+    def test_unusable_endpoint_value(self, site, capsys, old, new):
+        root, config, server = site
+        run(config, "preprocess")
+        run(config, "match")
+        text = config.read_text()
+        assert text.count(old) == 1
+        config.write_text(text.replace(old, new))
+        capsys.readouterr()
+        assert run(config, "extract", "--deterministic") == 2
+        err = capsys.readouterr().err
+        key = new.rpartition("\n")[2].partition(" =")[0]
+        assert len(err.splitlines()) == 1, err
+        assert f"endpoint {key} must be" in err and "Traceback" not in err
+        assert not server.log.entries, "no request before the endpoints are checked"
+
+    @pytest.mark.parametrize("record", [
+        lambda cid: [1],
+        lambda cid: {"candidate_id": cid},
+        lambda cid: {"candidate_id": cid, "answer": "Yes", "reason": "r", "model_id": 7},
+    ], ids=["not-an-object", "no-answer", "model-id-not-str"])
+    def test_journal_line_not_a_verdict(self, site, capsys, record):
+        root, config, server = site
+        run(config, "preprocess")
+        run(config, "match")
+        assert run(config, "extract", "--deterministic", "--limit", "2") == 0
+        candidates = (root / "work" / "candidates.jsonl").read_text().splitlines()
+        journal = root / "work" / "journal.jsonl"
+        with open(journal, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(record(json.loads(candidates[-1])["candidate_id"])) + "\n")
+        sent = len(server.log.entries)
+        capsys.readouterr()
+        assert run(config, "extract", "--deterministic") == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert f"{journal} line 3 " in err and "delete that line" in err
+        assert "Traceback" not in err
+        assert len(server.log.entries) == sent, "no request after the journal is read"
+
     @pytest.mark.parametrize("write,expected", [
         (lambda p, data: p.write_text(json.dumps(
             {**data, "treatment": data["treatment"][:1]})), "1 exemplars"),
@@ -520,6 +567,18 @@ class TestEval:
         assert run(config, "eval", str(bench)) == 1
         err = capsys.readouterr().err
         assert err.splitlines() == ["error: sample s12 has no prediction for model-b"]
+        assert not (root / "work" / "metrics.json").exists()
+
+    @pytest.mark.parametrize("text", [
+        "", json.dumps({"sample_id": "1", "gold": "Yes", "predictions": {}}) + "\n",
+    ], ids=["empty-file", "no-prediction"])
+    def test_benchmark_without_predictions_exits_1_with_one_line(self, site, capsys, text):
+        root, config, _ = site
+        bench = root / "bench.jsonl"
+        bench.write_text(text)
+        assert run(config, "eval", str(bench)) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: {bench} holds no prediction"]
         assert not (root / "work" / "metrics.json").exists()
 
     def test_unknown_reference(self, site):

@@ -3,9 +3,7 @@ import random
 
 import pytest
 
-from biotriplets.classifier import Judgment
 from biotriplets.evaluation import (
-    AgreementMatrix,
     BenchmarkSample,
     ConfusionMatrix,
     agreement_matrix,
@@ -29,30 +27,19 @@ MODEL_ROWS = {
 }
 
 
-def judgment(answer):
-    return Judgment(answer=answer, reason="", raw_output="")
-
-
 def sample(sid, gold, preds):
-    return BenchmarkSample(
-        sample_id=sid, gold=gold,
-        predictions={m: judgment(a) for m, a in preds.items()},
-    )
+    return BenchmarkSample(sample_id=sid, gold=gold, predictions=dict(preds))
 
 
 class TestEffectiveLabel:
     def test_pass_through(self):
-        assert effective_label(judgment("Yes"), gold="No") == "Yes"
+        assert effective_label("Yes", "No") == "Yes"
 
     def test_malformed_opposes_gold(self):
-        assert effective_label(judgment("Malformed"), gold="Yes") == "No"
+        assert effective_label("Malformed", "Yes") == "No"
 
     def test_malformed_opposes_reference(self):
-        assert effective_label(judgment("Malformed"), reference="No") == "Yes"
-
-    def test_missing_reference(self):
-        with pytest.raises(ValueError, match="needs a gold or reference"):
-            effective_label(judgment("Malformed"))
+        assert effective_label("Malformed", "No") == "Yes"
 
 
 class TestConfusion:
@@ -117,9 +104,7 @@ class TestMetrics:
     def test_degenerate_all_negative(self):
         m = metrics(ConfusionMatrix(0, 0, 0, 10))
         assert m.accuracy == 1.0
-        assert m.precision == 0.0 and "precision" in m.degenerate
-        assert m.recall == 0.0 and "recall" in m.degenerate
-        assert m.f1 == 0.0 and "f1" in m.degenerate
+        assert m.precision == m.recall == m.f1 == 0.0
 
     @pytest.mark.parametrize("model,row", MODEL_ROWS.items())
     def test_f1_harmonic_mean_consistency(self, model, row):
@@ -206,8 +191,8 @@ class TestAgreementMatrix:
             for i, ans in enumerate(["Yes", "No", "Yes", "No"])
         ]
         am = agreement_matrix(samples, "a")
-        i, j = am.model_ids.index("a"), am.model_ids.index("b")
-        assert am.kappa[i][j] == 1.0
+        i, j = am["model_ids"].index("a"), am["model_ids"].index("b")
+        assert am["kappa"][i][j] == 1.0
 
     def test_symmetry_and_diagonal(self):
         rng = random.Random(31)
@@ -218,11 +203,11 @@ class TestAgreementMatrix:
             for i in range(30)
         ]
         am = agreement_matrix(samples, "a")
-        size = len(am.model_ids)
+        size = len(am["model_ids"])
         for i in range(size):
-            assert am.kappa[i][i] == 1.0
+            assert am["kappa"][i][i] == 1.0
             for j in range(size):
-                assert am.kappa[i][j] == am.kappa[j][i]
+                assert am["kappa"][i][j] == am["kappa"][j][i]
 
     def test_ninety_percent_agreement_balanced(self):
         # 20 samples, balanced marginals, 18 agreements -> kappa 0.8
@@ -235,8 +220,8 @@ class TestAgreementMatrix:
             for i, (x, y) in enumerate(zip(answers_a, answers_b))
         ]
         am = agreement_matrix(samples, "a")
-        i, j = am.model_ids.index("a"), am.model_ids.index("b")
-        assert am.kappa[i][j] == pytest.approx(0.8, abs=1e-9)
+        i, j = am["model_ids"].index("a"), am["model_ids"].index("b")
+        assert am["kappa"][i][j] == pytest.approx(0.8, abs=1e-9)
 
     def test_malformed_maps_to_opposite_of_reference(self):
         samples = [
@@ -247,10 +232,10 @@ class TestAgreementMatrix:
         ]
         am = agreement_matrix(samples, "ref")
         # malformed on sample 1 became Yes (opposite of ref's No)
-        i, j = am.model_ids.index("ref"), am.model_ids.index("m")
+        i, j = am["model_ids"].index("ref"), am["model_ids"].index("m")
         expected = cohen_kappa(["No", "Yes", "No", "Yes"],
                                ["Yes", "Yes", "No", "No"])
-        assert am.kappa[i][j] == pytest.approx(expected)
+        assert am["kappa"][i][j] == pytest.approx(expected)
 
     def test_malformed_reference_flagged(self):
         samples = [
@@ -258,7 +243,7 @@ class TestAgreementMatrix:
             sample("2", "Yes", {"ref": "Yes", "m": "Yes"}),
         ]
         am = agreement_matrix(samples, "ref")
-        assert am.flagged_samples == ["1"]
+        assert am["flagged_samples"] == ["1"]
 
     def test_missing_prediction(self):
         samples = [sample("1", "Yes", {"ref": "Yes"})]
@@ -283,7 +268,7 @@ class TestBenchmarkIO:
         samples = load_benchmark(path)
         assert len(samples) == 1
         assert samples[0].gold == "Yes"
-        assert samples[0].predictions["m1"].answer == "Yes"
+        assert samples[0].predictions["m1"] == "Yes"
 
     def test_malformed_line_reports_number(self, tmp_path):
         path = tmp_path / "bench.jsonl"
