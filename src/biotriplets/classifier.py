@@ -10,7 +10,6 @@ errors.
 from __future__ import annotations
 
 import json
-import logging
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,8 +18,6 @@ from typing import Iterable, Optional
 from .endpoint import Endpoint
 from .errors import ConfigError
 from .retrieval import Chunk
-
-logger = logging.getLogger(__name__)
 
 EXEMPLARS_PER_RELATION = 3
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -33,7 +34,10 @@ def _load_cfg(args) -> Config:
     cfg = load_config(args.config) if args.config else Config()
     if args.workdir:
         cfg.workdir = Path(args.workdir)
-    cfg.workdir.mkdir(parents=True, exist_ok=True)
+    try:
+        cfg.workdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create workdir {cfg.workdir}: {exc.strerror}") from None
     return cfg
 
 
@@ -89,6 +93,8 @@ def cmd_match(args) -> int:
 
 
 def cmd_extract(args) -> int:
+    if args.limit is not None and args.limit < 0:
+        raise ConfigError(f"--limit must be at least 0, not {args.limit}")
     cfg = _load_cfg(args)
     for name in ("candidates.jsonl", "documents.jsonl"):
         if not (cfg.workdir / name).exists():
@@ -129,21 +135,32 @@ def cmd_extract(args) -> int:
         chat.close()
         embedder.close()
     records = pipeline.Journal(journal_path).load()
-    triplets, report, malformed = pipeline.summarize(candidates, records, relations)
-    deduped, duplicates = pipeline.dedupe_triplets(triplets, cfg.site_priority)
-    pipeline.write_triplets(deduped, cfg.workdir / "triplets.jsonl")
+    triplets, duplicates, report, malformed = pipeline.summarize(
+        candidates, records, relations, cfg.site_priority)
     text = pipeline.report_table(report)
-    (cfg.workdir / "report.txt").write_text(text + "\n", encoding="utf-8")
-    (cfg.workdir / "report.json").write_text(
-        json.dumps(report, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
-    )
-    with open(cfg.workdir / "malformed.jsonl", "w", encoding="utf-8") as fh:
-        for rec in malformed:
-            fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
+    outputs = {
+        "triplets.jsonl": _jsonl(triplets),
+        "report.txt": text + "\n",
+        "report.json": json.dumps(report, indent=2, ensure_ascii=False) + "\n",
+        "malformed.jsonl": _jsonl(malformed),
+    }
+    for name, body in outputs.items():
+        # replaced whole: a failed or killed write leaves the previous file
+        partial = cfg.workdir / f"{name}.tmp"
+        try:
+            partial.write_text(body, encoding="utf-8")
+            os.replace(partial, cfg.workdir / name)
+        except OSError as exc:
+            print(f"error: cannot write {cfg.workdir / name}: {exc}", file=sys.stderr)
+            return EXIT_PARTIAL
     print(text)
-    print(f"{len(deduped)} triplets ({duplicates} cross-site duplicates removed), "
+    print(f"{len(triplets)} triplets ({duplicates} cross-site duplicates removed), "
           f"{len(malformed)} malformed, {classified} candidates classified this run")
     return EXIT_OK
+
+
+def _jsonl(rows: list[dict]) -> str:
+    return "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows)
 
 
 def cmd_eval(args) -> int:
@@ -160,7 +177,7 @@ def cmd_eval(args) -> int:
     if not model_ids:
         print(f"error: {args.benchmark} holds no prediction", file=sys.stderr)
         return EXIT_PARTIAL
-    reference = args.reference or cfg.chat.get("reference_model") or model_ids[0]
+    reference = args.reference or model_ids[0]
     if reference not in model_ids:
         raise ConfigError(f"reference model {reference!r} not in benchmark")
 
@@ -201,7 +218,10 @@ def cmd_eval(args) -> int:
 def cmd_mock_serve(args) -> int:
     from .mockserver import MockScript, MockServer
 
-    script = MockScript.from_file(args.script) if args.script else MockScript()
+    try:
+        script = MockScript.from_file(args.script) if args.script else MockScript()
+    except (OSError, ValueError, TypeError, AttributeError) as exc:
+        raise ConfigError(f"cannot read mock script {args.script}: {exc}") from None
     try:
         server = MockServer(script, log_path=args.log, port=args.port)
     except OSError as exc:

@@ -26,7 +26,7 @@ _ENDPOINT = {"base_url": str, "model": str, "max_retries": int, "timeout": float
 # tables named by the user.
 _SCHEMA: dict[str, dict[str, type]] = {
     "paths": dict.fromkeys(("workdir", "thesaurus", "manifest", "exemplars"), str),
-    "chat": {**_ENDPOINT, "reference_model": str},
+    "chat": _ENDPOINT,
     "embedding": {**_ENDPOINT, "batch_limit": int},
     "retrieval": dict.fromkeys(
         ("anchor_min_words", "chunk_words", "overlap_words", "top_k"), int),

@@ -18,8 +18,6 @@ from typing import Iterable, Iterator, Optional
 
 from .errors import ConfigError, DocumentError
 
-MAX_SECTION_LEVEL = 4
-
 # Tags whose content never carries article text.
 _DROP_TAGS = {
     "script", "style", "noscript", "template", "iframe", "svg",
@@ -58,10 +56,10 @@ class Section:
     @classmethod
     def from_dict(cls, d: dict) -> "Section":
         return cls(
-            heading=d["heading"],
-            level=d["level"],
-            text=d.get("text", ""),
-            children=[cls.from_dict(c) for c in d.get("children", [])],
+            heading=_field(d, "heading", str),
+            level=_field(d, "level", int),
+            text=_field(d, "text", str, ""),
+            children=[cls.from_dict(c) for c in _field(d, "children", list, [])],
         )
 
 
@@ -95,10 +93,10 @@ class WebDocument:
     @classmethod
     def from_dict(cls, d: dict) -> "WebDocument":
         return cls(
-            site_id=d["site_id"],
-            page_url=d["page_url"],
-            main_title=d["main_title"],
-            sections=[Section.from_dict(s) for s in d.get("sections", [])],
+            site_id=_field(d, "site_id", str),
+            page_url=_field(d, "page_url", str),
+            main_title=_field(d, "main_title", str),
+            sections=[Section.from_dict(s) for s in _field(d, "sections", list, [])],
         )
 
 
@@ -391,11 +389,19 @@ def json_object(value) -> dict:
     return value
 
 
+def _field(d: dict, key: str, kind: type, default=None):
+    """`d[key]`, or `default` when given and the key is absent; raises
+    TypeError unless it is a `kind` (a bool is no int)."""
+    value = d[key] if default is None else d.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise TypeError(f"{key} is {type(value).__name__}, not {kind.__name__}")
+    return value
+
+
 def _manifest_entry(value) -> dict:
     entry = json_object(value)
     for key in ("site_id", "url", "path"):
-        if not isinstance(entry[key], str):
-            raise TypeError(f"{key} is {type(entry[key]).__name__}, not str")
+        _field(entry, key, str)
     return entry
 
 

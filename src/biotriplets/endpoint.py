@@ -72,10 +72,14 @@ class Endpoint:
         import ssl
         import urllib.request
 
-        url = urllib.parse.urlsplit(self.base_url.rstrip("/"))
-        if url.scheme not in ("http", "https") or not url.hostname:
-            raise ConfigError(f"endpoint base_url {self.base_url!r} is not an "
-                              f"http:// or https:// URL")
+        try:
+            url = urllib.parse.urlsplit(self.base_url.rstrip("/"))
+            port = url.port  # raises ValueError, as urlsplit does for a bad IPv6 host
+            if url.scheme not in ("http", "https") or not url.hostname:
+                raise ValueError("no http or https scheme and host")
+        except ValueError as exc:
+            raise ConfigError(f"endpoint base_url must be an http:// or https:// URL, "
+                              f"not {self.base_url!r} ({exc})") from None
         if self.max_retries < 0:
             raise ConfigError(f"endpoint max_retries must be at least 0, "
                               f"not {self.max_retries}")
@@ -84,7 +88,7 @@ class Endpoint:
                               f"seconds, not {self.timeout!r}")
         self._https = url.scheme == "https"
         self._context = ssl.create_default_context() if self._https else None
-        self._server = (url.hostname, url.port or (443 if self._https else 80))
+        self._server = (url.hostname, port or (443 if self._https else 80))
         self._prefix = url.path
         self._headers = {"Content-Type": "application/json", "User-Agent": USER_AGENT}
         if self.api_key:

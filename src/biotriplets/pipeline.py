@@ -19,13 +19,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import os
 import re
 import threading
 from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -44,26 +42,8 @@ from .retrieval import (
     unit_rows,
 )
 
-logger = logging.getLogger(__name__)
-
 # Only the benchmark's workload generator (perfbench/workloads.py) reads this.
 DEFAULT_SEMANTIC_TYPES = {r.id: r.allowed_semantic_types for r in DEFAULT_RELATIONS}
-
-
-@dataclass(frozen=True)
-class RelationTriplet:
-    head_concept_id: str
-    head_surface: str
-    relation: str
-    tail_title: str
-    site_id: str
-    page_url: str
-    section_path: str
-    reason: str
-    model_id: str
-
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
 
 
 def candidate_id(site_id: str, page_url: str, relation: str, concept_id: str) -> str:
@@ -361,10 +341,19 @@ _COUNTS = ("candidates", "positives", "negatives", "malformed")
 
 
 def summarize(
-    candidates: list[CandidatePair], records: dict[str, dict], relations: list[str]
-) -> tuple[list[RelationTriplet], dict, list[dict]]:
-    """The triplets, report and malformed records of the candidates that
-    have a journal record in `records`, in candidate order.
+    candidates: list[CandidatePair],
+    records: dict[str, dict],
+    relations: list[str],
+    site_priority: Sequence[str],
+) -> tuple[list[dict], int, dict, list[dict]]:
+    """The triplets, duplicate count, report and malformed records of the
+    candidates that have a journal record in `records`.
+
+    A Yes verdict is a triplet. One is kept per (head concept, relation,
+    case-folded tail title): the one from the earliest site in
+    `site_priority` (unlisted sites last), then the first candidate. Every
+    other Yes of a key is a duplicate. The kept triplets are in the order
+    of their candidates, as are the malformed records.
 
     The report is what report.json holds. For each site, in sorted order,
     it gives the site's number of pages and, for each of `relations`, a
@@ -373,12 +362,14 @@ def summarize(
     count every journaled candidate. A candidate without a record is
     pending: it counts only toward its site's pages.
     """
-    triplets: list[RelationTriplet] = []
+    priority = {site: i for i, site in enumerate(site_priority)}
+    best: dict[tuple[str, str, str], tuple[tuple[int, int], CandidatePair, dict]] = {}
+    duplicates = 0
     malformed: list[dict] = []
     pages: dict[str, set[str]] = {}
     cells: dict[tuple[str, str], dict[str, int]] = {}
     totals = dict.fromkeys(_COUNTS, 0)
-    for c in candidates:
+    for order, c in enumerate(candidates):
         pages.setdefault(c.site_id, set()).add(c.page_url)
         rec = records.get(c.candidate_id)
         if rec is None:
@@ -386,19 +377,11 @@ def summarize(
         answer = rec["answer"]
         if answer == "Yes":
             kind = "positives"
-            triplets.append(
-                RelationTriplet(
-                    head_concept_id=c.head_concept_id,
-                    head_surface=c.head_surface,
-                    relation=c.relation,
-                    tail_title=c.tail_title,
-                    site_id=c.site_id,
-                    page_url=c.page_url,
-                    section_path=c.section_path,
-                    reason=rec["reason"],
-                    model_id=rec["model_id"],
-                )
-            )
+            key = (c.head_concept_id, c.relation, c.tail_title.casefold())
+            rank = (priority.get(c.site_id, len(priority)), order)
+            duplicates += key in best
+            if key not in best or rank < best[key][0]:
+                best[key] = (rank, c, rec)
         elif answer == "No":
             kind = "negatives"
         else:
@@ -423,7 +406,21 @@ def summarize(
         },
         "totals": totals,
     }
-    return triplets, report, malformed
+    triplets = [
+        {
+            "head_concept_id": c.head_concept_id,
+            "head_surface": c.head_surface,
+            "relation": c.relation,
+            "tail_title": c.tail_title,
+            "site_id": c.site_id,
+            "page_url": c.page_url,
+            "section_path": c.section_path,
+            "reason": rec["reason"],
+            "model_id": rec["model_id"],
+        }
+        for _, c, rec in sorted(best.values(), key=lambda kept: kept[0][1])
+    ]
+    return triplets, duplicates, report, malformed
 
 
 def report_table(report: dict) -> str:
@@ -436,34 +433,3 @@ def report_table(report: dict) -> str:
              for site, s in report["sites"].items()]
     widths = [max(map(len, column)) for column in zip(*rows)]
     return "\n".join("  ".join(c.ljust(w) for c, w in zip(row, widths)) for row in rows)
-
-
-def dedupe_triplets(
-    triplets: list[RelationTriplet],
-    site_priority: Optional[list[str]] = None,
-) -> tuple[list[RelationTriplet], int]:
-    """One triplet per (head concept, relation, case-folded tail title).
-
-    Provenance comes from the earliest site in the priority order;
-    returns (deduped triplets, duplicate count).
-    """
-    priority = {site: i for i, site in enumerate(site_priority or [])}
-    best: dict[tuple[str, str, str], tuple[int, int, RelationTriplet]] = {}
-    duplicates = 0
-    for order, t in enumerate(triplets):
-        key = (t.head_concept_id, t.relation, t.tail_title.casefold())
-        rank = (priority.get(t.site_id, len(priority)), order)
-        if key in best:
-            duplicates += 1
-            if rank < best[key][:2]:
-                best[key] = (*rank, t)
-        else:
-            best[key] = (*rank, t)
-    deduped = [entry[2] for entry in sorted(best.values(), key=lambda e: e[1])]
-    return deduped, duplicates
-
-
-def write_triplets(triplets: Iterable[RelationTriplet], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for t in triplets:
-            fh.write(json.dumps(t.to_dict(), ensure_ascii=False) + "\n")

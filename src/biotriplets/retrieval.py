@@ -11,15 +11,12 @@ question: the dot product of the unit chunk and query vectors, lists of floats.
 
 from __future__ import annotations
 
-import logging
 import math
 import operator
 from dataclasses import dataclass
 
 from .endpoint import Endpoint
 from .errors import ConfigError, EndpointRejected
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)

@@ -131,6 +131,20 @@ class TestConfig:
             assert str(config) in err and expected in err and "Traceback" not in err
         assert not (root / "work").exists() and not server.log.entries
 
+    @pytest.mark.parametrize("how", ["option", "config"])
+    def test_workdir_that_is_a_file_exits_2(self, site, capsys, how):
+        root, config, server = site
+        work = root / "work"
+        work.write_text("not a directory")
+        argv = ["--workdir", str(work)] if how == "option" else []
+        (root / "bench.jsonl").write_text("")
+        for stage in (["preprocess"], ["match"], ["extract"], ["eval", str(root / "bench.jsonl")]):
+            assert cli.main(["--config", str(config), *argv, *stage]) == 2
+            err = capsys.readouterr().err
+            assert len(err.splitlines()) == 1, err
+            assert f"workdir {work}" in err and "Traceback" not in err
+        assert work.read_text() == "not a directory" and not server.log.entries
+
 
 class TestMatch:
     def test_candidates_written_with_counts(self, site, capsys):
@@ -219,6 +233,29 @@ class TestMatch:
         self.assert_config_error(root, config, capsys, "documents.jsonl line 6",
                                  "rerun preprocess")
 
+    @pytest.mark.parametrize("damage,expected", [
+        (lambda d: d["sections"][0].update(text=["fever"]), "text is list, not str"),
+        (lambda d: d["sections"][0].update(text=5), "text is int, not str"),
+        (lambda d: d.update(main_title=7), "main_title is int, not str"),
+        (lambda d: d.update(site_id=None), "site_id is NoneType, not str"),
+        (lambda d: d["sections"][0].update(heading=2), "heading is int, not str"),
+        (lambda d: d["sections"][0].update(level=True), "level is bool, not int"),
+        (lambda d: d["sections"][0].update(level="2"), "level is str, not int"),
+        (lambda d: d.update(sections={"a": 1}), "sections is dict, not list"),
+        (lambda d: d["sections"][0].update(children="none"), "children is str, not list"),
+    ], ids=["text-list", "text-number", "main-title-number", "site-id-null",
+            "heading-number", "level-bool", "level-string", "sections-object",
+            "children-string"])
+    def test_documents_field_of_wrong_type(self, site, capsys, damage, expected):
+        root, config, _ = site
+        run(config, "preprocess")
+        path = root / "work" / "documents.jsonl"
+        docs = [json.loads(line) for line in path.read_text().splitlines()]
+        damage(docs[1])
+        path.write_text("".join(json.dumps(d) + "\n" for d in docs))
+        self.assert_config_error(root, config, capsys, "documents.jsonl line 2",
+                                 expected, "rerun preprocess")
+
 
 class TestExtract:
     def test_end_to_end(self, site):
@@ -263,6 +300,50 @@ class TestExtract:
         assert run(config, "extract", "--deterministic") == 0
         chat = [e for e in server.log.entries if e["kind"] == "chat"]
         assert len(chat) == total
+
+    def test_negative_limit_exits_2_before_any_request(self, site, capsys):
+        root, config, server = site
+        run(config, "preprocess")
+        run(config, "match")
+        capsys.readouterr()
+        assert run(config, "extract", "--deterministic", "--limit", "-1") == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: --limit must be at least 0, not -1"]
+        assert not server.log.entries and not (root / "work" / "journal.jsonl").exists()
+        assert run(config, "extract", "--deterministic", "--limit", "0") == 0
+        assert not server.log.entries
+
+    def test_outputs_written_whole(self, site, capsys, monkeypatch):
+        root, config, _ = site
+        work = root / "work"
+        run(config, "preprocess")
+        run(config, "match")
+        assert run(config, "extract", "--deterministic", "--limit", "3") == 0
+        outputs = ("triplets.jsonl", "report.txt", "report.json", "malformed.jsonl")
+        before = {name: (work / name).read_bytes() for name in outputs}
+        replace = os.replace
+
+        def failing_replace(src, dst):
+            if Path(dst).name == "report.json":
+                raise OSError(28, "No space left on device")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        capsys.readouterr()
+        assert run(config, "extract", "--deterministic") == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert f"cannot write {work / 'report.json'}" in err and "Traceback" not in err
+        assert (work / "report.json").read_bytes() == before["report.json"]
+        assert (work / "triplets.jsonl").read_bytes() != before["triplets.jsonl"]
+        monkeypatch.setattr(os, "replace", replace)
+        assert run(config, "extract", "--deterministic") == 0
+        golden = Path(__file__).parent / "golden"
+        for name in outputs:
+            assert (work / name).read_bytes() == (golden / name).read_bytes(), name
+        # nothing but the stages' files: no temporary file is left behind
+        assert sorted(p.name for p in work.iterdir()) == sorted(
+            ["documents.jsonl", "candidates.jsonl", "journal.jsonl", *outputs])
 
     def test_deterministic_runs_with_two_workers(self, tmp_path, mock_server):
         works = []
@@ -321,13 +402,22 @@ class TestExtract:
         ('"mock-chat"', '"mock-chat"\ntimeout = 0'),
         ("max_retries = 2", "max_retries = -1"),
         ("batch_limit = 128", "batch_limit = 0"),
+        # {url} is the mock's address; the base_url line moves below model
+        ('base_url = "{url}"\nmodel = "mock-chat"',
+         'model = "mock-chat"\nbase_url = "http://127.0.0.1:99999"'),
+        ('base_url = "{url}"\nmodel = "mock-embed"',
+         'model = "mock-embed"\nbase_url = "http://h:abc"'),
+        ('base_url = "{url}"\nmodel = "mock-chat"',
+         'model = "mock-chat"\nbase_url = "http://[::1"'),
     ], ids=["timeout-negative", "timeout-nan", "timeout-inf", "timeout-zero",
-            "max-retries-negative", "batch-limit-zero"])
+            "max-retries-negative", "batch-limit-zero", "base-url-port-out-of-range",
+            "base-url-port-not-a-number", "base-url-unclosed-ipv6"])
     def test_unusable_endpoint_value(self, site, capsys, old, new):
         root, config, server = site
         run(config, "preprocess")
         run(config, "match")
         text = config.read_text()
+        old = old.replace("{url}", server.base_url)
         assert text.count(old) == 1
         config.write_text(text.replace(old, new))
         capsys.readouterr()
@@ -619,6 +709,17 @@ def post_chat(base_url, content):
 
 
 class TestMockServe:
+    @pytest.mark.parametrize("text", [None, "not json", "[1]"],
+                             ids=["missing", "not-json", "not-an-object"])
+    def test_unreadable_script_exits_2_with_one_line(self, tmp_path, capsys, text):
+        script = tmp_path / "script.json"
+        if text is not None:
+            script.write_text(text)
+        assert cli.main(["mock-serve", "--script", str(script)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert f"cannot read mock script {script}" in err and "Traceback" not in err
+
     def test_unscripted_default_is_no(self, mock_server):
         server = mock_server()
         _, body = post_chat(server.base_url, "anything")

@@ -18,8 +18,6 @@ from biotriplets.matcher import MatcherAutomaton, Thesaurus
 from biotriplets.mockserver import mock_embedding
 from biotriplets.pipeline import (
     Journal,
-    RelationTriplet,
-    dedupe_triplets,
     enumerate_candidates,
     report_table,
     run_extraction,
@@ -361,7 +359,9 @@ class TestRunExtraction:
             candidates, documents, chat, embed, RetrievalConfig(), load_exemplars(), RELATIONS,
             journal_path=journal, workers=2, **kw,
         )
-        return (classified, *summarize(candidates, Journal(journal).load(), self.RELATIONS))
+        triplets, _, report, malformed = summarize(
+            candidates, Journal(journal).load(), self.RELATIONS, [])
+        return classified, triplets, report, malformed
 
     def test_counting_contract(self, tmp_path, mock_server):
         server = mock_server({
@@ -435,52 +435,119 @@ class TestRunExtraction:
         server = mock_server({"default": {"answer": "Yes", "reason": "because"}})
         _, triplets, _, _ = self.run(make_candidates(2), server, tmp_path / "j.jsonl")
         for t in triplets:
-            assert t.reason
-            assert t.section_path
-            assert t.model_id == "mock"
+            assert t["reason"]
+            assert t["section_path"]
+            assert t["model_id"] == "mock"
 
 
-def triplet(concept="C1", relation="treatment", tail="Plague", site="s1", reason="r"):
-    return RelationTriplet(
-        head_concept_id=concept, head_surface="x", relation=relation,
-        tail_title=tail, site_id=site, page_url="u", section_path="p",
-        reason=reason, model_id="m",
-    )
+def yes(concept="C1", relation="treatment", tail="Plague", site="s1", answer="Yes"):
+    return concept, relation, tail, site, answer
+
+
+def journaled(specs):
+    """Candidates and their journal records, from (concept, relation, tail,
+    site, answer) tuples in candidate order; an answer of None is pending."""
+    candidates, records = [], {}
+    for i, (concept, relation, tail, site, answer) in enumerate(specs):
+        c = CandidatePair(
+            candidate_id=f"c{i}", site_id=site, page_url=f"https://{site}/{i}",
+            relation=relation, head_surface=f"term{i}", head_concept_id=concept,
+            tail_title=tail, section_path=f"{tail} > S", section_index=0,
+            match_word_index=0,
+        )
+        candidates.append(c)
+        if answer is not None:
+            records[c.candidate_id] = {"candidate_id": c.candidate_id, "answer": answer,
+                                       "reason": f"r{i}", "model_id": "m"}
+    return candidates, records
+
+
+def dedupe(specs, site_priority=()):
+    """summarize's kept triplets and duplicate count."""
+    candidates, records = journaled(specs)
+    triplets, duplicates, _, _ = summarize(candidates, records, [r.id for r in RELATIONS],
+                                           site_priority)
+    return triplets, duplicates
+
+
+def reference_dedupe(triplets, site_priority):
+    """The two-pass rule that summarize folded into its one loop: a copy of
+    the former `dedupe_triplets`, over triplet dicts in candidate order."""
+    priority = {site: i for i, site in enumerate(site_priority or [])}
+    best = {}
+    duplicates = 0
+    for order, t in enumerate(triplets):
+        key = (t["head_concept_id"], t["relation"], t["tail_title"].casefold())
+        rank = (priority.get(t["site_id"], len(priority)), order)
+        if key in best:
+            duplicates += 1
+            if rank < best[key][:2]:
+                best[key] = (*rank, t)
+        else:
+            best[key] = (*rank, t)
+    deduped = [entry[2] for entry in sorted(best.values(), key=lambda e: e[1])]
+    return deduped, duplicates
 
 
 class TestDedupe:
     def test_cross_site_duplicate(self):
-        triplets = [triplet(site="s1"), triplet(site="s2")]
-        deduped, dupes = dedupe_triplets(triplets, site_priority=["s1", "s2"])
-        assert len(deduped) == 1
+        kept, dupes = dedupe([yes(site="s1"), yes(site="s2")], site_priority=["s1", "s2"])
+        assert len(kept) == 1
         assert dupes == 1
-        assert deduped[0].site_id == "s1"
+        assert kept[0]["site_id"] == "s1"
 
     def test_priority_order_wins(self):
-        triplets = [triplet(site="s2"), triplet(site="s1")]
-        deduped, _ = dedupe_triplets(triplets, site_priority=["s1", "s2"])
-        assert deduped[0].site_id == "s1"
+        kept, _ = dedupe([yes(site="s2"), yes(site="s1")], site_priority=["s1", "s2"])
+        assert kept[0]["site_id"] == "s1"
 
     def test_concept_key_not_surface(self):
-        triplets = [triplet(concept="C1"), triplet(concept="C2")]
-        deduped, dupes = dedupe_triplets(triplets)
-        assert len(deduped) == 2 and dupes == 0
+        kept, dupes = dedupe([yes(concept="C1"), yes(concept="C2")])
+        assert len(kept) == 2 and dupes == 0
 
     def test_case_folded_tail(self):
-        triplets = [triplet(tail="Plague"), triplet(tail="PLAGUE")]
-        deduped, dupes = dedupe_triplets(triplets)
-        assert len(deduped) == 1 and dupes == 1
+        kept, dupes = dedupe([yes(tail="Plague"), yes(tail="PLAGUE")])
+        assert len(kept) == 1 and dupes == 1
 
     def test_distinct_kept(self):
-        triplets = [triplet(concept=c) for c in "ABC"]
-        deduped, dupes = dedupe_triplets(triplets)
-        assert len(deduped) == 3 and dupes == 0
+        kept, dupes = dedupe([yes(concept=c) for c in "ABC"])
+        assert len(kept) == 3 and dupes == 0
 
-    def test_idempotent(self):
-        triplets = [triplet(site=s, concept=c) for s in ("s1", "s2") for c in "AB"]
-        once, _ = dedupe_triplets(triplets)
-        twice, dupes = dedupe_triplets(once)
-        assert twice == once and dupes == 0
+    def test_no_two_kept_triplets_share_a_key(self):
+        specs = [yes(site=s, concept=c, tail=t)
+                 for s in ("s1", "s2", "s3") for c in "AB" for t in ("Straße", "STRASSE")]
+        kept, dupes = dedupe(specs, site_priority=["s2"])
+        keys = {(t["head_concept_id"], t["relation"], t["tail_title"].casefold())
+                for t in kept}
+        assert len(keys) == len(kept) == 2 and dupes == len(specs) - 2
+        assert {t["site_id"] for t in kept} == {"s2"}
+
+    def test_matches_two_pass_reference(self):
+        rng = random.Random(1616)
+        sites = ["a", "b", "c", "d"]
+        tails = ["Plague", "plague", "PLAGUE", "Fever", "Straße", "STRASSE"]
+        answers = ["Yes", "Yes", "No", "Malformed", None]
+        duplicated = 0
+        for _ in range(300):
+            priority = rng.sample(sites, rng.randint(0, len(sites)))
+            specs = [(rng.choice(["C1", "C2", "C3"]), rng.choice(RELATIONS).id,
+                      rng.choice(tails), rng.choice(sites), rng.choice(answers))
+                     for _ in range(rng.randint(0, 30))]
+            candidates, records = journaled(specs)
+            yes_triplets = [
+                {"head_concept_id": c.head_concept_id, "head_surface": c.head_surface,
+                 "relation": c.relation, "tail_title": c.tail_title, "site_id": c.site_id,
+                 "page_url": c.page_url, "section_path": c.section_path,
+                 "reason": records[c.candidate_id]["reason"], "model_id": "m"}
+                for c in candidates
+                if records.get(c.candidate_id, {}).get("answer") == "Yes"
+            ]
+            expected, expected_dupes = reference_dedupe(yes_triplets, priority)
+            kept, dupes = dedupe(specs, priority)
+            # json.dumps pins each triplet's key order too
+            assert [json.dumps(t) for t in kept] == [json.dumps(t) for t in expected]
+            assert dupes == expected_dupes
+            duplicated += dupes > 0
+        assert duplicated > 100
 
 
 def summary_table(relation, answers, pending=0):
@@ -493,7 +560,7 @@ def summary_table(relation, answers, pending=0):
                          "reason": "r", "model_id": "m"}
         for c, answer in zip(candidates, answers)
     }
-    _, report, _ = summarize(candidates, records, [relation])
+    _, _, report, _ = summarize(candidates, records, [relation], [])
     return report_table(report), report
 
 
