@@ -20,6 +20,7 @@ import os
 import sys
 from collections import Counter
 from pathlib import Path
+from typing import Callable
 
 from . import classifier, docmodel, matcher, pipeline
 from .config import Config, load_config
@@ -48,8 +49,6 @@ def cmd_preprocess(args) -> int:
     entries = docmodel.read_manifest(cfg.manifest_path)
     if not entries:
         print("warning: manifest is empty, nothing to do", file=sys.stderr)
-        docmodel.write_documents([], cfg.workdir / "documents.jsonl")
-        return EXIT_OK
     docs, failures = [], []
     for entry in entries:
         try:
@@ -58,14 +57,13 @@ def cmd_preprocess(args) -> int:
             docs.append(docmodel.preprocess_html(html, profile, entry["url"]))
         except (OSError, DocumentError) as exc:
             failures.append((entry["path"], exc))
+    for path, exc in failures:
+        print(f"error: {path}: {exc}", file=sys.stderr)
     out = cfg.workdir / "documents.jsonl"
-    docmodel.write_documents(docs, out)
-    print(f"wrote {len(docs)} documents to {out}")
-    if failures:
-        for path, exc in failures:
-            print(f"error: {path}: {exc}", file=sys.stderr)
+    if not _write_whole({out: lambda p: docmodel.write_documents(docs, p)}):
         return EXIT_PARTIAL
-    return EXIT_OK
+    print(f"wrote {len(docs)} documents to {out}")
+    return EXIT_PARTIAL if failures else EXIT_OK
 
 
 def cmd_match(args) -> int:
@@ -75,16 +73,22 @@ def cmd_match(args) -> int:
     documents_path = cfg.workdir / "documents.jsonl"
     if not documents_path.exists():
         raise ConfigError(f"{documents_path} not found; rerun preprocess")
-    thesaurus = matcher.load_thesaurus(cfg.thesaurus_path)
+    docs = _read(docmodel.read_documents, documents_path)
+    # a row whose first token no section holds can neither match nor shadow
+    tokens = matcher.corpus_tokens(
+        section.text for doc in docs for section, _ in doc.walk_sections())
+    thesaurus = matcher.load_thesaurus(cfg.thesaurus_path, tokens)
     print(f"loaded {len(thesaurus)} surfaces "
           f"({thesaurus.skipped_rows} rows skipped, "
           f"{thesaurus.skipped_short} too short, "
-          f"{thesaurus.concept_conflicts} concept conflicts)")
+          f"{thesaurus.concept_conflicts} concept conflicts), "
+          f"left out {thesaurus.unreachable} rows whose first token "
+          "is in no document")
     automaton = matcher.MatcherAutomaton(thesaurus)
-    docs = docmodel.read_documents(documents_path)
     candidates = pipeline.enumerate_candidates(docs, automaton, cfg.relations)
     out = cfg.workdir / "candidates.jsonl"
-    pipeline.write_candidates(candidates, out)
+    if not _write_whole({out: lambda p: pipeline.write_candidates(candidates, p)}):
+        return EXIT_PARTIAL
     counts = Counter((c.site_id, c.relation) for c in candidates)
     for (site, relation), count in sorted(counts.items()):
         print(f"{site} {relation}: {count} candidates")
@@ -99,14 +103,14 @@ def cmd_extract(args) -> int:
     for name in ("candidates.jsonl", "documents.jsonl"):
         if not (cfg.workdir / name).exists():
             raise ConfigError(f"{cfg.workdir / name} not found; rerun preprocess and match")
-    candidates = pipeline.read_candidates(cfg.workdir / "candidates.jsonl")
+    candidates = _read(pipeline.read_candidates, cfg.workdir / "candidates.jsonl")
     relations = [r.id for r in cfg.relations]
     unconfigured = sorted({c.relation for c in candidates}.difference(relations))
     if unconfigured:
         raise ConfigError(f"{cfg.workdir / 'candidates.jsonl'} holds relation "
                           f"{', '.join(unconfigured)}, which the config does not list; "
                           "rerun match")
-    documents = docmodel.read_documents(cfg.workdir / "documents.jsonl")
+    documents = _read(docmodel.read_documents, cfg.workdir / "documents.jsonl")
     exemplars = classifier.load_exemplars(cfg.exemplars_path, relations)
     chat = cfg.chat_endpoint()
     embedder = cfg.embedding_endpoint()
@@ -144,19 +148,41 @@ def cmd_extract(args) -> int:
         "report.json": json.dumps(report, indent=2, ensure_ascii=False) + "\n",
         "malformed.jsonl": _jsonl(malformed),
     }
-    for name, body in outputs.items():
-        # replaced whole: a failed or killed write leaves the previous file
-        partial = cfg.workdir / f"{name}.tmp"
-        try:
-            partial.write_text(body, encoding="utf-8")
-            os.replace(partial, cfg.workdir / name)
-        except OSError as exc:
-            print(f"error: cannot write {cfg.workdir / name}: {exc}", file=sys.stderr)
-            return EXIT_PARTIAL
+    writers = {cfg.workdir / name: lambda p, body=body: p.write_text(body, encoding="utf-8")
+               for name, body in outputs.items()}
+    if not _write_whole(writers):
+        return EXIT_PARTIAL
     print(text)
     print(f"{len(triplets)} triplets ({duplicates} cross-site duplicates removed), "
           f"{len(malformed)} malformed, {classified} candidates classified this run")
     return EXIT_OK
+
+
+def _read(read: Callable[[Path], list], path: Path) -> list:
+    """`read(path)`; an OSError (the file became a directory, say) is a
+    ConfigError naming the file."""
+    try:
+        return read(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from None
+
+
+def _write_whole(writers: dict[Path, Callable[[Path], None]]) -> bool:
+    """Write each output through its writer to `<name>.tmp`, then
+    os.replace each over its output. A write that fails (a full disk, say)
+    or is killed leaves every previous output as it was; only a failed or
+    killed os.replace loop can mix old and new outputs. A failure prints
+    one line and returns False."""
+    partials = {out: out.with_name(out.name + ".tmp") for out in writers}
+    try:
+        for out, write in writers.items():
+            write(partials[out])
+        for out, partial in partials.items():
+            os.replace(partial, out)
+    except OSError as exc:
+        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def _jsonl(rows: list[dict]) -> str:

@@ -18,7 +18,7 @@ import numpy as np
 from biotriplets import cli
 from biotriplets.classifier import parse_judgment
 from biotriplets.evaluation import ConfusionMatrix, cohen_kappa, metrics, round3
-from biotriplets.matcher import match_terms
+from biotriplets.matcher import MatcherAutomaton, corpus_tokens, load_thesaurus, match_terms
 from biotriplets.docmodel import write_documents
 from biotriplets.pipeline import write_candidates
 from biotriplets.retrieval import (
@@ -77,10 +77,12 @@ def test_criterion_2_f1_harmonic_consistency():
             assert abs(harmonic - f1) <= 0.001, model
 
 
-def test_criterion_3_matcher_oracle_equivalence():
+def test_criterion_3_matcher_oracle_equivalence(tmp_path):
+    # both the full thesaurus and the one loaded for the text's tokens
     vocab = ["ab", "cd", "efg", "hi", "jklm", "n", "op", "qr", "stu", "vw",
              "xyz", "a1b", "c2"]
     rng = random.Random(1337)
+    tsv = tmp_path / "t.tsv"
     with Timer("3 matcher oracle equivalence", 30.0):
         mismatches = 0
         for _ in range(1000):
@@ -97,10 +99,13 @@ def test_criterion_3_matcher_oracle_equivalence():
                 rng.choice(vocab + ["zz", "||", "|1|", "-", "q"])
                 for _ in range(rng.randint(0, 320))
             )[:2000]
-            automaton = make_automaton(surfaces)
-            got = [m.span for m in match_terms(automaton, text)]
-            if got != oracle_match(surfaces, text):
-                mismatches += 1
+            tsv.write_text("".join(f"{s}\tC{i}\tT\n" for i, s in enumerate(surfaces)))
+            filtered = MatcherAutomaton(load_thesaurus(tsv, corpus_tokens([text])))
+            expected = oracle_match(surfaces, text)
+            for automaton in (make_automaton(surfaces), filtered):
+                got = [m.span for m in match_terms(automaton, text)]
+                if got != expected:
+                    mismatches += 1
         assert mismatches == 0
 
 

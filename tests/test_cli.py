@@ -86,6 +86,15 @@ class TestPreprocess:
         assert run(config, "preprocess") == 0
         assert "empty" in capsys.readouterr().err
 
+    def test_failed_write_exits_1_with_one_line(self, site, capsys):
+        root, config, _ = site
+        (root / "work" / "documents.jsonl").mkdir(parents=True)
+        assert run(config, "preprocess") == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert f"cannot write {root / 'work' / 'documents.jsonl'}" in err
+        assert "Traceback" not in err and (root / "work" / "documents.jsonl").is_dir()
+
     def test_missing_manifest_config_error(self, tmp_path):
         cfg = tmp_path / "c.toml"
         cfg.write_text("[paths]\nworkdir = \"work\"\n")
@@ -207,6 +216,51 @@ class TestMatch:
         with open(root / "thesaurus.tsv", "a", encoding="utf-8") as fh:
             fh.write("only two\tcolumns\n")
         self.assert_config_error(root, config, capsys, "line 2")
+
+    def test_empty_corpus_indexes_no_row(self, site, capsys):
+        root, config, _ = site
+        (root / "work").mkdir()
+        (root / "work" / "documents.jsonl").write_text("")
+        assert run(config, "match") == 0
+        out = capsys.readouterr().out
+        assert (f"loaded 0 surfaces (0 rows skipped, 0 too short, 0 concept conflicts), "
+                f"left out {len(THESAURUS_ROWS)} rows whose first token is in no document"
+                ) in out
+        assert "wrote 0 candidates" in out
+        assert (root / "work" / "candidates.jsonl").read_text() == ""
+
+    def test_every_row_unusable_on_empty_corpus(self, site, capsys):
+        # the check is on the rows read, not on the rows the corpus reaches
+        root, config, _ = site
+        (root / "work").mkdir()
+        (root / "work" / "documents.jsonl").write_text("")
+        write_thesaurus(root / "thesaurus.tsv", [("of", "C1", "A"), ("fever", "C2", " ")])
+        self.assert_config_error(root, config, capsys, "empty thesaurus")
+
+    def test_documents_reported_before_thesaurus(self, site, capsys):
+        root, config, _ = site
+        run(config, "preprocess")
+        with open(root / "work" / "documents.jsonl", "a", encoding="utf-8") as fh:
+            fh.write("not json\n")
+        (root / "thesaurus.tsv").unlink()
+        self.assert_config_error(root, config, capsys, "documents.jsonl line 6")
+
+    def test_unreadable_documents_exits_2(self, site, capsys):
+        root, config, _ = site
+        (root / "work" / "documents.jsonl").mkdir(parents=True)
+        self.assert_config_error(root, config, capsys,
+                                 f"cannot read {root / 'work' / 'documents.jsonl'}")
+
+    def test_failed_write_exits_1_with_one_line(self, site, capsys):
+        root, config, _ = site
+        run(config, "preprocess")
+        (root / "work" / "candidates.jsonl").mkdir()
+        capsys.readouterr()
+        assert run(config, "match") == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert f"cannot write {root / 'work' / 'candidates.jsonl'}" in err
+        assert "Traceback" not in err and (root / "work" / "candidates.jsonl").is_dir()
 
     def test_thesaurus_with_every_row_skipped(self, site, capsys):
         root, config, _ = site
@@ -344,6 +398,36 @@ class TestExtract:
         # nothing but the stages' files: no temporary file is left behind
         assert sorted(p.name for p in work.iterdir()) == sorted(
             ["documents.jsonl", "candidates.jsonl", "journal.jsonl", *outputs])
+
+    def test_failed_write_replaces_no_output(self, site, capsys):
+        root, config, _ = site
+        work = root / "work"
+        run(config, "preprocess")
+        run(config, "match")
+        assert run(config, "extract", "--deterministic", "--limit", "3") == 0
+        outputs = ("triplets.jsonl", "report.txt", "report.json", "malformed.jsonl")
+        before = {name: (work / name).read_bytes() for name in outputs}
+        (work / "report.json.tmp").mkdir()
+        capsys.readouterr()
+        assert run(config, "extract", "--deterministic") == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert f"cannot write {work / 'report.json'}" in err and "Traceback" not in err
+        assert {name: (work / name).read_bytes() for name in outputs} == before
+
+    @pytest.mark.parametrize("name", ["candidates.jsonl", "documents.jsonl"])
+    def test_unreadable_input_exits_2(self, site, capsys, name):
+        root, config, server = site
+        run(config, "preprocess")
+        run(config, "match")
+        (root / "work" / name).unlink()
+        (root / "work" / name).mkdir()
+        capsys.readouterr()
+        assert run(config, "extract", "--deterministic") == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert f"cannot read {root / 'work' / name}" in err and "Traceback" not in err
+        assert not server.log.entries
 
     def test_deterministic_runs_with_two_workers(self, tmp_path, mock_server):
         works = []

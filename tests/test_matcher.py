@@ -4,16 +4,20 @@ import sys
 
 import pytest
 
+from biotriplets.docmodel import Section, WebDocument
 from biotriplets.errors import ConfigError
 from biotriplets.matcher import (
     MatcherAutomaton,
     TermMatch,
     Thesaurus,
+    corpus_tokens,
+    first_token,
     fold,
     load_thesaurus,
     match_terms,
     semantic_filter,
 )
+from biotriplets.pipeline import enumerate_candidates
 from biotriplets.retrieval import RelationType
 
 
@@ -301,6 +305,93 @@ class TestOracleEquivalence:
                 start, end = m.span
                 assert start == 0 or not text[start - 1].isalnum()
                 assert end == len(text) or not text[end].isalnum()
+
+
+class TestCorpusFilter:
+    """Given the corpus tokens, load_thesaurus indexes only the rows a
+    section can reach, and the candidates stay those of the full load."""
+
+    RELATIONS = (RelationType("r", "r of", frozenset({"R"})),
+                 RelationType("s", "s of", frozenset({"S"})))
+    # "abc" is a prefix of the token "abcd"; "(r)-x" and "-ase" start with
+    # a character that is not alphanumeric; İ and Σ fold one by one
+    WORDS = ["abc", "abcd", "kinase", "-ase", "(r)-x", "(r)", "x", "İnfo",
+             "info", "İ", "ΣIGMA", "σigma", "oδος", "ΟΔΟΣ", "cd", "AB"]
+    FILLER = ["zz", "||", "(", ")", "-", "of", "abcde", "İnfos"]
+    SEPARATORS = [" ", " ", "-", ", ", "/"]
+
+    def join(self, rng, words):
+        return "".join(w + rng.choice(self.SEPARATORS) for w in words[:-1]) + words[-1]
+
+    def random_case(self, rng):
+        """Thesaurus rows and documents; about half the sections are drawn
+        from a part of the vocabulary, so many rows are out of reach."""
+        rows = []
+        for _ in range(rng.randint(1, 30)):
+            surface = self.join(rng, [rng.choice(self.WORDS)
+                                      for _ in range(rng.randint(1, 3))])
+            rows.append((surface, f"C{rng.randint(0, 30)}", rng.choice(["R", "S", "N", "R;N"])))
+        # a longer surface of no relation shadows a relation surface
+        short = self.join(rng, [rng.choice(self.WORDS) for _ in range(rng.randint(1, 2))])
+        longer = short + " " + rng.choice(self.WORDS)
+        rows += [(short, "CR", "R"), (longer, "CN", "N")]
+        surfaces = [surface for surface, _, _ in rows]
+        vocab = rng.sample(self.WORDS, rng.randint(1, len(self.WORDS)))
+
+        def text():
+            pieces = [rng.choice(vocab + self.FILLER) for _ in range(rng.randint(0, 40))]
+            for _ in range(rng.randint(0, 3)):
+                planted = rng.choice(surfaces + [longer])
+                pieces.insert(rng.randint(0, len(pieces)),
+                              planted.upper() if rng.random() < 0.3 else planted)
+            return self.join(rng, pieces) if pieces else ""
+
+        docs = [WebDocument("site", f"https://x/{d}", f"Page {d}", [
+            Section(f"h{i}", 2, text(), [Section("sub", 3, text())])
+            for i in range(rng.randint(0, 3))
+        ]) for d in range(rng.randint(1, 3))]
+        return rows, docs
+
+    def test_filtered_load_finds_the_full_loads_candidates(self, tmp_path):
+        rng = random.Random(20261019)
+        path = tmp_path / "t.tsv"
+        unreachable = candidates = 0
+        for _ in range(300):
+            rows, docs = self.random_case(rng)
+            path.write_text("".join(f"{s}\t{c}\t{t}\n" for s, c, t in rows), encoding="utf-8")
+            sections = [s for doc in docs for s, _ in doc.walk_sections()]
+            tokens = corpus_tokens(s.text for s in sections)
+            full = load_thesaurus(path)
+            filtered = load_thesaurus(path, tokens)
+            assert filtered.index == {surface: entry for surface, entry in full.index.items()
+                                      if first_token(surface) in tokens}
+            assert (filtered.skipped_rows, filtered.skipped_short) == (
+                full.skipped_rows, full.skipped_short)
+            expected = enumerate_candidates(docs, MatcherAutomaton(full), self.RELATIONS)
+            automaton = MatcherAutomaton(filtered)
+            assert enumerate_candidates(docs, automaton, self.RELATIONS) == expected
+            for section in sections:
+                assert ([m.span for m in match_terms(automaton, section.text)]
+                        == oracle_match(full.index, section.text))
+            unreachable += filtered.unreachable
+            candidates += len(expected)
+        assert unreachable and candidates  # both sides of the filter were tried
+
+    def test_counts_and_empty_corpus(self, tmp_path):
+        f = tmp_path / "t.tsv"
+        f.write_text("fever\tC1\tA\nFever\tC2\tA\nrash\tC3\tA\nof\tC4\tA\n"
+                     "cough\t\tA\n-ase\tC5\tA\n")
+        th = load_thesaurus(f, corpus_tokens(["High fever - rash-free"]))
+        assert sorted(th.index) == ["-ase", "fever", "rash"]
+        assert (th.unreachable, th.skipped_rows, th.skipped_short, th.concept_conflicts) == (
+            0, 1, 1, 1)
+        th = load_thesaurus(f, corpus_tokens(["feverish"]))
+        assert (len(th), th.unreachable, th.concept_conflicts) == (0, 4, 0)
+        # usable rows that no text reaches are not an empty thesaurus
+        assert len(load_thesaurus(f, set())) == 0
+        f.write_text("of\tC1\tA\nfever\tC2\t \n")
+        with pytest.raises(ConfigError, match="empty thesaurus"):
+            load_thesaurus(f, set())
 
 
 def mk_match(types):
