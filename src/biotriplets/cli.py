@@ -97,6 +97,10 @@ def cmd_match(args) -> int:
 
 
 def cmd_extract(args) -> int:
+    # run_extraction imports this too; importing it before the corpus is read
+    # keeps its compilation (where no bytecode is cached) off extract's peak RSS
+    from . import embeddings  # noqa: F401
+
     if args.limit is not None and args.limit < 0:
         raise ConfigError(f"--limit must be at least 0, not {args.limit}")
     cfg = _load_cfg(args)
@@ -135,6 +139,9 @@ def cmd_extract(args) -> int:
     except EndpointUnavailable as exc:
         print(f"error: {exc} (journal preserved, rerun to resume)", file=sys.stderr)
         return EXIT_PARTIAL
+    except OSError as exc:  # writing the journal or the embedding checkpoint
+        print(f"error: {exc} (journal preserved, rerun to resume)", file=sys.stderr)
+        return EXIT_PARTIAL
     finally:
         chat.close()
         embedder.close()
@@ -148,9 +155,7 @@ def cmd_extract(args) -> int:
         "report.json": json.dumps(report, indent=2, ensure_ascii=False) + "\n",
         "malformed.jsonl": _jsonl(malformed),
     }
-    writers = {cfg.workdir / name: lambda p, body=body: p.write_text(body, encoding="utf-8")
-               for name, body in outputs.items()}
-    if not _write_whole(writers):
+    if not _write_whole(_text_writers(cfg.workdir, outputs)):
         return EXIT_PARTIAL
     print(text)
     print(f"{len(triplets)} triplets ({duplicates} cross-site duplicates removed), "
@@ -172,17 +177,27 @@ def _write_whole(writers: dict[Path, Callable[[Path], None]]) -> bool:
     os.replace each over its output. A write that fails (a full disk, say)
     or is killed leaves every previous output as it was; only a failed or
     killed os.replace loop can mix old and new outputs. A failure prints
-    one line and returns False."""
+    one line, unlinks the temporary files written, and returns False."""
     partials = {out: out.with_name(out.name + ".tmp") for out in writers}
+    written = []
     try:
         for out, write in writers.items():
             write(partials[out])
+            written.append(partials[out])
         for out, partial in partials.items():
             os.replace(partial, out)
     except OSError as exc:
         print(f"error: cannot write {out}: {exc}", file=sys.stderr)
+        for partial in written:
+            partial.unlink(missing_ok=True)
         return False
     return True
+
+
+def _text_writers(workdir: Path, outputs: dict[str, str]) -> dict:
+    """`_write_whole`'s writers of each named output's text in `workdir`."""
+    return {workdir / name: lambda p, body=body: p.write_text(body, encoding="utf-8")
+            for name, body in outputs.items()}
 
 
 def _jsonl(rows: list[dict]) -> str:
@@ -226,16 +241,15 @@ def cmd_eval(args) -> int:
             f"{row['precision']:>11.3f}{row['f1']:>8.3f}"
         )
     table = "\n".join(lines)
-    print(table)
-
     agreement = evaluation.agreement_matrix(samples, reference)
-    (cfg.workdir / "metrics.txt").write_text(table + "\n", encoding="utf-8")
-    (cfg.workdir / "metrics.json").write_text(
-        json.dumps(rows, indent=2) + "\n", encoding="utf-8"
-    )
-    (cfg.workdir / "agreement.json").write_text(
-        json.dumps(agreement, indent=2) + "\n", encoding="utf-8"
-    )
+    outputs = {
+        "metrics.txt": table + "\n",
+        "metrics.json": json.dumps(rows, indent=2) + "\n",
+        "agreement.json": json.dumps(agreement, indent=2) + "\n",
+    }
+    if not _write_whole(_text_writers(cfg.workdir, outputs)):
+        return EXIT_PARTIAL
+    print(table)
     print(f"agreement matrix over {len(model_ids)} models "
           f"(reference: {reference}) written to {cfg.workdir / 'agreement.json'}")
     return EXIT_OK

@@ -2,13 +2,16 @@
 
 Candidates are one per (head concept, relation, page) and point at their
 section in documents.jsonl. The pending section is the unit of work: a
-worker chunks its candidates, embeds their distinct texts in one call, then
-classifies the candidates in turn, so concurrency comes from distinct
-sections. A section of at most `anchor_min_words` words gives each
-candidate one chunk, the one retrieved whatever the vectors, so it is
-neither embedded nor ranked. Classification progress is journaled to an
-append-only JSONL file keyed by candidate id, so an interrupted run
-resumes without re-querying finished candidates.
+worker takes the section's chunks and vectors from one embedding cursor
+(`embeddings.py`) shared by all workers, then classifies the candidates in turn, so
+concurrency comes from distinct sections. The cursor plans the sections in
+order and sends the texts they need in requests filled to `batch_limit`
+across section boundaries, each text once per run. A section of at most
+`anchor_min_words` words gives each candidate one chunk, the one retrieved
+whatever the vectors, so it is neither embedded nor ranked. Classification
+progress is journaled to an append-only JSONL file keyed by candidate id,
+and every embedding to a checkpoint beside it, so an interrupted run
+resumes without re-querying finished candidates or re-embedding a text.
 
 `run_extraction` only classifies. `summarize` then derives the triplets,
 the report and the malformed records from the journal in one pass over the
@@ -39,7 +42,6 @@ from .retrieval import (
     RetrievalConfig,
     chunk_for_candidate,
     retrieve_top_k,
-    unit_rows,
 )
 
 # Only the benchmark's workload generator (perfbench/workloads.py) reads this.
@@ -134,13 +136,35 @@ def read_candidates(path: str | Path) -> list[CandidatePair]:
 _VERDICT_KEYS = ("candidate_id", "answer", "reason", "model_id")
 
 
-class Journal:
-    """Append-only JSONL of finished candidates, the resume checkpoint."""
+class AppendLog:
+    """An append-only JSONL file whose last line a killed run may have torn."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._lock = threading.Lock()
         self._tail_checked = False
+
+    def _append(self, lines: list[bytes]) -> int:
+        """Append whole lines in one write; returns the offset of the first.
+
+        A killed run can leave a last line without its newline. The first
+        append ends it, so the next record starts a line of its own: a torn
+        record then fails to parse alone, and a record that lost only its
+        newline still loads."""
+        with self._lock, open(self.path, "a+b") as fh:
+            offset = fh.seek(0, os.SEEK_END)
+            if not self._tail_checked:
+                self._tail_checked = True
+                fh.seek(max(offset - 1, 0))
+                if offset and fh.read(1) != b"\n":
+                    offset += fh.write(b"\n")
+            fh.write(b"".join(lines))
+            fh.flush()
+        return offset
+
+
+class Journal(AppendLog):
+    """Append-only JSONL of finished candidates, the resume checkpoint."""
 
     def load(self) -> dict[str, dict]:
         """Verdict records by candidate id. A line that is not JSON is
@@ -166,25 +190,7 @@ class Journal:
         return done
 
     def append(self, record: dict) -> None:
-        data = (json.dumps(record, ensure_ascii=False) + "\n").encode("utf-8")
-        with self._lock:
-            with open(self.path, "a+b") as fh:
-                if not self._tail_checked:
-                    self._tail_checked = True
-                    _end_torn_line(fh)
-                fh.write(data)
-                fh.flush()
-
-
-def _end_torn_line(fh) -> None:
-    """A killed run can leave a last line without its newline. End it, so
-    the next record starts a line of its own: a torn record then fails to
-    parse alone, and a record that lost only its newline still loads."""
-    size = fh.seek(0, os.SEEK_END)
-    if size:
-        fh.seek(size - 1)
-        if fh.read(1) != b"\n":
-            fh.write(b"\n")
+        self._append([(json.dumps(record, ensure_ascii=False) + "\n").encode("utf-8")])
 
 
 def pending_sections(
@@ -221,32 +227,32 @@ def pending_sections(
     return out
 
 
-def _section_vectors(
+def _section_plan(
     section: Section,
     candidates: list[CandidatePair],
     questions: list[str],
-    embedder: EmbeddingEndpoint,
     cfg: RetrievalConfig,
-) -> tuple[list[list[Chunk]], dict[str, list[float]]]:
-    """Each candidate's chunks, and the unit vectors of the distinct texts
-    (its question and chunks) of each candidate with more than one chunk,
-    embedded in one `embed` call (none when there are no such texts)."""
+) -> tuple[list[list[Chunk]], list[str]]:
+    """Each candidate's chunks, and the distinct texts to embed: the
+    question and chunks of each candidate with more than one chunk. Sends
+    no request."""
     flat = flatten_section_text(section)
     chunks: list[list[Chunk]] = []
     texts: dict[str, None] = {}
+    copies: dict[str, str] = {}  # one copy of a chunk text that candidates share
     for c, question in zip(candidates, questions):
         try:
-            chunks.append(chunk_for_candidate(flat, c.match_word_index, cfg))
+            its = chunk_for_candidate(flat, c.match_word_index, cfg)
         except ValueError as exc:
             raise ConfigError(
                 f"candidate {c.candidate_id}: {exc} in {c.section_path!r}; rerun match"
             ) from None
-        if len(chunks[-1]) > 1:
+        chunks.append([Chunk(copies.setdefault(k.text, k.text), k.word_span, k.is_anchor)
+                       for k in its])
+        if len(its) > 1:
             texts[question] = None
             texts.update(dict.fromkeys(chunk.text for chunk in chunks[-1]))
-    if not texts:
-        return chunks, {}
-    return chunks, dict(zip(texts, unit_rows(embedder.embed(list(texts)))))
+    return chunks, list(texts)
 
 
 def _process_candidate(
@@ -285,29 +291,40 @@ def run_extraction(
     pending candidates are read. `relations` must hold every candidate's
     relation. `limit` caps how many pending candidates this run processes;
     the rest stay pending for a later resume. Each worker takes one pending
-    section at a time: it builds each candidate's question once, embeds the
-    section, then classifies and journals its candidates in turn. Endpoint
-    failure aborts with the journal intact: once a candidate has failed, no
-    worker starts another.
+    section at a time: it takes the section's questions, chunks and vectors
+    from the shared `EmbeddingCursor`, then classifies and journals its
+    candidates in turn. Every vector paid for is kept in `embeddings.jsonl`
+    beside the journal, which is deleted once no candidate is left pending.
+    Endpoint failure aborts with the journal and the checkpoint intact:
+    once a request has failed, no worker starts another.
     """
+    from .embeddings import EmbeddingCheckpoint, EmbeddingCursor
+
     journal = Journal(journal_path)
     done = journal.load()
     pending = [c for c in candidates if c.candidate_id not in done]
-    if limit is not None:
-        pending = pending[:limit]
-    sections = pending_sections(pending, documents)
+    finishes = limit is None or limit >= len(pending)
+    sections = pending_sections(pending[:limit], documents)
     failed = threading.Event()
     by_id = {r.id: r for r in relations}
+    checkpoint = EmbeddingCheckpoint(Path(journal_path).with_name("embeddings.jsonl"),
+                                     embedder.model)
 
-    def work(section: Section, members: list[CandidatePair]) -> int:
+    def plan(section: Section, members: list[CandidatePair]):
+        questions = [by_id[c.relation].question(c.head_surface, c.tail_title)
+                     for c in members]
+        return questions, _section_plan(section, members, questions, retrieval_cfg)
+
+    cursor = EmbeddingCursor(sections, plan, embedder, checkpoint, failed)
+
+    def work(index: int, members: list[CandidatePair]) -> int:
         """Classify the section's candidates in turn; returns how many."""
         if failed.is_set():
             return 0  # the run is stopping: send no new request
         try:
-            questions = [by_id[c.relation].question(c.head_surface, c.tail_title)
-                         for c in members]
-            chunks, vectors = _section_vectors(
-                section, members, questions, embedder, retrieval_cfg)
+            questions, chunks, vectors = cursor.section(index)
+            if vectors is None:
+                return 0
             for count, (candidate, question, its_chunks) in enumerate(
                     zip(members, questions, chunks)):
                 if failed.is_set():
@@ -330,8 +347,12 @@ def run_extraction(
         return len(members)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(work, section, members) for section, members in sections]
-    return sum(f.result() for f in futures)
+        futures = [pool.submit(work, index, members)
+                   for index, (_, members) in enumerate(sections)]
+    classified = sum(f.result() for f in futures)
+    if finishes:  # no candidate is left pending: nothing will read the vectors
+        checkpoint.path.unlink(missing_ok=True)
+    return classified
 
 
 # --------------------------------------------------------------------------

@@ -128,7 +128,13 @@ def retrieve_top_k(
     The vectors are of unit length (`unit_rows`), so a chunk's cosine
     similarity is its dot product with the query. An exactly rounded sum
     gives equal vectors equal scores; ties break toward the earlier word span.
+    Vectors of another length than the query's raise EndpointRejected: a
+    truncated dot product is no score.
     """
+    dims = {len(query_vec), *(len(vec) for _, vec in chunks)}
+    if len(dims) > 1:
+        raise EndpointRejected(f"embeddings of mixed dimensions {sorted(dims)} "
+                               "in one ranking")
     scores = [math.fsum(map(operator.mul, vec, query_vec)) for _, vec in chunks]
     top = sorted(range(len(chunks)),
                  key=lambda i: (-scores[i], chunks[i][0].word_span[0]))[: cfg.top_k]

@@ -1,16 +1,21 @@
 import ast
+import base64
 import json
 import os
+import random
+import signal
 import subprocess
 import sys
+import time
 import urllib.error
 import urllib.request
+from array import array
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
-from biotriplets import cli
+from biotriplets import cli, embeddings
 from conftest import (
     GOLDEN_CHAT_SCRIPT,
     THESAURUS_ROWS,
@@ -414,6 +419,8 @@ class TestExtract:
         assert len(err.splitlines()) == 1, err
         assert f"cannot write {work / 'report.json'}" in err and "Traceback" not in err
         assert {name: (work / name).read_bytes() for name in outputs} == before
+        # the temporary files written before the failure are gone
+        assert [p.name for p in work.glob("*.tmp")] == ["report.json.tmp"]
 
     @pytest.mark.parametrize("name", ["candidates.jsonl", "documents.jsonl"])
     def test_unreadable_input_exits_2(self, site, capsys, name):
@@ -674,6 +681,121 @@ class TestExtract:
         self.assert_rerun_match(config, server, capsys)
 
 
+LONG_TITLE = "Sylvatic Plague"
+
+
+def long_page_site(root, server_url):
+    """The fixture site plus a page whose Treatment section is well over
+    the 512-word anchor, naming four drugs; returns the config path."""
+    write_fixture_site(root)
+    write_thesaurus(root / "thesaurus.tsv")
+    rng = random.Random(5)
+    filler = ["the", "patient", "was", "given", "care", "after", "days", "of", "rest"]
+    words = [rng.choice(filler) for _ in range(1400)]
+    for k, name in enumerate(["streptomycin", "doxycycline", "gentamicin", "ciprofloxacin"]):
+        words[100 + k * 350] = name
+    page = root / "pages" / "long.html"
+    page.write_text(f"<html><body><h1>{LONG_TITLE}</h1><h2>Treatment</h2>"
+                    f"<p>{' '.join(words)}</p></body></html>", encoding="utf-8")
+    add_entry(root / "manifest.jsonl", url="https://example.org/long.html", path=str(page))
+    config = write_config(root, server_url)
+    for stage in ("preprocess", "match"):
+        assert run(config, stage) == 0
+    return config
+
+
+def long_page_script(statuses):
+    """The golden script, with `statuses` for the first chat about the long page."""
+    rule = {"contains": f"drug for {LONG_TITLE}?", "statuses": statuses,
+            "answer": "Yes", "reason": "Named in the long section."}
+    return {**GOLDEN_CHAT_SCRIPT, "rules": [rule, *GOLDEN_CHAT_SCRIPT["rules"]]}
+
+
+class TestCheckpoint:
+    OUTPUTS = ("triplets.jsonl", "report.txt", "report.json")
+
+    def test_kill_after_embedding_resumes_without_embedding(self, tmp_path, mock_server):
+        # two 503s hold the long page's first chat for 0.6 s of backoff,
+        # after its texts are embedded and checkpointed
+        whole = tmp_path / "whole"
+        config = long_page_site(whole, mock_server(long_page_script([503, 503])).base_url)
+        assert run(config, "extract", "--deterministic") == 0
+
+        root = tmp_path / "killed"
+        server = mock_server(long_page_script([503, 503]))
+        config = long_page_site(root, server.base_url)
+        checkpoint = root / "work" / "embeddings.jsonl"
+        src = Path(cli.__file__).resolve().parents[1]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "biotriplets.cli", "--config", str(config),
+             "extract", "--deterministic"],
+            cwd=root, env={**os.environ, "PYTHONPATH": str(src)},
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        try:
+            deadline = time.monotonic() + 30
+            while proc.poll() is None and time.monotonic() < deadline:
+                if checkpoint.exists() and b"\n" in checkpoint.read_bytes():
+                    proc.kill()
+                    break
+                time.sleep(0.005)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == -signal.SIGKILL
+        assert [e["kind"] for e in server.log.entries].count("embed") == 1
+        sent = len(server.log.entries)
+        assert run(config, "extract", "--deterministic") == 0
+        assert not any(e["kind"] == "embed" for e in server.log.entries[sent:])
+        assert not checkpoint.exists()
+        for name in self.OUTPUTS:
+            assert (root / "work" / name).read_bytes() == (whole / "work" / name).read_bytes()
+
+    def test_checkpoint_vector_of_another_length_exits_1(self, tmp_path, mock_server, capsys):
+        server = mock_server(long_page_script([503] * 3))
+        config = long_page_site(tmp_path, server.base_url)
+        assert run(config, "extract", "--deterministic") == 1
+        checkpoint = tmp_path / "work" / "embeddings.jsonl"
+        # the first line holds the question of the long page's first candidate,
+        # which the failure left pending with the others
+        lines = checkpoint.read_text().splitlines()
+        short = base64.b64encode(array("d", [1.0] * 16).tobytes()).decode()
+        lines[0] = json.dumps({**json.loads(lines[0]), "vector": short})
+        checkpoint.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run(config, "extract", "--deterministic") == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert "mixed dimensions [16, 32]" in err and "Traceback" not in err
+
+
+    def test_unreadable_checkpoint_exits_2(self, tmp_path, mock_server, capsys):
+        server = mock_server(GOLDEN_CHAT_SCRIPT)
+        config = long_page_site(tmp_path, server.base_url)
+        checkpoint = tmp_path / "work" / "embeddings.jsonl"
+        checkpoint.mkdir()
+        capsys.readouterr()
+        assert run(config, "extract", "--deterministic") == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert f"cannot read {checkpoint}" in err and "Traceback" not in err
+        assert not server.log.entries
+
+    def test_failed_checkpoint_write_exits_1(self, tmp_path, mock_server, capsys,
+                                             monkeypatch):
+        server = mock_server(GOLDEN_CHAT_SCRIPT)
+        config = long_page_site(tmp_path, server.base_url)
+
+        def full_disk(self, keys, vectors):
+            raise OSError(28, "No space left on device", str(self.path))
+
+        monkeypatch.setattr(embeddings.EmbeddingCheckpoint, "add", full_disk)
+        capsys.readouterr()
+        assert run(config, "extract", "--deterministic") == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert "No space left on device" in err and "Traceback" not in err
+
+
 class TestEval:
     def make_benchmark(self, path):
         rows = []
@@ -773,6 +895,27 @@ class TestEval:
         out = capsys.readouterr().out
         assert out == ((golden / "metrics.txt").read_text() + "agreement matrix over "
                        f"3 models (reference: beta) written to {work / 'agreement.json'}\n")
+
+    def test_failed_write_keeps_previous_outputs(self, site, capsys):
+        root, config, _ = site
+        work = root / "work"
+        bench = root / "bench.jsonl"
+        self.make_benchmark(bench)
+        assert run(config, "eval", str(bench)) == 0
+        before = {name: (work / name).read_bytes()
+                  for name in ("metrics.json", "agreement.json")}
+        (work / "metrics.txt").unlink()
+        (work / "metrics.txt").mkdir()
+        with open(bench, "a") as fh:  # a second run with other outputs
+            fh.write(json.dumps({"sample_id": "s12", "gold": "No", "predictions": {
+                "model-a": {"answer": "Yes"}, "model-b": {"answer": "No"}}}) + "\n")
+        capsys.readouterr()
+        assert run(config, "eval", str(bench)) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert f"cannot write {work / 'metrics.txt'}" in err and "Traceback" not in err
+        assert {name: (work / name).read_bytes() for name in before} == before
+        assert not list(work.glob("*.tmp"))
 
 
 def post_chat(base_url, content):

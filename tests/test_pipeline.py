@@ -1,6 +1,11 @@
+import base64
+import hashlib
 import json
 import random
+import sys
 import threading
+import time
+from array import array
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -187,21 +192,39 @@ DRUGS = ["streptomycin", "doxycycline", "gentamicin", "ciprofloxacin", "dialysis
          "chloramphenicol", "transfusion"]
 
 
-def long_section_site():
-    """One page: a long section (well over the 512-word anchor) naming five
-    drugs at different places, then a short one naming the other two."""
-    a = automaton_from([(name, f"C{i}", ["Chemical or Drug"])
-                        for i, name in enumerate(DRUGS)])
-    rng = random.Random(9)
+def long_section_page(url="https://x/p", seed=9, title="Plague"):
+    """A page with a long section (well over the 512-word anchor) naming
+    five drugs at different places, then a short one naming the other two."""
+    rng = random.Random(seed)
     filler = ["the", "patient", "was", "given", "care", "after", "days", "of", "rest"]
     words = [rng.choice(filler) for _ in range(1400)]
     for k, name in enumerate(DRUGS[:5]):
         words[100 + k * 280] = name
-    doc = doc_from(
-        "<h1>Plague</h1><h2>Treatment</h2><p>" + " ".join(words) + "</p>"
-        "<h2>Other</h2><p>more chloramphenicol or transfusion and streptomycin</p>"
+    return doc_from(
+        f"<h1>{title}</h1><h2>Treatment</h2><p>" + " ".join(words) + "</p>"
+        "<h2>Other</h2><p>more chloramphenicol or transfusion and streptomycin</p>",
+        url=url,
     )
-    return doc, enumerate_candidates([doc], a, RELATIONS)
+
+
+def drug_candidates(docs):
+    a = automaton_from([(name, f"C{i}", ["Chemical or Drug"])
+                        for i, name in enumerate(DRUGS)])
+    return enumerate_candidates(docs, a, RELATIONS)
+
+
+def long_section_site():
+    """One `long_section_page` and its candidates."""
+    doc = long_section_page()
+    return doc, drug_candidates([doc])
+
+
+def long_sections_site():
+    """Two `long_section_page`s of different filler and title, and their
+    candidates."""
+    docs = [long_section_page(f"https://x/p{seed}", seed, title)
+            for seed, title in ((9, "Plague"), (10, "Pestis"))]
+    return docs, drug_candidates(docs)
 
 
 def section_texts(doc, candidates, cfg=RetrievalConfig()):
@@ -221,6 +244,16 @@ def section_texts(doc, candidates, cfg=RetrievalConfig()):
     return {index: list(texts) for index, texts in out.items()}
 
 
+def run_texts(docs, candidates, cfg=RetrievalConfig()):
+    """The distinct texts a run over `docs` embeds, in plan order."""
+    texts = {}
+    for doc in docs:
+        page = [c for c in candidates if c.page_url == doc.page_url]
+        for section in section_texts(doc, page, cfg).values():
+            texts.update(dict.fromkeys(section))
+    return list(texts)
+
+
 def embed_requests(server):
     return [e["inputs"] for e in server.log.entries if e["kind"] == "embed"]
 
@@ -233,25 +266,34 @@ class TestSectionEmbedding:
             journal_path=journal, workers=2, **kw,
         )
 
-    def test_each_text_embedded_once_per_section(self, tmp_path, mock_server):
-        doc, candidates = long_section_site()
-        assert len({c.section_index for c in candidates}) == 2
-        assert sum(c.section_index == 0 for c in candidates) == 5
+    @pytest.mark.parametrize("batch_limit", [128, 8])
+    def test_each_text_embedded_once_per_run(self, tmp_path, mock_server, batch_limit):
+        docs, candidates = long_sections_site()
+        # a copy of the first page under another URL, planned while the
+        # first page's texts are sent: its candidates are new, their texts not
+        docs.insert(1, long_section_page("https://x/copy"))
+        candidates = drug_candidates(docs)
+        assert len({(c.page_url, c.section_index) for c in candidates}) == 6
         server = mock_server()
-        classified = self.run(doc, candidates, server, tmp_path / "j.jsonl")
+        chat, embed = endpoints(server)
+        embed.batch_limit = batch_limit
+        classified = run_extraction(
+            candidates, docs, chat, embed, RetrievalConfig(), load_exemplars(), RELATIONS,
+            journal_path=tmp_path / "j.jsonl", workers=2)
         assert classified == len(candidates)
+        expected = run_texts(docs, candidates)
         requests = embed_requests(server)
-        for inputs in requests:
-            assert len(inputs) == len(set(inputs)), "a text sent twice in one request"
-        # one request per section of more than one chunk, carrying its
-        # distinct queries plus chunks; the short "Other" section sends none
-        expected = section_texts(doc, candidates)
-        assert list(expected) == [0]
-        assert sorted(requests) == sorted(expected.values())
+        assert sorted(sum(requests, [])) == sorted(expected), "a text embedded twice"
+        # requests are filled across sections: only the last is short
+        assert all(len(inputs) == batch_limit for inputs in requests[:-1])
+        assert len(requests) == -(-len(expected) // batch_limit)
+        if len(expected) <= batch_limit:  # both long pages' texts in one request
+            assert requests == [expected]
         per_candidate = sum(
-            1 + len(section_texts(doc, [c]).get(c.section_index, [])) for c in candidates
-        )
-        assert sum(map(len, requests)) < per_candidate
+            1 + len(section_texts(doc, [c]).get(c.section_index, []))
+            for doc in docs for c in candidates if c.page_url == doc.page_url)
+        assert len(expected) < per_candidate
+        assert not (tmp_path / "embeddings.jsonl").exists()
 
     def test_long_section_context_is_its_top_k_chunks(self, tmp_path, mock_server):
         doc, candidates = long_section_site()
@@ -267,9 +309,16 @@ class TestSectionEmbedding:
 
         server = mock_server()
         chat = RecordingChat(base_url=server.base_url, model="mock")
-        embed = EmbeddingEndpoint(base_url=server.base_url, model="mock-embed")
+        embed = EmbeddingEndpoint(base_url=server.base_url, model="mock-embed",
+                                  batch_limit=3)
         run_extraction(candidates, [doc], chat, embed, cfg, exemplars, RELATIONS,
                        journal_path=tmp_path / "j.jsonl", workers=2)
+        # the ranked vectors came from many requests of at most 3 inputs
+        texts = run_texts([doc], candidates, cfg)
+        requests = embed_requests(server)
+        assert all(len(inputs) <= 3 for inputs in requests)
+        assert len(requests) == -(-len(texts) // 3)
+        assert sorted(sum(requests, [])) == sorted(texts)
         flat = flatten_section_text(next(doc.walk_sections())[0])
         reordered = 0
         for c in (c for c in candidates if c.section_index == 0):
@@ -344,6 +393,176 @@ class TestSectionEmbedding:
                   for c in candidates if c.section_index == 0]
         chats = [e for e in server.log.entries if e["kind"] == "chat"]
         assert not any(q in e["prompt_tail"] for e in chats[1:] for q in failed)
+
+
+    def test_failed_request_wakes_waiting_workers(self, tmp_path, mock_server):
+        docs, candidates = long_sections_site()
+        server = mock_server()
+        sent = []
+
+        class FailingEmbedder(EmbeddingEndpoint):
+            def embed(self, texts):
+                sent.append(texts)
+                time.sleep(0.2)  # the second long section's worker waits meanwhile
+                raise EndpointUnavailable("POST /v1/embeddings: HTTP 503")
+
+        chat, _ = endpoints(server)
+        embed = FailingEmbedder(base_url=server.base_url, model="mock-embed")
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            future = pool.submit(
+                run_extraction, candidates, docs, chat, embed, RetrievalConfig(),
+                load_exemplars(), RELATIONS, journal_path=tmp_path / "j.jsonl", workers=3)
+            with pytest.raises(EndpointUnavailable):
+                future.result(timeout=30)
+        # the one request held both long sections' texts; none started after it failed
+        assert len(sent) == 1 and len(sent[0]) == len(run_texts(docs, candidates))
+        # the short sections' chats succeeded, so only the failed request ended the wait
+        assert {e["status"] for e in server.log.entries} == {200}
+        assert not (tmp_path / "embeddings.jsonl").exists()
+
+
+    def test_many_workers_embed_each_text_once(self, tmp_path, mock_server):
+        # more workers than cores and a short switch interval, so the
+        # cursor's check-then-act steps interleave as much as they can
+        docs = [long_section_page(f"https://x/p{i}", seed=9 + i % 3) for i in range(6)]
+        candidates = drug_candidates(docs)
+        server = mock_server()
+        chat, embed = endpoints(server)
+        embed.batch_limit = 5
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                future = pool.submit(
+                    run_extraction, candidates, docs, chat, embed, RetrievalConfig(),
+                    load_exemplars(), RELATIONS, journal_path=tmp_path / "j.jsonl",
+                    workers=8)
+                assert future.result(timeout=60) == len(candidates)
+        finally:
+            sys.setswitchinterval(interval)
+        requests = embed_requests(server)
+        assert all(len(inputs) <= 5 for inputs in requests)
+        assert sorted(sum(requests, [])) == sorted(run_texts(docs, candidates))
+        assert set(Journal(tmp_path / "j.jsonl").load()) == {
+            c.candidate_id for c in candidates}
+
+
+def abort_after_embedding(tmp_path, server, docs, candidates, **kw):
+    """Run until the chat about gentamicin, a drug of the first page's long
+    section, fails three times; returns the journal path."""
+    treatment = next(r for r in RELATIONS if r.id == "treatment")
+    server.script.rules.insert(0, {"contains": treatment.question("gentamicin", "Plague"),
+                                   "statuses": [503] * 3})
+    chat, embed = endpoints(server)
+    journal = tmp_path / "j.jsonl"
+    with pytest.raises(EndpointUnavailable):
+        run_extraction(candidates, docs, chat, embed, RetrievalConfig(), load_exemplars(),
+                       RELATIONS, journal_path=journal, workers=2, **kw)
+    return journal
+
+
+class TestEmbeddingCheckpoint:
+    def run(self, docs, candidates, server, journal, **kw):
+        chat, embed = endpoints(server)
+        return run_extraction(candidates, docs, chat, embed, RetrievalConfig(),
+                              load_exemplars(), RELATIONS, journal_path=journal,
+                              workers=2, **kw)
+
+    def test_resume_embeds_no_text_again(self, tmp_path, mock_server):
+        docs, candidates = long_sections_site()
+        server = mock_server()
+        journal = abort_after_embedding(tmp_path, server, docs, candidates)
+        checkpoint = tmp_path / "embeddings.jsonl"
+        texts = run_texts(docs, candidates)
+        assert len(checkpoint.read_text().splitlines()) == len(texts)
+        sent = len(embed_requests(server))
+        left = len(candidates) - len(Journal(journal).load())
+        assert self.run(docs, candidates, server, journal) == left
+        requests = embed_requests(server)
+        assert len(requests) == sent, "the resume sent an embedding request"
+        assert sorted(sum(requests, [])) == sorted(texts), "a text embedded twice"
+        assert not checkpoint.exists()
+
+    def test_torn_last_line_embeds_only_its_text(self, tmp_path, mock_server):
+        doc, candidates = long_section_site()
+        server = mock_server()
+        journal = abort_after_embedding(tmp_path, server, [doc], candidates)
+        checkpoint = tmp_path / "embeddings.jsonl"
+        data = checkpoint.read_bytes()
+        checkpoint.write_bytes(data[:-40])  # as a kill in the middle of the last line
+        sent = len(embed_requests(server))
+        self.run([doc], candidates, server, journal)
+        # lines are appended in plan order, so the torn one holds a text of
+        # the last long-section candidate, which the failure left pending
+        assert embed_requests(server)[sent:] == [run_texts([doc], candidates)[-1:]]
+        assert not checkpoint.exists()
+
+    def test_limit_keeps_the_checkpoint(self, tmp_path, mock_server):
+        doc, candidates = long_section_site()
+        server = mock_server()
+        journal = tmp_path / "j.jsonl"
+        checkpoint = tmp_path / "embeddings.jsonl"
+        assert self.run([doc], candidates, server, journal, limit=3) == 3
+        assert len(checkpoint.read_text().splitlines()) == len(
+            run_texts([doc], candidates[:3]))
+        # a limit that reaches every pending candidate leaves none pending
+        rest = len(candidates) - 3
+        assert self.run([doc], candidates, server, journal, limit=rest) == rest
+        assert not checkpoint.exists()
+        requests = sum(embed_requests(server), [])
+        assert sorted(requests) == sorted(run_texts([doc], candidates))
+
+    def test_vector_of_another_length_is_rejected(self, tmp_path, mock_server):
+        doc, candidates = long_section_site()
+        server = mock_server()
+        journal = abort_after_embedding(tmp_path, server, [doc], candidates)
+        checkpoint = tmp_path / "embeddings.jsonl"
+        # the pending gentamicin candidate's question gets 16 dimensions, not 32
+        pending = next(c for c in candidates if c.head_surface == "gentamicin")
+        key = hashlib.sha1(f"mock-embed\x00{question(pending)}".encode()).hexdigest()
+        records = [json.loads(line) for line in checkpoint.read_text().splitlines()]
+        short = base64.b64encode(array("d", [1.0] * 16).tobytes()).decode()
+        assert sum(r["key"] == key for r in records) == 1
+        checkpoint.write_text("".join(
+            json.dumps({**r, "vector": short} if r["key"] == key else r) + "\n"
+            for r in records))
+        sent = len(server.log.entries)
+        with pytest.raises(EndpointRejected, match="mixed dimensions"):
+            self.run([doc], candidates, server, journal)
+        assert not any(e["kind"] == "embed" for e in server.log.entries[sent:])
+        assert checkpoint.exists()
+
+    def test_no_more_requests_in_flight_than_workers(self, tmp_path, mock_server):
+        docs = [long_section_page(f"https://x/p{seed}", seed) for seed in range(4)]
+        candidates = drug_candidates(docs)
+        server = mock_server()
+        lock = threading.Lock()
+        in_flight = [0]
+        peak = [0]
+        base = server.httpd.RequestHandlerClass
+
+        class CountingHandler(base):
+            def do_POST(self):
+                with lock:
+                    in_flight[0] += 1
+                    peak[0] = max(peak[0], in_flight[0])
+                time.sleep(0.005)
+                super().do_POST()
+
+            def _send_json(self, status, body):
+                with lock:  # before the reply: its client may send again at once
+                    in_flight[0] -= 1
+                super()._send_json(status, body)
+
+        server.httpd.RequestHandlerClass = CountingHandler
+        chat, embed = endpoints(server)
+        embed.batch_limit = 8
+        classified = run_extraction(candidates, docs, chat, embed, RetrievalConfig(),
+                                    load_exemplars(), RELATIONS,
+                                    journal_path=tmp_path / "j.jsonl", workers=3)
+        assert classified == len(candidates)
+        assert len(embed_requests(server)) > 3
+        assert 1 <= peak[0] <= 3
 
 
 class TestRunExtraction:

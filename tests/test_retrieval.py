@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from biotriplets.errors import EndpointUnavailable
+from biotriplets.errors import EndpointRejected, EndpointUnavailable
 from biotriplets.mockserver import MOCK_EMBED_DIM, mock_embedding
 from biotriplets.retrieval import (
     DEFAULT_RELATIONS,
@@ -141,6 +141,13 @@ class TestTopK:
         chunks = scored_chunks([0.5, 0.5])
         got = retrieve_top_k(QUERY, chunks, CFG)
         assert [c.text for c in got] == ["c0", "c1"]
+
+    def test_mixed_dimensions_rejected(self):
+        # a truncated dot product would score the longer vector by its prefix
+        chunks = [(c, list(v)) for c, v in scored_chunks([0.2, 0.9])]
+        chunks[1] = (chunks[1][0], chunks[1][1] + [0.0])
+        with pytest.raises(EndpointRejected, match=r"mixed dimensions \[2, 3\]"):
+            retrieve_top_k(list(QUERY), chunks, CFG)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(17)
