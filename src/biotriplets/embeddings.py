@@ -1,5 +1,6 @@
-"""Embedding each text of an extract run once: the checkpoint of every
-vector paid for, and the cursor that fills requests across sections.
+"""The checkpoint of every embedding an extract run paid for, so that a
+resume embeds no text again. `pipeline.run_extraction` decides which
+texts go in which request and appends each reply here.
 
 Only `extract` imports this module (`cli.cmd_extract` and
 `pipeline.run_extraction`), so `preprocess` and `match` do not load it.
@@ -12,14 +13,10 @@ import hashlib
 import json
 import math
 import struct
-import threading
-from itertools import islice
 from pathlib import Path
-from typing import Optional
 
 from .errors import ConfigError
 from .pipeline import AppendLog
-from .retrieval import EmbeddingEndpoint, unit_rows
 
 
 def _pack(vector: list[float]) -> str:
@@ -90,89 +87,3 @@ class EmbeddingCheckpoint(AppendLog):
                 fh.seek(self.offsets[key])
                 out.append(_unpack(json.loads(fh.readline())["vector"]))
         return out
-
-
-class EmbeddingCursor:
-    """Plans the pending sections in order and embeds their texts for all
-    workers.
-
-    A text the checkpoint holds is not sent again. The others are queued in
-    plan order and sent in requests of up to `batch_limit` inputs, filled
-    across section boundaries by planning the sections ahead. The worker
-    that needs a queued text sends the next request itself, so no worker
-    holds more than one request; otherwise it waits, and only for requests
-    that hold its own section's texts. A reply is appended to the
-    checkpoint before any worker uses it. Once the run is failing no
-    request starts, and a failed request wakes every worker waiting.
-    """
-
-    def __init__(self, sections, plan, embedder: EmbeddingEndpoint,
-                 checkpoint: EmbeddingCheckpoint, failed: threading.Event):
-        self._sections = sections
-        self._plan = plan
-        self._embedder = embedder
-        self._checkpoint = checkpoint
-        self._failed = failed
-        self._planned: dict[int, tuple] = {}
-        self._next = 0
-        self._queued: dict[bytes, str] = {}  # key -> text, in plan order
-        self._sending: set[bytes] = set()  # keys of the requests in flight
-        self._cond = threading.Condition()
-
-    def section(self, index: int):
-        """Section `index`'s questions, chunks and the unit vectors of its
-        texts by text; None for the vectors once the run is failing."""
-        with self._cond:
-            while self._next <= index:
-                self._plan_next()
-            questions, chunks, texts, keys = self._planned.pop(index)
-        if not texts:
-            return questions, chunks, {}
-        while (batch := self._claim(keys)) is not None:
-            self._send(batch)
-        if self._failed.is_set():
-            return questions, chunks, None
-        return questions, chunks, dict(zip(texts, unit_rows(self._checkpoint.vectors(keys))))
-
-    def _plan_next(self) -> None:
-        section, members = self._sections[self._next]
-        questions, (chunks, texts) = self._plan(section, members)
-        keys = [self._checkpoint.key(text) for text in texts]
-        for key, text in zip(keys, texts):
-            if key not in self._checkpoint.offsets and key not in self._sending:
-                self._queued.setdefault(key, text)
-        self._planned[self._next] = (questions, chunks, texts, keys)
-        self._next += 1
-
-    def _claim(self, keys: list[bytes]) -> Optional[list[tuple[bytes, str]]]:
-        """The next request to send while one of `keys` is queued; None once
-        every key is stored or the run is failing. Waits while the keys
-        missing are all in other workers' requests."""
-        with self._cond:
-            while not self._failed.is_set():
-                missing = [k for k in keys if k not in self._checkpoint.offsets]
-                if not missing:
-                    return None
-                if any(k in self._queued for k in missing):
-                    limit = self._embedder.batch_limit
-                    while len(self._queued) < limit and self._next < len(self._sections):
-                        self._plan_next()
-                    batch = list(islice(self._queued.items(), limit))
-                    for key, _ in batch:
-                        del self._queued[key]
-                        self._sending.add(key)
-                    return batch
-                self._cond.wait()
-            return None
-
-    def _send(self, batch: list[tuple[bytes, str]]) -> None:
-        keys, texts = zip(*batch)
-        try:
-            self._checkpoint.add(list(keys), self._embedder.embed(list(texts)))
-        except BaseException:
-            self._failed.set()
-            raise
-        finally:
-            with self._cond:
-                self._sending.difference_update(keys)
-                self._cond.notify_all()

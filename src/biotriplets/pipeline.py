@@ -1,17 +1,18 @@
 """End-to-end orchestration: candidates, classification by section, triplets.
 
 Candidates are one per (head concept, relation, page) and point at their
-section in documents.jsonl. The pending section is the unit of work: a
-worker takes the section's chunks and vectors from one embedding cursor
-(`embeddings.py`) shared by all workers, then classifies the candidates in turn, so
-concurrency comes from distinct sections. The cursor plans the sections in
-order and sends the texts they need in requests filled to `batch_limit`
-across section boundaries, each text once per run. A section of at most
-`anchor_min_words` words gives each candidate one chunk, the one retrieved
-whatever the vectors, so it is neither embedded nor ranked. Classification
-progress is journaled to an append-only JSONL file keyed by candidate id,
-and every embedding to a checkpoint beside it, so an interrupted run
-resumes without re-querying finished candidates or re-embedding a text.
+section in documents.jsonl. The pending section is the unit of work: one
+task of the worker pool classifies a section's candidates in turn, so
+concurrency comes from distinct sections. The calling thread plans the
+sections in order and gives the pool, ahead of them, the embedding requests
+they need: the texts that no earlier run or request embedded, filled to
+`batch_limit` across section boundaries, so each text is embedded once per
+run. A section of at most `anchor_min_words` words gives each candidate one
+chunk, the one retrieved whatever the vectors, so it is neither embedded nor
+ranked. Classification progress is journaled to an append-only JSONL file
+keyed by candidate id, and every embedding to a checkpoint beside it
+(`embeddings.py`), so an interrupted run resumes without re-querying
+finished candidates or re-embedding a text.
 
 `run_extraction` only classifies. `summarize` then derives the triplets,
 the report and the malformed records from the journal in one pass over the
@@ -26,7 +27,8 @@ import os
 import re
 import threading
 from bisect import bisect_left
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor, wait
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -42,6 +44,7 @@ from .retrieval import (
     RetrievalConfig,
     chunk_for_candidate,
     retrieve_top_k,
+    unit_rows,
 )
 
 # Only the benchmark's workload generator (perfbench/workloads.py) reads this.
@@ -290,15 +293,26 @@ def run_extraction(
     `documents` holds the sections the candidates point at; only those of
     pending candidates are read. `relations` must hold every candidate's
     relation. `limit` caps how many pending candidates this run processes;
-    the rest stay pending for a later resume. Each worker takes one pending
-    section at a time: it takes the section's questions, chunks and vectors
-    from the shared `EmbeddingCursor`, then classifies and journals its
-    candidates in turn. Every vector paid for is kept in `embeddings.jsonl`
-    beside the journal, which is deleted once no candidate is left pending.
-    Endpoint failure aborts with the journal and the checkpoint intact:
-    once a request has failed, no worker starts another.
+    the rest stay pending for a later resume.
+
+    The calling thread plans the pending sections in order and queues each
+    text that neither `embeddings.jsonl` beside the journal nor an earlier
+    request of this run holds. It submits one embedding request for every
+    `batch_limit` queued texts, and one for the rest once every section is
+    planned; a request appends its reply to the checkpoint before it ends.
+    A section is submitted once none of its texts is still queued, so after
+    the requests that hold them; its task waits on those, reads its vectors
+    back, then classifies and journals its candidates in turn. The pool is
+    FIFO, so every request a section waits on has been taken by a worker,
+    and only the `workers` threads send: at most `workers` requests are in
+    flight. At most `workers` sections are submitted and unfinished, and
+    the calling thread plans the next section only while fewer are, so
+    beyond those it holds only the sections that need a text still queued
+    (fewer than `batch_limit` texts). The checkpoint is deleted once no
+    candidate is left pending. Any failure aborts the run with the journal and the checkpoint intact:
+    once it is failing, no task sends a request.
     """
-    from .embeddings import EmbeddingCheckpoint, EmbeddingCursor
+    from .embeddings import EmbeddingCheckpoint
 
     journal = Journal(journal_path)
     done = journal.load()
@@ -306,25 +320,31 @@ def run_extraction(
     finishes = limit is None or limit >= len(pending)
     sections = pending_sections(pending[:limit], documents)
     failed = threading.Event()
+    ahead = threading.Semaphore(workers)  # a slot per submitted, unfinished section
     by_id = {r.id: r for r in relations}
     checkpoint = EmbeddingCheckpoint(Path(journal_path).with_name("embeddings.jsonl"),
                                      embedder.model)
 
-    def plan(section: Section, members: list[CandidatePair]):
-        questions = [by_id[c.relation].question(c.head_surface, c.tail_title)
-                     for c in members]
-        return questions, _section_plan(section, members, questions, retrieval_cfg)
-
-    cursor = EmbeddingCursor(sections, plan, embedder, checkpoint, failed)
-
-    def work(index: int, members: list[CandidatePair]) -> int:
-        """Classify the section's candidates in turn; returns how many."""
+    def send(batch: dict[bytes, str]) -> int:
+        """One embedding request; returns 0, as it classifies no candidate."""
         if failed.is_set():
             return 0  # the run is stopping: send no new request
         try:
-            questions, chunks, vectors = cursor.section(index)
-            if vectors is None:
-                return 0
+            checkpoint.add(list(batch), embedder.embed(list(batch.values())))
+        except BaseException:
+            failed.set()
+            raise
+        return 0
+
+    def work(members: list[CandidatePair], questions: list[str], chunks: list[list[Chunk]],
+             texts: list[str], keys: list[bytes], requests: set[Future]) -> int:
+        """Classify the section's candidates in turn once the requests that
+        hold its texts are done; returns how many."""
+        try:
+            wait(requests)
+            if failed.is_set():
+                return 0  # the run is stopping: send no new request
+            vectors = dict(zip(texts, unit_rows(checkpoint.vectors(keys)))) if texts else {}
             for count, (candidate, question, its_chunks) in enumerate(
                     zip(members, questions, chunks)):
                 if failed.is_set():
@@ -344,12 +364,59 @@ def run_extraction(
         except BaseException:
             failed.set()
             raise
+        finally:
+            ahead.release()
         return len(members)
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(work, index, members)
-                   for index, (_, members) in enumerate(sections)]
-    classified = sum(f.result() for f in futures)
+    pool = ThreadPoolExecutor(max_workers=workers)
+    tasks: list[Future] = []  # requests and sections, in submission order
+    requested: dict[bytes, Future] = {}  # key -> the request of this run that holds it
+    queued: dict[bytes, str] = {}  # key -> text of no request yet, in plan order
+    held: list[tuple] = []  # planned sections, each `work`'s arguments but the last
+
+    def submit(final: bool) -> None:
+        """Submit each full request, or every queued text if `final`, then
+        every held section none of whose texts is still queued."""
+        while queued and (final or len(queued) >= embedder.batch_limit):
+            batch = dict(islice(queued.items(), embedder.batch_limit))
+            request = pool.submit(send, batch)
+            for key in batch:
+                del queued[key]
+                requested[key] = request
+            tasks.append(request)
+        still = []
+        for plan in held:
+            keys = plan[-1]
+            if any(key in queued for key in keys):
+                still.append(plan)
+                continue
+            ahead.acquire()
+            tasks.append(pool.submit(work, *plan, {requested[k] for k in keys
+                                                   if k in requested}))
+        held[:] = still
+
+    with pool:
+        try:
+            for section, members in sections:
+                ahead.acquire()  # plan only while fewer than `workers` are submitted
+                ahead.release()
+                if failed.is_set():
+                    break
+                questions = [by_id[c.relation].question(c.head_surface, c.tail_title)
+                             for c in members]
+                chunks, texts = _section_plan(section, members, questions, retrieval_cfg)
+                keys = [checkpoint.key(text) for text in texts]
+                for key, text in zip(keys, texts):
+                    if key not in requested and key not in checkpoint.offsets:
+                        queued.setdefault(key, text)
+                held.append((members, questions, chunks, texts, keys))
+                submit(final=False)
+            else:
+                submit(final=True)
+        except BaseException:
+            failed.set()
+            raise
+    classified = sum(task.result() for task in tasks)
     if finishes:  # no candidate is left pending: nothing will read the vectors
         checkpoint.path.unlink(missing_ok=True)
     return classified

@@ -178,18 +178,7 @@ class EmbeddingEndpoint(Endpoint):
                               f"not {self.batch_limit}")
 
     def embed(self, texts: list[str]) -> list[list[float]]:
-        """Embed texts in input order, batching to the endpoint's limit."""
-        vectors: list[list[float]] = []
-        for i in range(0, len(texts), self.batch_limit):
-            batch = texts[i : i + self.batch_limit]
-            vectors.extend(self.post(
-                "/v1/embeddings",
-                {"model": self.model, "input": batch},
-                lambda body: _reply_vectors(body, len(batch)),
-            ))
-        dims = {len(v) for v in vectors}
-        if len(dims) > 1:
-            raise EndpointRejected(
-                f"POST {self.base_url.rstrip('/')}/v1/embeddings: unreadable reply: "
-                f"batches of mixed dimensions {sorted(dims)}")
-        return vectors
+        """Embed texts in input order, in one request: the caller keeps to
+        `batch_limit`."""
+        return self.post("/v1/embeddings", {"model": self.model, "input": texts},
+                         lambda body: _reply_vectors(body, len(texts)))

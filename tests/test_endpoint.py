@@ -253,14 +253,6 @@ subpage_kinds = ["overview"]
     assert cfg.site_profile("s").list_marker_style == "numbered"
 
 
-def test_embedding_batches_of_mixed_dimensions_rejected(server):
-    server.reply(200, {"data": [{"index": 0, "embedding": [1.0, 0.0]}]})
-    server.reply(200, {"data": [{"index": 0, "embedding": [1.0, 0.0, 0.0]}]})
-    with pytest.raises(errors.EndpointRejected, match="unreadable reply.*mixed dimensions"):
-        embedder(server, batch_limit=1).embed(["a", "b"])
-    assert len(server.requests) == 2
-
-
 @pytest.fixture
 def keep_alive():
     scripted = Scripted(protocol="HTTP/1.1")

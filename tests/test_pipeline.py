@@ -1,4 +1,5 @@
 import base64
+import dataclasses
 import hashlib
 import json
 import random
@@ -10,6 +11,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from biotriplets import pipeline
 from biotriplets.classifier import CandidatePair, ChatEndpoint, build_prompt, load_exemplars
 from biotriplets.docmodel import (
     Section,
@@ -18,7 +20,7 @@ from biotriplets.docmodel import (
     flatten_section_text,
     preprocess_html,
 )
-from biotriplets.errors import EndpointRejected, EndpointUnavailable
+from biotriplets.errors import ConfigError, EndpointRejected, EndpointUnavailable
 from biotriplets.matcher import MatcherAutomaton, Thesaurus
 from biotriplets.mockserver import mock_embedding
 from biotriplets.pipeline import (
@@ -421,9 +423,36 @@ class TestSectionEmbedding:
         assert not (tmp_path / "embeddings.jsonl").exists()
 
 
+    def test_failed_request_is_the_runs_last_request(self, tmp_path, mock_server):
+        doc, candidates = long_section_site()
+        server = mock_server()
+        sent = []
+
+        class FailingEmbedder(EmbeddingEndpoint):
+            def embed(self, texts):
+                sent.append(texts)
+                if len(sent) == 1:
+                    raise EndpointUnavailable("POST /v1/embeddings: HTTP 503")
+                return super().embed(texts)
+
+        chat, _ = endpoints(server)
+        # the long section's texts fill many requests, all submitted before it
+        embed = FailingEmbedder(base_url=server.base_url, model="mock-embed", batch_limit=3)
+        assert len(run_texts([doc], candidates)) > 2 * 3
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            future = pool.submit(
+                run_extraction, candidates, [doc], chat, embed, RetrievalConfig(),
+                load_exemplars(), RELATIONS, journal_path=tmp_path / "j.jsonl", workers=1)
+            with pytest.raises(EndpointUnavailable):
+                future.result(timeout=30)
+        assert len(sent) == 1, "a request was sent after one failed"
+        long = [question(c) for c in candidates if c.section_index == 0]
+        chats = [e for e in server.log.entries if e["kind"] == "chat"]
+        assert not any(q in e["prompt_tail"] for e in chats for q in long)
+
     def test_many_workers_embed_each_text_once(self, tmp_path, mock_server):
         # more workers than cores and a short switch interval, so the
-        # cursor's check-then-act steps interleave as much as they can
+        # requests and sections interleave as much as they can
         docs = [long_section_page(f"https://x/p{i}", seed=9 + i % 3) for i in range(6)]
         candidates = drug_candidates(docs)
         server = mock_server()
@@ -445,6 +474,83 @@ class TestSectionEmbedding:
         assert sorted(sum(requests, [])) == sorted(run_texts(docs, candidates))
         assert set(Journal(tmp_path / "j.jsonl").load()) == {
             c.candidate_id for c in candidates}
+
+
+class TestPlanning:
+    def test_planning_error_stops_the_run(self, tmp_path, mock_server, monkeypatch):
+        first, other, bad = make_candidates(3)
+        # two candidates in the first section; the last points past its text
+        section = [first, dataclasses.replace(other, page_url=first.page_url)]
+        bad = dataclasses.replace(bad, match_word_index=99)
+        started, raised = threading.Event(), threading.Event()
+        held = []
+        real = pipeline._section_plan
+
+        def plan(section, members, *rest):
+            if members[0] is bad:
+                started.wait(timeout=5)  # the first section's first chat is held
+            try:
+                return real(section, members, *rest)
+            except ConfigError:
+                raised.set()
+                raise
+
+        class HoldingChat(ChatEndpoint):
+            def complete(self, messages):
+                if not held:
+                    started.set()
+                    held.append(raised.wait(timeout=5))
+                return super().complete(messages)
+
+        monkeypatch.setattr(pipeline, "_section_plan", plan)
+        server = mock_server()
+        chat = HoldingChat(base_url=server.base_url, model="mock")
+        _, embed = endpoints(server)
+        with pytest.raises(ConfigError, match="rerun match"):
+            run_extraction(section + [bad], make_documents(3), chat, embed,
+                           RetrievalConfig(), load_exemplars(), RELATIONS,
+                           journal_path=tmp_path / "j.jsonl", workers=2)
+        assert held == [True], "the first chat was not held until the planning error"
+        assert [e["kind"] for e in server.log.entries] == ["chat"]
+
+    def test_planning_stays_a_bounded_distance_ahead(self, tmp_path, mock_server,
+                                                     monkeypatch):
+        workers = 2
+        calls = []
+        holding = threading.Semaphore(0)
+        release = threading.Event()
+        real = pipeline._section_plan
+
+        def plan(*args):
+            calls.append(args)
+            return real(*args)
+
+        class HeldChat(ChatEndpoint):
+            def complete(self, messages):
+                holding.release()
+                assert release.wait(timeout=10)
+                return super().complete(messages)
+
+        monkeypatch.setattr(pipeline, "_section_plan", plan)
+        server = mock_server()
+        chat = HeldChat(base_url=server.base_url, model="mock")
+        _, embed = endpoints(server)
+        candidates = make_candidates(12)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            future = pool.submit(
+                run_extraction, candidates, make_documents(12), chat, embed,
+                RetrievalConfig(), load_exemplars(), RELATIONS,
+                journal_path=tmp_path / "j.jsonl", workers=workers)
+            try:
+                for _ in range(workers):
+                    assert holding.acquire(timeout=10)
+                time.sleep(0.2)  # time to plan further, were planning unbounded
+                # no section is planned while `workers` wait on their chats
+                assert len(calls) <= workers
+            finally:
+                release.set()
+            assert future.result(timeout=30) == len(candidates)
+        assert len(calls) == len(candidates)
 
 
 def abort_after_embedding(tmp_path, server, docs, candidates, **kw):

@@ -265,17 +265,23 @@ class TestEmbedClient:
         assert len(vectors) == 1
         assert len(vectors[0]) == 32
 
-    def test_batching_preserves_order(self, mock_server):
+    def test_one_request_in_input_order(self, mock_server):
         server = mock_server()
+
+        class ReversingHandler(server.httpd.RequestHandlerClass):
+            def _send_json(self, status, body):
+                if "data" in body:  # the reply lists its indices last to first
+                    body = {"data": body["data"][::-1]}
+                super()._send_json(status, body)
+
+        server.httpd.RequestHandlerClass = ReversingHandler
         ep = EmbeddingEndpoint(base_url=server.base_url, model="m", batch_limit=128)
-        texts = [f"text number {i}" for i in range(300)]
+        texts = [f"text number {i}" for i in range(128)]
         vectors = ep.embed(texts)
-        assert len(vectors) == 300
         sizes = [e["n_inputs"] for e in server.log.entries if e["kind"] == "embed"]
-        assert sizes == [128, 128, 44]
-        # order preserved: each vector equals the deterministic mock embedding
-        for text, vec in zip(texts, vectors):
-            assert np.allclose(vec, mock_embedding(text))
+        assert sizes == [128]
+        # each vector is its own text's deterministic mock embedding
+        assert vectors == [mock_embedding(text) for text in texts]
 
     def test_retries_exhausted(self, mock_server):
         server = mock_server({"statuses": [503, 503, 503]})
