@@ -1,6 +1,6 @@
 """The checkpoint of every embedding an extract run paid for, so that a
-resume embeds no text again. `pipeline.run_extraction` decides which
-texts go in which request and appends each reply here.
+resume embeds no text again. `pipeline.plan_extraction` decides which
+texts go in which request; `pipeline.run_extraction` appends each reply here.
 
 Only `extract` imports this module (`cli.cmd_extract` and
 `pipeline.run_extraction`), so `preprocess` and `match` do not load it.
@@ -15,7 +15,6 @@ import math
 import struct
 from pathlib import Path
 
-from .errors import ConfigError
 from .pipeline import AppendLog
 
 
@@ -49,23 +48,16 @@ class EmbeddingCheckpoint(AppendLog):
         super().__init__(path)
         self._model = model
         self.offsets: dict[bytes, int] = {}
-        if not self.path.exists():
-            return
         offset = 0
-        try:
-            with open(self.path, "rb") as fh:
-                for line in fh:
-                    try:
-                        rec = json.loads(line)
-                        vector = _unpack(rec["vector"])
-                        if vector and 0 < math.hypot(*vector) < math.inf:
-                            self.offsets[bytes.fromhex(rec["key"])] = offset
-                    except (ValueError, LookupError, TypeError, RecursionError):
-                        pass  # torn by a kill, or damaged: embedded again
-                    offset += len(line)
-        except OSError as exc:
-            raise ConfigError(f"cannot read {self.path}: {exc.strerror or exc}; "
-                              "deleting it costs only embedding its texts again") from None
+        for line in self._lines("deleting it costs only embedding its texts again"):
+            try:
+                rec = json.loads(line)
+                vector = _unpack(rec["vector"])
+                if vector and 0 < math.hypot(*vector) < math.inf:
+                    self.offsets[bytes.fromhex(rec["key"])] = offset
+            except (ValueError, LookupError, TypeError, RecursionError):
+                pass  # torn by a kill, or damaged: embedded again
+            offset += len(line)
 
     def key(self, text: str) -> bytes:
         return hashlib.sha1(f"{self._model}\x00{text}".encode("utf-8")).digest()

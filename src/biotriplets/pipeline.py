@@ -2,12 +2,12 @@
 
 Candidates are one per (head concept, relation, page) and point at their
 section in documents.jsonl. The pending section is the unit of work: one
-task of the worker pool classifies a section's candidates in turn, so
-concurrency comes from distinct sections. The calling thread plans the
-sections in order and gives the pool, ahead of them, the embedding requests
-they need: the texts that no earlier run or request embedded, filled to
-`batch_limit` across section boundaries, so each text is embedded once per
-run. A section of at most `anchor_min_words` words gives each candidate one
+worker classifies a section's candidates in turn, so concurrency comes
+from distinct sections. The workers take, in turn, what one planner yields:
+the embedding requests, each of texts that no earlier run or request
+embedded, filled to `batch_limit` across section boundaries so each text is
+embedded once per run, and each section after the requests it needs.
+A section of at most `anchor_min_words` words gives each candidate one
 chunk, the one retrieved whatever the vectors, so it is neither embedded nor
 ranked. Classification progress is journaled to an append-only JSONL file
 keyed by candidate id, and every embedding to a checkpoint beside it
@@ -27,10 +27,10 @@ import os
 import re
 import threading
 from bisect import bisect_left
-from concurrent.futures import Future, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .classifier import CandidatePair, ChatEndpoint, Exemplar, Judgment, classify
 from .docmodel import Section, WebDocument, flatten_section_text, read_jsonl
@@ -165,6 +165,17 @@ class AppendLog:
             fh.flush()
         return offset
 
+    def _lines(self, hint: str) -> Iterator[bytes]:
+        """The file's lines, none if it does not exist. A file that cannot
+        be read (a directory, say) raises ConfigError naming it and `hint`."""
+        try:
+            with open(self.path, "rb") as fh:
+                yield from fh
+        except FileNotFoundError:
+            pass
+        except OSError as exc:
+            raise ConfigError(f"cannot read {self.path}: {exc.strerror or exc}; {hint}") from None
+
 
 class Journal(AppendLog):
     """Append-only JSONL of finished candidates, the resume checkpoint."""
@@ -174,22 +185,21 @@ class Journal(AppendLog):
         skipped; a JSON line that is not a verdict record raises ConfigError
         naming the file and the line."""
         done = {}
-        if self.path.exists():
-            with open(self.path, "rb") as fh:
-                for line_no, line in enumerate(fh, 1):
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        rec = json.loads(line)
-                    except (ValueError, RecursionError):
-                        continue  # torn tail line from a killed run
-                    if not (isinstance(rec, dict) and all(
-                            isinstance(rec.get(k), str) for k in _VERDICT_KEYS)):
-                        raise ConfigError(
-                            f"{self.path} line {line_no} is not a verdict record; "
-                            "delete that line so its candidate is asked again")
-                    done[rec["candidate_id"]] = rec
+        lines = self._lines("deleting it costs asking its candidates again")
+        for line_no, line in enumerate(lines, 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rec = json.loads(line)
+            except (ValueError, RecursionError):
+                continue  # torn tail line from a killed run
+            if not (isinstance(rec, dict) and all(
+                    isinstance(rec.get(k), str) for k in _VERDICT_KEYS)):
+                raise ConfigError(
+                    f"{self.path} line {line_no} is not a verdict record; "
+                    "delete that line so its candidate is asked again")
+            done[rec["candidate_id"]] = rec
         return done
 
     def append(self, record: dict) -> None:
@@ -274,6 +284,54 @@ def _process_candidate(
     return classify(candidate, question, chunks, chat, exemplars)
 
 
+def plan_extraction(
+    sections: Iterable[tuple[Section, list[CandidatePair]]],
+    relations: Sequence[RelationType],
+    cfg: RetrievalConfig,
+    checkpoint,
+    batch_limit: int,
+) -> Iterator[dict[bytes, str] | tuple]:
+    """The work of an extract run, in the order it is to be taken. Sends no
+    request, starts no thread, and reads the next section only when nothing
+    planned is ready.
+
+    Each text of a section's plan that no earlier batch holds and
+    `checkpoint` lacks (by its `key`, among its `offsets`) is queued. Each
+    `batch_limit` queued texts are yielded as a batch, a dict of texts by
+    key; the rest are the last batch. A section's plan (candidates,
+    questions, chunks, texts, keys) follows once none of its texts is queued.
+    """
+    by_id = {r.id: r for r in relations}
+    batched: set[bytes] = set()  # the keys of the batches yielded
+    queued: dict[bytes, str] = {}  # key -> text of no batch yet, in plan order
+    held: list[tuple] = []  # planned sections not yet yielded
+    for section, members in sections:
+        questions = [by_id[c.relation].question(c.head_surface, c.tail_title)
+                     for c in members]
+        chunks, texts = _section_plan(section, members, questions, cfg)
+        keys = [checkpoint.key(text) for text in texts]
+        for key, text in zip(keys, texts):
+            if key not in batched and key not in checkpoint.offsets:
+                queued.setdefault(key, text)
+        held.append((members, questions, chunks, texts, keys))
+        while len(queued) >= batch_limit:
+            batch = dict(islice(queued.items(), batch_limit))
+            for key in batch:
+                del queued[key]
+            batched.update(batch)
+            yield batch
+        waiting = []
+        for plan in held:
+            if any(key in queued for key in plan[-1]):
+                waiting.append(plan)
+            else:
+                yield plan
+        held = waiting
+    if queued:
+        yield queued
+    yield from held
+
+
 def run_extraction(
     candidates: list[CandidatePair],
     documents: Iterable[WebDocument],
@@ -295,22 +353,16 @@ def run_extraction(
     relation. `limit` caps how many pending candidates this run processes;
     the rest stay pending for a later resume.
 
-    The calling thread plans the pending sections in order and queues each
-    text that neither `embeddings.jsonl` beside the journal nor an earlier
-    request of this run holds. It submits one embedding request for every
-    `batch_limit` queued texts, and one for the rest once every section is
-    planned; a request appends its reply to the checkpoint before it ends.
-    A section is submitted once none of its texts is still queued, so after
-    the requests that hold them; its task waits on those, reads its vectors
-    back, then classifies and journals its candidates in turn. The pool is
-    FIFO, so every request a section waits on has been taken by a worker,
-    and only the `workers` threads send: at most `workers` requests are in
-    flight. At most `workers` sections are submitted and unfinished, and
-    the calling thread plans the next section only while fewer are, so
-    beyond those it holds only the sections that need a text still queued
-    (fewer than `batch_limit` texts). The checkpoint is deleted once no
-    candidate is left pending. Any failure aborts the run with the journal and the checkpoint intact:
-    once it is failing, no task sends a request.
+    One thread per pending section, up to `workers` and this one among them,
+    takes the next item `plan_extraction` yields and finishes it before
+    taking another: it sends a batch and appends the reply to
+    `embeddings.jsonl` beside the journal, or it waits until that checkpoint
+    holds a section's texts, then classifies and journals the section's
+    candidates in turn. A section comes after every batch it needs, so each
+    wait ends with that batch's reply or a failure. At most `workers`
+    requests are in flight. The checkpoint is deleted once no candidate is
+    left pending. A failure or an interrupt aborts the run with the journal
+    and the checkpoint intact: no thread starts another item or candidate.
     """
     from .embeddings import EmbeddingCheckpoint
 
@@ -319,104 +371,70 @@ def run_extraction(
     pending = [c for c in candidates if c.candidate_id not in done]
     finishes = limit is None or limit >= len(pending)
     sections = pending_sections(pending[:limit], documents)
-    failed = threading.Event()
-    ahead = threading.Semaphore(workers)  # a slot per submitted, unfinished section
-    by_id = {r.id: r for r in relations}
     checkpoint = EmbeddingCheckpoint(Path(journal_path).with_name("embeddings.jsonl"),
                                      embedder.model)
+    plan = plan_extraction(sections, relations, retrieval_cfg, checkpoint,
+                           embedder.batch_limit)
+    taking = threading.Lock()  # the planner runs on one thread at a time
+    changed = threading.Condition()  # the checkpoint gained keys or the run failed
+    failed = threading.Event()
 
-    def send(batch: dict[bytes, str]) -> int:
-        """One embedding request; returns 0, as it classifies no candidate."""
+    def classify_section(members: list[CandidatePair], questions: list[str],
+                         chunks: list[list[Chunk]], texts: list[str],
+                         keys: list[bytes]) -> int:
+        """Classify the section's candidates in turn once the checkpoint
+        holds its texts; returns how many."""
+        with changed:
+            changed.wait_for(lambda: failed.is_set()
+                             or all(key in checkpoint.offsets for key in keys))
         if failed.is_set():
             return 0  # the run is stopping: send no new request
-        try:
-            checkpoint.add(list(batch), embedder.embed(list(batch.values())))
-        except BaseException:
-            failed.set()
-            raise
-        return 0
-
-    def work(members: list[CandidatePair], questions: list[str], chunks: list[list[Chunk]],
-             texts: list[str], keys: list[bytes], requests: set[Future]) -> int:
-        """Classify the section's candidates in turn once the requests that
-        hold its texts are done; returns how many."""
-        try:
-            wait(requests)
+        vectors = dict(zip(texts, unit_rows(checkpoint.vectors(keys)))) if texts else {}
+        for count, (candidate, question, its_chunks) in enumerate(
+                zip(members, questions, chunks)):
             if failed.is_set():
-                return 0  # the run is stopping: send no new request
-            vectors = dict(zip(texts, unit_rows(checkpoint.vectors(keys)))) if texts else {}
-            for count, (candidate, question, its_chunks) in enumerate(
-                    zip(members, questions, chunks)):
-                if failed.is_set():
-                    return count
-                judgment = _process_candidate(
-                    candidate, question, its_chunks, vectors, chat, retrieval_cfg, exemplars
-                )
-                record = {
-                    "candidate_id": candidate.candidate_id,
-                    "answer": judgment.answer,
-                    "reason": judgment.reason,
-                    "model_id": judgment.model_id,
-                }
-                if not deterministic:
-                    record["latency_ms"] = judgment.latency_ms
-                journal.append(record)
-        except BaseException:
-            failed.set()
-            raise
-        finally:
-            ahead.release()
+                return count
+            judgment = _process_candidate(
+                candidate, question, its_chunks, vectors, chat, retrieval_cfg, exemplars
+            )
+            record = {
+                "candidate_id": candidate.candidate_id,
+                "answer": judgment.answer,
+                "reason": judgment.reason,
+                "model_id": judgment.model_id,
+            }
+            if not deterministic:
+                record["latency_ms"] = judgment.latency_ms
+            journal.append(record)
         return len(members)
 
-    pool = ThreadPoolExecutor(max_workers=workers)
-    tasks: list[Future] = []  # requests and sections, in submission order
-    requested: dict[bytes, Future] = {}  # key -> the request of this run that holds it
-    queued: dict[bytes, str] = {}  # key -> text of no request yet, in plan order
-    held: list[tuple] = []  # planned sections, each `work`'s arguments but the last
-
-    def submit(final: bool) -> None:
-        """Submit each full request, or every queued text if `final`, then
-        every held section none of whose texts is still queued."""
-        while queued and (final or len(queued) >= embedder.batch_limit):
-            batch = dict(islice(queued.items(), embedder.batch_limit))
-            request = pool.submit(send, batch)
-            for key in batch:
-                del queued[key]
-                requested[key] = request
-            tasks.append(request)
-        still = []
-        for plan in held:
-            keys = plan[-1]
-            if any(key in queued for key in keys):
-                still.append(plan)
-                continue
-            ahead.acquire()
-            tasks.append(pool.submit(work, *plan, {requested[k] for k in keys
-                                                   if k in requested}))
-        held[:] = still
-
-    with pool:
+    def work() -> int:
+        """Take the planned items in turn until none is left or the run is
+        failing; returns how many candidates this thread classified."""
+        classified = 0
         try:
-            for section, members in sections:
-                ahead.acquire()  # plan only while fewer than `workers` are submitted
-                ahead.release()
-                if failed.is_set():
+            while not failed.is_set():
+                with taking:
+                    item = next(plan, None)
+                if item is None:
                     break
-                questions = [by_id[c.relation].question(c.head_surface, c.tail_title)
-                             for c in members]
-                chunks, texts = _section_plan(section, members, questions, retrieval_cfg)
-                keys = [checkpoint.key(text) for text in texts]
-                for key, text in zip(keys, texts):
-                    if key not in requested and key not in checkpoint.offsets:
-                        queued.setdefault(key, text)
-                held.append((members, questions, chunks, texts, keys))
-                submit(final=False)
-            else:
-                submit(final=True)
+                if isinstance(item, dict):  # an embedding batch
+                    checkpoint.add(list(item), embedder.embed(list(item.values())))
+                    with changed:
+                        changed.notify_all()
+                else:
+                    classified += classify_section(*item)
         except BaseException:
             failed.set()
+            with changed:  # after the flag, so no waiter misses it
+                changed.notify_all()
             raise
-    classified = sum(task.result() for task in tasks)
+        return classified
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        others = [pool.submit(work) for _ in range(min(workers, len(sections)) - 1)]
+        classified = work()  # here too, so an interrupt is a failure of the run
+    classified += sum(other.result() for other in others)
     if finishes:  # no candidate is left pending: nothing will read the vectors
         checkpoint.path.unlink(missing_ok=True)
     return classified

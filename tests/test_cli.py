@@ -780,6 +780,18 @@ class TestCheckpoint:
         assert f"cannot read {checkpoint}" in err and "Traceback" not in err
         assert not server.log.entries
 
+    def test_unreadable_journal_exits_2(self, tmp_path, mock_server, capsys):
+        server = mock_server(GOLDEN_CHAT_SCRIPT)
+        config = long_page_site(tmp_path, server.base_url)
+        journal = tmp_path / "work" / "journal.jsonl"
+        journal.mkdir()
+        capsys.readouterr()
+        assert run(config, "extract", "--deterministic") == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert f"cannot read {journal}" in err and "Traceback" not in err
+        assert not server.log.entries
+
     def test_failed_checkpoint_write_exits_1(self, tmp_path, mock_server, capsys,
                                              monkeypatch):
         server = mock_server(GOLDEN_CHAT_SCRIPT)

@@ -553,6 +553,186 @@ class TestPlanning:
         assert len(calls) == len(candidates)
 
 
+class HeldKeys:
+    """A stand-in for the embedding checkpoint that already holds `texts`."""
+
+    def __init__(self, texts):
+        self.offsets = dict.fromkeys(map(self.key, texts), 0)
+
+    def key(self, text):
+        return text.encode()
+
+
+def random_sections(rng, count):
+    """`count` one-section pages of one to three candidates each. Words,
+    heads and titles come from small sets, so sections share texts."""
+    sections = []
+    for i in range(count):
+        words = rng.choices(["fever", "rash", "cough", "pain"], k=rng.randint(2, 16))
+        members = [
+            CandidatePair(candidate_id=f"c{i}.{j}", site_id="s1", page_url=f"https://x/{i}",
+                          relation=rng.choice(RELATIONS).id, head_surface=rng.choice("ab"),
+                          head_concept_id=f"C{j}", tail_title=rng.choice("TU"),
+                          section_path="T > S", section_index=0,
+                          match_word_index=rng.randrange(len(words)))
+            for j in range(rng.randint(1, 3))]
+        sections.append((Section("S", 2, " ".join(words)), members))
+    return sections
+
+
+class TestPlanner:
+    """`plan_extraction` alone: no endpoint, no thread."""
+
+    # sections of more than 6 words have several chunks, so texts to embed
+    CFG = RetrievalConfig(anchor_min_words=6, chunk_words=3, overlap_words=1)
+
+    @pytest.mark.parametrize("batch_limit", range(1, 9))
+    def test_batches_and_sections_in_plan_order(self, batch_limit):
+        for seed in range(25):
+            rng = random.Random(seed * 10 + batch_limit)
+            sections = random_sections(rng, rng.randint(1, 12))
+            texts = [pipeline._section_plan(section, members, list(map(question, members)),
+                                            self.CFG)[1]
+                     for section, members in sections]
+            planned = list(dict.fromkeys(text for its in texts for text in its))
+            checkpoint = HeldKeys(rng.sample(planned, len(planned) // 3))
+            needed = [text for text in planned if text.encode() not in checkpoint.offsets]
+            items = []
+
+            def batched():
+                return {text for item in items if isinstance(item, dict)
+                        for text in item.values()}
+
+            def lazily():
+                for index, section in enumerate(sections):
+                    # the next section is read only when nothing planned is ready
+                    yielded = {id(item[0]) for item in items if isinstance(item, tuple)}
+                    waiting = {text for its in texts[:index] for text in its
+                               if text in needed and text not in batched()}
+                    assert len(waiting) < batch_limit, seed
+                    assert all(id(members) in yielded or waiting.intersection(its)
+                               for (_, members), its in zip(sections, texts[:index])), seed
+                    yield section
+
+            for item in pipeline.plan_extraction(lazily(), RELATIONS, self.CFG, checkpoint,
+                                                 batch_limit):
+                if isinstance(item, tuple):  # after every batch that holds its texts
+                    assert set(item[3]).intersection(needed) <= batched(), seed
+                items.append(item)
+            batches = [item for item in items if isinstance(item, dict)]
+            assert [text for batch in batches for text in batch.values()] == needed, seed
+            assert all(list(batch) == [text.encode() for text in batch.values()]
+                       for batch in batches), seed
+            assert all(len(batch) == batch_limit for batch in batches[:-1]), seed
+            plans = {id(item[0]): item for item in items if isinstance(item, tuple)}
+            assert len(plans) == len(items) - len(batches) == len(sections), seed
+            assert [plans[id(members)][3] for _, members in sections] == texts, seed
+
+
+class TestWorkers:
+    def test_no_more_threads_than_pending_sections(self, tmp_path, mock_server,
+                                                   monkeypatch):
+        threads = set()
+        both = threading.Barrier(2, timeout=10)
+        real = pipeline.plan_extraction
+
+        def plan(*args):
+            threads.add(threading.get_ident())
+            for item in real(*args):
+                yield item
+                threads.add(threading.get_ident())
+
+        class HeldChat(ChatEndpoint):
+            def complete(self, messages):
+                both.wait()  # the two sections run at once
+                time.sleep(0.1)  # time to start more threads, were they not capped
+                return super().complete(messages)
+
+        monkeypatch.setattr(pipeline, "plan_extraction", plan)
+        server = mock_server()
+        chat = HeldChat(base_url=server.base_url, model="mock")
+        _, embed = endpoints(server)
+        assert run_extraction(make_candidates(2), make_documents(2), chat, embed,
+                              RetrievalConfig(), load_exemplars(), RELATIONS,
+                              journal_path=tmp_path / "j.jsonl", workers=16) == 2
+        assert len(threads) == 2
+
+    def test_an_interrupt_stops_every_worker(self, tmp_path, mock_server, monkeypatch):
+        chats = []
+        real = pipeline._section_plan
+
+        def plan(*args):
+            if len(chats) >= 3 and threading.current_thread() is threading.main_thread():
+                raise KeyboardInterrupt  # Ctrl-C, which only the main thread gets
+            return real(*args)
+
+        class SlowChat(ChatEndpoint):
+            def complete(self, messages):
+                chats.append(messages)
+                time.sleep(0.01)
+                return super().complete(messages)
+
+        monkeypatch.setattr(pipeline, "_section_plan", plan)
+        server = mock_server()
+        chat = SlowChat(base_url=server.base_url, model="mock")
+        _, embed = endpoints(server)
+        with pytest.raises(KeyboardInterrupt):
+            run_extraction(make_candidates(40), make_documents(40), chat, embed,
+                           RetrievalConfig(), load_exemplars(), RELATIONS,
+                           journal_path=tmp_path / "j.jsonl", workers=2)
+        time.sleep(0.2)  # time for 20 more chats, were a worker going on
+        assert len(chats) < 10
+
+    @pytest.mark.parametrize("failure", ["request", "chat"])
+    def test_a_failure_ends_every_wait(self, tmp_path, mock_server, failure):
+        # four sections on four threads: each page's short section, the
+        # embedding request of both long ones, then the two long sections,
+        # which wait on it
+        docs, candidates = long_sections_site()
+        server = mock_server()
+        chat_failed = threading.Event()
+        failing = next(question(c) for c in candidates
+                       if c.section_index == 1 and c.page_url == docs[0].page_url)
+
+        class FailingChat(ChatEndpoint):
+            def complete(self, messages):
+                if failure == "chat" and failing in messages[-1]["content"]:
+                    time.sleep(0.3)  # the long sections wait meanwhile
+                    chat_failed.set()
+                    raise EndpointUnavailable("POST /v1/chat/completions: HTTP 503")
+                return super().complete(messages)
+
+        class FailingEmbedder(EmbeddingEndpoint):
+            def embed(self, texts):
+                if failure == "chat":  # the reply comes after the failed chat
+                    assert chat_failed.wait(timeout=10)
+                    return super().embed(texts)
+                time.sleep(0.3)  # the long sections wait meanwhile
+                raise EndpointUnavailable("POST /v1/embeddings: HTTP 503")
+
+        chat = FailingChat(base_url=server.base_url, model="mock")
+        embed = FailingEmbedder(base_url=server.base_url, model="mock-embed")
+        outcome = []
+
+        def extract():
+            try:
+                outcome.append(run_extraction(
+                    candidates, docs, chat, embed, RetrievalConfig(), load_exemplars(),
+                    RELATIONS, journal_path=tmp_path / "j.jsonl", workers=4))
+            except Exception as exc:
+                outcome.append(exc)
+
+        # a daemon thread, so that a lost wakeup fails this test, not the suite
+        runner = threading.Thread(target=extract, daemon=True)
+        runner.start()
+        runner.join(timeout=20)
+        assert not runner.is_alive(), "a waiting section was not woken"
+        assert len(outcome) == 1 and isinstance(outcome[0], EndpointUnavailable)
+        long = [question(c) for c in candidates if c.section_index == 0]
+        chats = [e for e in server.log.entries if e["kind"] == "chat"]
+        assert not any(q in e["prompt_tail"] for e in chats for q in long)
+
+
 def abort_after_embedding(tmp_path, server, docs, candidates, **kw):
     """Run until the chat about gentamicin, a drug of the first page's long
     section, fails three times; returns the journal path."""
