@@ -212,7 +212,8 @@ class ChatEndpoint(Endpoint):
     timeout: float = 120.0
 
     def complete(self, messages: list[dict]) -> tuple[str, int]:
-        """Returns (reply text, latency in ms counting any retries)."""
+        """Returns (reply text, latency in ms) of one attempt; a retryable
+        failure raises `endpoint.RetryLater`."""
         payload = {
             "model": self.model,
             "messages": messages,

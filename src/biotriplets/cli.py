@@ -9,7 +9,7 @@ chat/embedding servers used by the test suite.
 
 Exit codes: 0 success, 1 partial failure, 2 configuration error. A stage
 raises ConfigError for an input it cannot use; `main` alone turns it into
-one line on stderr and exit 2.
+one line on stderr and exit 2. An interrupt (Ctrl-C) is one line and exit 1.
 """
 
 from __future__ import annotations
@@ -325,6 +325,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except KeyboardInterrupt:  # extract's workers have stopped by now
+        hint = " (journal preserved, rerun to resume)" if args.command == "extract" else ""
+        print(f"error: interrupted{hint}", file=sys.stderr)
+        return EXIT_PARTIAL
 
 
 if __name__ == "__main__":

@@ -1,10 +1,14 @@
 """The HTTP client shared by the chat and embedding endpoints.
 
-Both endpoints take a JSON body by POST and answer with JSON. `post` sorts
-every reply into one of three kinds: a transport error, 5xx or 429 is
-retried; any other 4xx, or a success reply whose body the caller cannot
-read, is rejected at once; anything else is returned parsed. Each pipeline
-worker holds at most one request, so the worker count bounds concurrency.
+Both endpoints take a JSON body by POST and answer with JSON. `post` sends
+one attempt and sorts its reply into one of three kinds: a transport error,
+5xx or 429 raises RetryLater, with the reply's Retry-After; any other 4xx,
+or a success reply whose body the caller cannot read, is rejected; anything
+else is returned parsed. `Endpoint.retry_delay` says when a request that
+met RetryLater may be sent again, or that its retries are used up. The
+caller keeps the request until then (`pipeline.run_extraction` holds it on
+a heap), so no thread sleeps out a backoff. Each pipeline worker sends at
+most one request at a time, so the worker count bounds concurrency.
 
 Each worker thread keeps one HTTP/1.1 connection per endpoint and reuses it
 while the server keeps it open. Proxies come from HTTP(S)_PROXY/NO_PROXY,
@@ -18,7 +22,6 @@ from __future__ import annotations
 import base64
 import json
 import threading
-import time
 import urllib.parse
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, TypeVar
@@ -49,6 +52,16 @@ def _retry_after(value: str) -> float | None:
     if not (value.isascii() and value.isdigit()):
         return None
     return min(float(value), MAX_RETRY_AFTER_S)
+
+
+class RetryLater(EndpointUnavailable):
+    """One attempt met a transport error, 5xx or 429: the same request may
+    succeed later. `retry_after` is the reply's Retry-After in seconds,
+    capped, or None."""
+
+    def __init__(self, message: str, retry_after: float | None = None):
+        super().__init__(message)
+        self.retry_after = retry_after
 
 
 def _dropped(conn: http.client.HTTPConnection) -> bool:
@@ -149,44 +162,46 @@ class Endpoint:
             for conn in self._opened:
                 conn.close()
 
-    def post(self, path: str, payload: dict, parse: Callable[[Any], T]) -> T:
-        """POST `payload` as JSON to `path`; returns `parse` of the reply body.
+    def retry_delay(self, exc: RetryLater, failures: int) -> float:
+        """Seconds until a request whose attempts have failed `failures`
+        times, the last with `exc`, may be sent again: the reply's
+        Retry-After, else `retry_backoff` doubled per earlier failure. Once
+        the failures exceed `max_retries`, raises EndpointUnavailable with
+        the failure's text."""
+        if failures > self.max_retries:
+            raise EndpointUnavailable(str(exc))
+        if exc.retry_after is not None:
+            return exc.retry_after
+        return self.retry_backoff * 2 ** (failures - 1)
 
-        A transport error, 5xx or 429 is retried up to `max_retries` times,
-        after the reply's Retry-After or else `retry_backoff` doubled per
-        retry; then EndpointUnavailable is raised. Any other 4xx, and a body
-        that is not JSON (or nests past the recursion limit) or that `parse`
-        rejects with ValueError, LookupError or TypeError, raise
-        EndpointRejected without a retry.
+    def post(self, path: str, payload: dict, parse: Callable[[Any], T]) -> T:
+        """POST `payload` as JSON to `path` once; returns `parse` of the
+        reply body.
+
+        A transport error, 5xx or 429 raises RetryLater. Any other 4xx, and
+        a body that is not JSON (or nests past the recursion limit) or that
+        `parse` rejects with ValueError, LookupError or TypeError, raise
+        EndpointRejected: sending it again would not help.
         """
         import http.client
 
         url = f"{self.base_url.rstrip('/')}{path}"
         body = json.dumps(payload, allow_nan=False).encode()
-        delay, failure = 0.0, "no request sent"
-        for attempt in range(self.max_retries + 1):
-            if attempt:
-                time.sleep(delay)
-            delay = self.retry_backoff * 2 ** attempt
-            conn = self._connection()
-            try:
-                conn.request("POST", self._prefix + path, body, self._headers)
-                resp = conn.getresponse()
-                data = resp.read()
-            except (OSError, http.client.HTTPException) as exc:
-                conn.close()
-                failure = f"{type(exc).__name__}: {exc}"
-                continue
-            if resp.status >= 500 or resp.status == 429:
-                failure = f"HTTP {resp.status}"
-                wait = _retry_after(resp.getheader("Retry-After", ""))
-                delay = delay if wait is None else wait
-                continue
-            if resp.status >= 400:
-                text = " ".join(data.decode("utf-8", "replace").split())[:200]
-                raise EndpointRejected(f"POST {url}: HTTP {resp.status}: {text}")
-            try:
-                return parse(json.loads(data))
-            except (ValueError, LookupError, TypeError, RecursionError) as exc:
-                raise EndpointRejected(f"POST {url}: unreadable reply: {exc!r}") from None
-        raise EndpointUnavailable(f"POST {url}: {failure}")
+        conn = self._connection()
+        try:
+            conn.request("POST", self._prefix + path, body, self._headers)
+            resp = conn.getresponse()
+            data = resp.read()
+        except (OSError, http.client.HTTPException) as exc:
+            conn.close()
+            raise RetryLater(f"POST {url}: {type(exc).__name__}: {exc}") from None
+        if resp.status >= 500 or resp.status == 429:
+            raise RetryLater(f"POST {url}: HTTP {resp.status}",
+                             _retry_after(resp.getheader("Retry-After", "")))
+        if resp.status >= 400:
+            text = " ".join(data.decode("utf-8", "replace").split())[:200]
+            raise EndpointRejected(f"POST {url}: HTTP {resp.status}: {text}")
+        try:
+            return parse(json.loads(data))
+        except (ValueError, LookupError, TypeError, RecursionError) as exc:
+            raise EndpointRejected(f"POST {url}: unreadable reply: {exc!r}") from None

@@ -1,12 +1,15 @@
 """End-to-end orchestration: candidates, classification by section, triplets.
 
 Candidates are one per (head concept, relation, page) and point at their
-section in documents.jsonl. The pending section is the unit of work: one
-worker classifies a section's candidates in turn, so concurrency comes
-from distinct sections. The workers take, in turn, what one planner yields:
+section in documents.jsonl. The pending section is the unit of planning:
+one worker sends a section's chats in turn, so concurrency comes from
+distinct sections. The workers take, in turn, what one planner yields:
 the embedding requests, each of texts that no earlier run or request
 embedded, filled to `batch_limit` across section boundaries so each text is
 embedded once per run, and each section after the requests it needs.
+A request that meets a transport error, 5xx or 429 waits for its retry on
+one heap of deferred requests, not on a worker: the worker goes on sending
+other requests, and takes a retry first once it is due.
 A section of at most `anchor_min_words` words gives each candidate one
 chunk, the one retrieved whatever the vectors, so it is neither embedded nor
 ranked. Classification progress is journaled to an append-only JSONL file
@@ -22,18 +25,22 @@ candidates, so every count and every triplet is a journaled verdict.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
 import os
 import re
 import threading
+import time
 from bisect import bisect_left
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from itertools import islice
+from itertools import count, islice, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .classifier import CandidatePair, ChatEndpoint, Exemplar, Judgment, classify
 from .docmodel import Section, WebDocument, flatten_section_text, read_jsonl
+from .endpoint import Endpoint, RetryLater
 from .errors import ConfigError
 from .matcher import MatcherAutomaton, match_terms, semantic_filter
 from .retrieval import (
@@ -354,15 +361,23 @@ def run_extraction(
     the rest stay pending for a later resume.
 
     One thread per pending section, up to `workers` and this one among them,
-    takes the next item `plan_extraction` yields and finishes it before
-    taking another: it sends a batch and appends the reply to
-    `embeddings.jsonl` beside the journal, or it waits until that checkpoint
-    holds a section's texts, then classifies and journals the section's
-    candidates in turn. A section comes after every batch it needs, so each
-    wait ends with that batch's reply or a failure. At most `workers`
-    requests are in flight. The checkpoint is deleted once no candidate is
-    left pending. A failure or an interrupt aborts the run with the journal
-    and the checkpoint intact: no thread starts another item or candidate.
+    sends one request at a time, so at most `workers` are in flight. A
+    thread sends a deferred request that is due first; then the next
+    candidate of the section it holds, once `embeddings.jsonl` beside the
+    journal holds that section's texts; then it takes the next item
+    `plan_extraction` yields: a batch, which it sends, appending the reply
+    to that checkpoint, or a section, which it holds. A section comes after
+    every batch it needs. When nothing is ready, the thread waits until a
+    deferred request is due, a batch's reply arrives or the run fails.
+
+    A chat or batch that meets `endpoint.RetryLater` is deferred: it goes
+    onto one heap, due at the time its endpoint's `retry_delay` gives, and
+    its thread moves on. So a backoff delays only its own request. Past
+    `max_retries` the endpoint raises EndpointUnavailable. The checkpoint is
+    deleted once no candidate is left pending. A failure or an interrupt
+    aborts the run with the journal and the checkpoint intact: no thread
+    starts another request, and the deferred requests are dropped; a reply
+    that arrives after the failure is still journaled.
     """
     from .embeddings import EmbeddingCheckpoint
 
@@ -376,26 +391,33 @@ def run_extraction(
     plan = plan_extraction(sections, relations, retrieval_cfg, checkpoint,
                            embedder.batch_limit)
     taking = threading.Lock()  # the planner runs on one thread at a time
-    changed = threading.Condition()  # the checkpoint gained keys or the run failed
+    # the checkpoint gained keys, a request was deferred, or the run failed
+    changed = threading.Condition()
     failed = threading.Event()
+    deferred: list[tuple] = []  # heap of (due, order, send, endpoint, failures)
+    order = count()
 
-    def classify_section(members: list[CandidatePair], questions: list[str],
-                         chunks: list[list[Chunk]], texts: list[str],
-                         keys: list[bytes]) -> int:
-        """Classify the section's candidates in turn once the checkpoint
-        holds its texts; returns how many."""
-        with changed:
-            changed.wait_for(lambda: failed.is_set()
-                             or all(key in checkpoint.offsets for key in keys))
-        if failed.is_set():
-            return 0  # the run is stopping: send no new request
-        vectors = dict(zip(texts, unit_rows(checkpoint.vectors(keys)))) if texts else {}
-        for count, (candidate, question, its_chunks) in enumerate(
-                zip(members, questions, chunks)):
-            if failed.is_set():
-                return count
+    def stop() -> None:
+        failed.set()
+        with changed:  # after the flag, so no waiter misses it
+            changed.notify_all()
+
+    def batch_request(batch: dict[bytes, str]) -> Callable[[], int]:
+        def send() -> int:
+            checkpoint.add(list(batch), embedder.embed(list(batch.values())))
+            with changed:
+                changed.notify_all()
+            return 0
+        return send
+
+    def chat_request(candidate: CandidatePair, question: str, chunks: list[Chunk],
+                     vectors: dict[str, list[float]]) -> Callable[[], int]:
+        first = time.monotonic()  # made just before the first attempt
+
+        def send() -> int:
+            waited = int((time.monotonic() - first) * 1000)  # latency counts from it
             judgment = _process_candidate(
-                candidate, question, its_chunks, vectors, chat, retrieval_cfg, exemplars
+                candidate, question, chunks, vectors, chat, retrieval_cfg, exemplars
             )
             record = {
                 "candidate_id": candidate.candidate_id,
@@ -404,36 +426,91 @@ def run_extraction(
                 "model_id": judgment.model_id,
             }
             if not deterministic:
-                record["latency_ms"] = judgment.latency_ms
+                record["latency_ms"] = waited + judgment.latency_ms
             journal.append(record)
-        return len(members)
+            return 1
+        return send
+
+    def section_chats(members: list[CandidatePair], questions: list[str],
+                      chunks: list[list[Chunk]], texts: list[str],
+                      keys: list[bytes]) -> Iterator[tuple]:
+        """chat_request's arguments for each candidate of a section whose
+        texts the checkpoint holds. Only the chats keep its vectors."""
+        vectors = dict(zip(texts, unit_rows(checkpoint.vectors(keys)))) if texts else {}
+        return zip(members, questions, chunks, repeat(vectors))
+
+    def attempt(send: Callable[[], int], endpoint: Endpoint, failures: int = 0) -> int:
+        """Send once; returns how many candidates that journaled. A
+        retryable failure defers the request and returns 0."""
+        try:
+            return send()
+        except RetryLater as exc:
+            due = time.monotonic() + endpoint.retry_delay(exc, failures + 1)
+            with changed:
+                heapq.heappush(deferred, (due, next(order), send, endpoint, failures + 1))
+                changed.notify_all()  # it may be due before what the others wait for
+            return 0
+
+    def wait(ready: Callable[[], bool]) -> Optional[tuple]:
+        """Wait until the run fails or is ready (None), or a deferred
+        request is due (it, popped from the heap)."""
+        with changed:
+            while not failed.is_set():
+                timeout = deferred[0][0] - time.monotonic() if deferred else None
+                if timeout is not None and timeout <= 0:
+                    return heapq.heappop(deferred)
+                if ready():
+                    return None
+                changed.wait(timeout)
+        return None
 
     def work() -> int:
-        """Take the planned items in turn until none is left or the run is
-        failing; returns how many candidates this thread classified."""
+        """Send requests until none is left or the run is failing; returns
+        how many candidates this thread classified."""
         classified = 0
+        held = None  # the section taken from the planner, until its texts are checkpointed
+        todo: deque[tuple] = deque()  # then chat_request's arguments per candidate
+        planned_all = False
         try:
-            while not failed.is_set():
-                with taking:
-                    item = next(plan, None)
-                if item is None:
+            while True:
+                if todo:
+                    retry = wait(lambda: True)
+                elif held is not None:
+                    retry = wait(lambda: all(key in checkpoint.offsets for key in held[-1]))
+                else:  # once every item is taken, stay while a request is deferred
+                    retry = wait(lambda: not (planned_all and deferred))
+                if failed.is_set():
                     break
-                if isinstance(item, dict):  # an embedding batch
-                    checkpoint.add(list(item), embedder.embed(list(item.values())))
-                    with changed:
-                        changed.notify_all()
+                if retry is not None:
+                    classified += attempt(*retry[2:])
+                elif todo:
+                    classified += attempt(chat_request(*todo.popleft()), chat)
+                elif held is not None:
+                    todo.extend(section_chats(*held))
+                    held = None
+                elif planned_all:
+                    break
                 else:
-                    classified += classify_section(*item)
+                    with taking:
+                        item = next(plan, None)
+                    if item is None:
+                        planned_all = True
+                    elif isinstance(item, dict):  # an embedding batch
+                        attempt(batch_request(item), embedder)
+                    else:
+                        held = item
         except BaseException:
-            failed.set()
-            with changed:  # after the flag, so no waiter misses it
-                changed.notify_all()
+            stop()
             raise
         return classified
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        others = [pool.submit(work) for _ in range(min(workers, len(sections)) - 1)]
-        classified = work()  # here too, so an interrupt is a failure of the run
+    try:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            others = [pool.submit(work) for _ in range(min(workers, len(sections)) - 1)]
+            classified = work()  # here too, so an interrupt is a failure of the run
+    except BaseException:
+        stop()  # an interrupt while the pool is joined reaches no worker
+        raise
     classified += sum(other.result() for other in others)
     if finishes:  # no candidate is left pending: nothing will read the vectors
         checkpoint.path.unlink(missing_ok=True)

@@ -178,7 +178,8 @@ class EmbeddingEndpoint(Endpoint):
                               f"not {self.batch_limit}")
 
     def embed(self, texts: list[str]) -> list[list[float]]:
-        """Embed texts in input order, in one request: the caller keeps to
-        `batch_limit`."""
+        """Embed texts in input order, in one attempt of one request: the
+        caller keeps to `batch_limit`. A retryable failure raises
+        `endpoint.RetryLater`."""
         return self.post("/v1/embeddings", {"model": self.model, "input": texts},
                          lambda body: _reply_vectors(body, len(texts)))

@@ -12,8 +12,11 @@ from biotriplets.classifier import (
     load_exemplars,
     parse_judgment,
 )
+from biotriplets.endpoint import RetryLater
 from biotriplets.errors import ConfigError, EndpointUnavailable
-from biotriplets.retrieval import DEFAULT_RELATIONS, Chunk
+from biotriplets.pipeline import Journal, run_extraction
+from biotriplets.retrieval import DEFAULT_RELATIONS, Chunk, EmbeddingEndpoint, RetrievalConfig
+from test_pipeline import make_candidates, make_documents
 
 
 def make_candidate(**overrides):
@@ -154,22 +157,36 @@ class TestClassify:
         assert j.reason == "scripted"
         assert j.model_id == "mock"
 
-    def test_retry_on_429_then_success(self, mock_server):
+    @staticmethod
+    def journaled(endpoint, tmp_path):
+        """The journal of a `run_extraction` of one one-chunk candidate
+        through `endpoint`: a retry waits on the run's heap."""
+        embed = EmbeddingEndpoint(base_url=endpoint.base_url, model="e")  # sends nothing
+        run_extraction(make_candidates(1), make_documents(1), endpoint, embed,
+                       RetrievalConfig(), load_exemplars(), DEFAULT_RELATIONS,
+                       journal_path=tmp_path / "j.jsonl", workers=1)
+        return Journal(tmp_path / "j.jsonl").load()
+
+    def test_retry_on_429_then_success(self, mock_server, tmp_path):
         server = mock_server({"statuses": [429, 429],
                               "default": {"answer": "Yes", "reason": "r"}})
         endpoint = ChatEndpoint(base_url=server.base_url, model="mock",
                                 max_retries=2, retry_backoff=0.0)
-        j = classify(make_candidate(), QUESTION, CHUNKS, endpoint, load_exemplars())
-        assert j.answer == "Yes"
+        (j,) = self.journaled(endpoint, tmp_path).values()
+        assert j["answer"] == "Yes"
         statuses = [e["status"] for e in server.log.entries]
         assert statuses == [429, 429, 200]
 
-    def test_endpoint_unavailable_after_retries(self, mock_server):
+    def test_endpoint_unavailable_after_retries(self, mock_server, tmp_path):
         server = mock_server({"statuses": [503, 503, 503]})
         endpoint = ChatEndpoint(base_url=server.base_url, model="mock",
                                 max_retries=2, retry_backoff=0.0)
-        with pytest.raises(EndpointUnavailable):
+        with pytest.raises(RetryLater):  # classify sends one attempt
             classify(make_candidate(), QUESTION, CHUNKS, endpoint, load_exemplars())
+        server.script.statuses = [503, 503, 503]
+        with pytest.raises(EndpointUnavailable):
+            self.journaled(endpoint, tmp_path)
+        assert [e["status"] for e in server.log.entries] == [503] * 4
 
     def test_prose_reply_is_malformed(self, mock_server):
         server = mock_server({"default": {}, "rules": [

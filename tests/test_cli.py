@@ -16,6 +16,8 @@ from pathlib import Path
 import pytest
 
 from biotriplets import cli, embeddings
+from biotriplets.retrieval import DEFAULT_RELATIONS
+from test_acceptance import GOLDEN, GOLDEN_FILES
 from conftest import (
     GOLDEN_CHAT_SCRIPT,
     THESAURUS_ROWS,
@@ -682,6 +684,7 @@ class TestExtract:
 
 
 LONG_TITLE = "Sylvatic Plague"
+TREATMENT = next(r for r in DEFAULT_RELATIONS if r.id == "treatment")
 
 
 def long_page_site(root, server_url):
@@ -705,9 +708,10 @@ def long_page_site(root, server_url):
 
 
 def long_page_script(statuses):
-    """The golden script, with `statuses` for the first chat about the long page."""
-    rule = {"contains": f"drug for {LONG_TITLE}?", "statuses": statuses,
-            "answer": "Yes", "reason": "Named in the long section."}
+    """The golden script, with `statuses` for the chat about the long page's
+    first candidate alone: the others are sent while its retries wait."""
+    rule = {"contains": f"Is streptomycin {TREATMENT.phrase} {LONG_TITLE}?",
+            "statuses": statuses, "answer": "Yes", "reason": "Named in the long section."}
     return {**GOLDEN_CHAT_SCRIPT, "rules": [rule, *GOLDEN_CHAT_SCRIPT["rules"]]}
 
 
@@ -755,8 +759,8 @@ class TestCheckpoint:
         config = long_page_site(tmp_path, server.base_url)
         assert run(config, "extract", "--deterministic") == 1
         checkpoint = tmp_path / "work" / "embeddings.jsonl"
-        # the first line holds the question of the long page's first candidate,
-        # which the failure left pending with the others
+        # the first line holds the question of the long page's first
+        # candidate, which the failure left pending
         lines = checkpoint.read_text().splitlines()
         short = base64.b64encode(array("d", [1.0] * 16).tobytes()).decode()
         lines[0] = json.dumps({**json.loads(lines[0]), "vector": short})
@@ -806,6 +810,90 @@ class TestCheckpoint:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1, err
         assert "No space left on device" in err and "Traceback" not in err
+
+
+def faulted_script(faults):
+    """The golden script with failure statuses for single candidates:
+    `faults` maps a question to its statuses, and each such rule then
+    answers as the golden script does."""
+    rules = [{**next((r for r in GOLDEN_CHAT_SCRIPT["rules"] if r["contains"] in question),
+                     GOLDEN_CHAT_SCRIPT["default"]),
+              "contains": question, "statuses": list(statuses)}
+             for question, statuses in faults.items()]
+    return {**GOLDEN_CHAT_SCRIPT, "rules": rules + GOLDEN_CHAT_SCRIPT["rules"]}
+
+
+def golden_site(root, server):
+    """The fixture site, preprocessed and matched against `server`."""
+    write_fixture_site(root)
+    write_thesaurus(root / "thesaurus.tsv")
+    config = write_config(root, server.base_url)
+    for stage in ("preprocess", "match"):
+        assert run(config, stage) == 0
+    return config
+
+
+def assert_golden_outputs(work):
+    for name in GOLDEN_FILES:
+        assert (work / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+class TestRetries:
+    def test_outage_exits_1_and_the_rerun_writes_the_golden_outputs(
+            self, tmp_path, mock_server, capsys):
+        # shaped like the benchmark's remote-outage: single 503s and 429s,
+        # and one candidate whose three 503s use up max_retries (2)
+        faults = {
+            "Is blood culture an informative diagnostic procedure for Plague?": [503],
+            "Is streptomycin an informative therapeutic procedure or drug for Plague?": [429],
+            "Is dialysis an informative therapeutic procedure or drug for "
+            "Hemolytic-uremic syndrome?": [429, 503],
+            "Is nausea an informative manifestation of Clostridioides difficile "
+            "Infection?": [503],
+            "Is lumbar puncture an informative diagnostic procedure for "
+            "Bacterial Meningitis?": [503, 503, 503],
+        }
+        server = mock_server(faulted_script(faults))
+        config = golden_site(tmp_path, server)
+        candidates = len((tmp_path / "work" / "candidates.jsonl").read_text().splitlines())
+        capsys.readouterr()
+        assert run(config, "extract", "--deterministic") == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert "HTTP 503 (journal preserved, rerun to resume)" in err
+        assert run(config, "extract", "--deterministic") == 0
+        assert_golden_outputs(tmp_path / "work")
+        chats = [e["status"] for e in server.log.entries if e["kind"] == "chat"]
+        assert chats.count(200) == candidates
+        assert len(chats) == candidates + sum(map(len, faults.values()))
+
+    def test_interrupt_exits_1_with_one_line_and_the_rerun_resumes(
+            self, tmp_path, mock_server):
+        # two 503s hold one chat for 0.6 s of backoff, while the workers wait
+        question = "Is headache an informative manifestation of Plague?"
+        server = mock_server(faulted_script({question: [503, 503]}))
+        config = golden_site(tmp_path, server)
+        src = Path(cli.__file__).resolve().parents[1]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "biotriplets.cli", "--config", str(config),
+             "extract", "--deterministic"],
+            cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)},
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+        try:
+            deadline = time.monotonic() + 30
+            while proc.poll() is None and time.monotonic() < deadline:
+                if any(e["status"] == 503 for e in server.log.entries):
+                    proc.send_signal(signal.SIGINT)
+                    break
+                time.sleep(0.005)
+            _, err = proc.communicate(timeout=30)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == 1
+        assert err == "error: interrupted (journal preserved, rerun to resume)\n"
+        assert run(config, "extract", "--deterministic") == 0
+        assert_golden_outputs(tmp_path / "work")
 
 
 class TestEval:

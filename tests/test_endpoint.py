@@ -19,9 +19,11 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from biotriplets import endpoint, errors
-from biotriplets.classifier import ChatEndpoint
+from biotriplets.classifier import ChatEndpoint, load_exemplars
 from biotriplets.config import load_config
-from biotriplets.retrieval import EmbeddingEndpoint
+from biotriplets.pipeline import run_extraction
+from biotriplets.retrieval import DEFAULT_RELATIONS, EmbeddingEndpoint, RetrievalConfig
+from test_pipeline import make_candidates, make_documents
 
 MESSAGES = [{"role": "system", "content": "s"}, {"role": "user", "content": "q"}]
 CHAT_OK = {"choices": [{"message": {"content": "reply"}}]}
@@ -150,6 +152,25 @@ def test_repr_hides_api_key(server):
         "Bearer sk-chat-secret", "Bearer sk-embed-secret"]
 
 
+def extract(client, tmp_path):
+    """The reply texts of a `run_extraction` of one one-chunk candidate
+    through the chat endpoint `client`, whose retries wait on the run's heap."""
+    replies = []
+    complete = client.complete
+
+    def recorded(messages):
+        content, latency = complete(messages)
+        replies.append(content)
+        return content, latency
+
+    client.complete = recorded
+    embed = EmbeddingEndpoint(base_url=client.base_url, model="embed-m")  # sends nothing
+    run_extraction(make_candidates(1), make_documents(1), client, embed, RetrievalConfig(),
+                   load_exemplars(), DEFAULT_RELATIONS, journal_path=tmp_path / "j.jsonl",
+                   workers=1)
+    return replies
+
+
 def call(kind, server):
     if kind == "chat":
         return chat(server).complete(MESSAGES)
@@ -194,35 +215,58 @@ def test_unreadable_reply_rejected_without_retry(server, kind, body):
     assert len(server.requests) == 1
 
 
-def test_retry_after_honoured_without_backoff(server):
+def test_retry_after_honoured_without_backoff(server, tmp_path):
+    # one attempt reports the wait; the run sends the request again after it
+    server.reply(429, {}, {"Retry-After": "1"})
+    client = chat(server)
+    with pytest.raises(endpoint.RetryLater, match="HTTP 429") as info:
+        client.complete(MESSAGES)
+    assert client.retry_delay(info.value, 1) == 1.0
     server.reply(429, {}, {"Retry-After": "1"})
     server.reply(200, CHAT_OK)
-    assert chat(server).complete(MESSAGES)[0] == "reply"
-    first, second = server.requests
+    assert extract(client, tmp_path) == ["reply"]
+    _, first, second = server.requests
     assert second["at"] - first["at"] >= 1.0
 
 
-def test_retry_after_capped(server, monkeypatch):
-    from biotriplets import endpoint
-
+def test_retry_after_capped(server, tmp_path, monkeypatch):
     monkeypatch.setattr(endpoint, "MAX_RETRY_AFTER_S", 0.3)
+    server.reply(503, {}, {"Retry-After": "3600"})
+    client = chat(server)
+    with pytest.raises(endpoint.RetryLater) as info:
+        client.complete(MESSAGES)
+    assert info.value.retry_after == 0.3
     server.reply(503, {}, {"Retry-After": "3600"})
     server.reply(200, CHAT_OK)
     started = time.monotonic()
-    assert chat(server).complete(MESSAGES)[0] == "reply"
+    assert extract(client, tmp_path) == ["reply"]
     assert 0.3 <= time.monotonic() - started < 5
 
 
-def test_retry_after_of_non_ascii_digit_waits_the_backoff(server):
+def test_retry_after_of_non_ascii_digit_waits_the_backoff(server, tmp_path):
     # "\xb2" goes out as the latin-1 byte 0xB2 and comes back as "²", for
     # which str.isdigit holds but float() fails
     for _ in range(2):
         server.reply(503, {}, {"Retry-After": "\xb2"})
+    client = ChatEndpoint(base_url=server.base_url, model="chat-m", max_retries=1,
+                          retry_backoff=0.3)
     with pytest.raises(errors.EndpointUnavailable, match="HTTP 503"):
-        ChatEndpoint(base_url=server.base_url, model="chat-m", max_retries=1,
-                     retry_backoff=0.3).complete(MESSAGES)
+        extract(client, tmp_path)
     first, second = server.requests
     assert 0.3 <= second["at"] - first["at"] < 5
+
+
+def test_retry_delay_doubles_the_backoff_until_max_retries():
+    client = ChatEndpoint(base_url="http://127.0.0.1:9", model="m", max_retries=3,
+                          retry_backoff=0.25)
+    failure = endpoint.RetryLater("POST http://127.0.0.1:9/v1/chat/completions: HTTP 503")
+    assert [client.retry_delay(failure, k) for k in (1, 2, 3)] == [0.25, 0.5, 1.0]
+    with pytest.raises(errors.EndpointUnavailable, match="^POST .*: HTTP 503$") as info:
+        client.retry_delay(failure, 4)
+    assert not isinstance(info.value, endpoint.RetryLater)
+    with pytest.raises(errors.EndpointUnavailable):
+        ChatEndpoint(base_url="http://127.0.0.1:9", model="m",
+                     max_retries=0).retry_delay(failure, 1)
 
 
 def test_config_reads_endpoint_keys_and_ignores_retired_ones(tmp_path):
@@ -311,11 +355,11 @@ def test_connection_closed_by_server_is_reopened_without_retry():
     assert [r["connection"] for r in closing.requests] == [1, 2, 3]
 
 
-def test_timed_out_connection_is_closed_and_retried(keep_alive):
+def test_timed_out_connection_is_closed_and_retried(keep_alive, tmp_path):
     keep_alive.reply(200, CHAT_OK, delay=1.0)
     keep_alive.reply(200, CHAT_OK)
     client = chat(keep_alive, timeout=0.3)
-    assert client.complete(MESSAGES)[0] == "reply"
+    assert extract(client, tmp_path) == ["reply"]
     client.close()
     assert [r["connection"] for r in keep_alive.requests] == [1, 2]
 
@@ -328,7 +372,7 @@ def test_http10_server_gets_a_connection_per_request(server):
     assert [r["connection"] for r in server.requests] == [1, 2, 3]
 
 
-def test_connection_refused_retried_then_unavailable(monkeypatch):
+def test_connection_refused_retried_then_unavailable(monkeypatch, tmp_path):
     with socket.socket() as probe:
         probe.bind(("127.0.0.1", 0))
         port = probe.getsockname()[1]
@@ -342,10 +386,14 @@ def test_connection_refused_retried_then_unavailable(monkeypatch):
     monkeypatch.setattr(socket, "create_connection", counted)
     client = ChatEndpoint(base_url=f"http://127.0.0.1:{port}", model="m",
                           max_retries=2, retry_backoff=0.0)
-    with pytest.raises(errors.EndpointUnavailable, match="ConnectionRefusedError") as info:
+    with pytest.raises(endpoint.RetryLater, match="ConnectionRefusedError") as info:
         client.complete(MESSAGES)
+    assert info.value.retry_after is None
+    assert client.retry_delay(info.value, 1) == 0.0
+    with pytest.raises(errors.EndpointUnavailable, match="ConnectionRefusedError") as info:
+        extract(client, tmp_path)
     assert not isinstance(info.value, errors.EndpointRejected)
-    assert attempts == [("127.0.0.1", port)] * 3
+    assert attempts == [("127.0.0.1", port)] * 4
 
 
 def test_base_url_must_be_http():

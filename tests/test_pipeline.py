@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import signal
 import sys
 import threading
 import time
@@ -20,6 +21,7 @@ from biotriplets.docmodel import (
     flatten_section_text,
     preprocess_html,
 )
+from biotriplets.endpoint import RetryLater
 from biotriplets.errors import ConfigError, EndpointRejected, EndpointUnavailable
 from biotriplets.matcher import MatcherAutomaton, Thesaurus
 from biotriplets.mockserver import mock_embedding
@@ -683,6 +685,93 @@ class TestWorkers:
         time.sleep(0.2)  # time for 20 more chats, were a worker going on
         assert len(chats) < 10
 
+        # every worker waits for a retry due in 30 s when the signal comes
+        deferred = []
+
+        class BusyChat(ChatEndpoint):
+            def complete(self, messages):
+                deferred.append(messages)
+                raise RetryLater("POST /v1/chat/completions: HTTP 429", retry_after=30)
+
+        running = threading.Event()
+
+        def interrupt():
+            deadline = time.monotonic() + 10
+            while len(deferred) < 2 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            time.sleep(0.1)  # both workers are back waiting on the heap
+            if running.is_set():  # a signal outside the run would end the suite
+                signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+
+        monkeypatch.setattr(pipeline, "_section_plan", real)
+        chat = BusyChat(base_url=server.base_url, model="mock")
+        signaller = threading.Thread(target=interrupt)
+        running.set()
+        signaller.start()
+        started = time.monotonic()
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                run_extraction(make_candidates(2), make_documents(2), chat, embed,
+                               RetrievalConfig(), load_exemplars(), RELATIONS,
+                               journal_path=tmp_path / "k.jsonl", workers=2)
+        finally:
+            running.clear()
+            signaller.join()
+        # both workers stopped at once: the pool's join did not wait out the 30 s
+        assert time.monotonic() - started < 10
+        assert len(deferred) == 2
+
+    def test_an_interrupt_in_the_pools_join_stops_the_workers(self, tmp_path, mock_server):
+        # two sections of five: the main thread's chats are quick, the other
+        # worker's slow, so the main thread is joining the pool when Ctrl-C comes
+        main = threading.main_thread()
+        other_started, signalled = threading.Event(), threading.Event()
+        other_chats, main_chats = [], []
+
+        class UnevenChat(ChatEndpoint):
+            def complete(self, messages):
+                if threading.current_thread() is main:
+                    assert other_started.wait(timeout=10)  # each took a section
+                    main_chats.append(messages)
+                else:
+                    other_chats.append(signalled.is_set())
+                    other_started.set()
+                    time.sleep(0.2)
+                return super().complete(messages)
+
+        running = threading.Event()
+
+        def interrupt():
+            deadline = time.monotonic() + 10
+            while len(main_chats) < 5 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            time.sleep(0.1)  # the main thread ran out of work and joins the pool
+            if running.is_set():  # a signal outside the run would end the suite
+                signalled.set()
+                signal.pthread_kill(main.ident, signal.SIGINT)
+
+        candidates = make_candidates(10)
+        pages = [candidates[0].page_url] * 5 + [candidates[5].page_url] * 5
+        sections = [dataclasses.replace(c, page_url=url) for c, url in zip(candidates, pages)]
+        server = mock_server()
+        chat = UnevenChat(base_url=server.base_url, model="mock")
+        _, embed = endpoints(server)
+        signaller = threading.Thread(target=interrupt)
+        running.set()
+        signaller.start()
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                run_extraction(sections, make_documents(10), chat, embed, RetrievalConfig(),
+                               load_exemplars(), RELATIONS,
+                               journal_path=tmp_path / "j.jsonl", workers=2)
+        finally:
+            running.clear()
+            signaller.join()
+        time.sleep(1.0)  # time for the other worker's last chats, were it going on
+        assert len(main_chats) == 5
+        assert other_chats.count(True) == 0, "a worker started a chat after Ctrl-C"
+        assert len(other_chats) < 5
+
     @pytest.mark.parametrize("failure", ["request", "chat"])
     def test_a_failure_ends_every_wait(self, tmp_path, mock_server, failure):
         # four sections on four threads: each page's short section, the
@@ -731,6 +820,212 @@ class TestWorkers:
         long = [question(c) for c in candidates if c.section_index == 0]
         chats = [e for e in server.log.entries if e["kind"] == "chat"]
         assert not any(q in e["prompt_tail"] for e in chats for q in long)
+
+
+def prompts_about(log, question):
+    """The chats of `log`, a list of prompts, that ask `question`."""
+    return [prompt for prompt in log if question in prompt]
+
+
+class TestDeferral:
+    """A request that meets a 429, 5xx or transport error waits on the
+    run's heap, not on the worker that sent it."""
+
+    def test_a_retry_waits_without_its_worker(self, tmp_path, mock_server):
+        server = mock_server({"rules": [{"contains": "Is drugname0 ", "statuses": [503]}]})
+        base = server.httpd.RequestHandlerClass
+
+        class RetryAfterHandler(base):
+            def _send_json(self, status, body):
+                if status != 503:
+                    return super()._send_json(status, body)
+                self.send_response(503)
+                self.send_header("Retry-After", "1")
+                self.send_header("Content-Length", "0")
+                self.end_headers()
+
+        server.httpd.RequestHandlerClass = RetryAfterHandler
+        sent = []
+
+        class TimedChat(ChatEndpoint):
+            def complete(self, messages):
+                sent.append((time.monotonic(), messages[-1]["content"]))
+                return super().complete(messages)
+
+        chat = TimedChat(base_url=server.base_url, model="mock", retry_backoff=0.0)
+        _, embed = endpoints(server)
+        assert run_extraction(make_candidates(3), make_documents(3), chat, embed,
+                              RetrievalConfig(), load_exemplars(), RELATIONS,
+                              journal_path=tmp_path / "j.jsonl", workers=1) == 3
+        attempts = [i for i, (_, prompt) in enumerate(sent) if "Is drugname0 " in prompt]
+        assert len(sent) == 4 and len(attempts) == 2
+        first, retry = attempts
+        assert retry - first > 1, "no other chat was sent while the retry waited"
+        assert sent[retry][0] - sent[first][0] >= 1.0
+
+    def test_a_due_retry_goes_before_the_next_candidate(self, tmp_path, mock_server):
+        # one section of four candidates; the first one's 503 is due at once
+        server = mock_server({"rules": [{"contains": "Is drugname0 ", "statuses": [503]}]})
+        first, *rest = make_candidates(4)
+        section = [first] + [dataclasses.replace(c, page_url=first.page_url) for c in rest]
+        chat, embed = endpoints(server)
+        assert run_extraction(section, make_documents(1), chat, embed, RetrievalConfig(),
+                              load_exemplars(), RELATIONS, journal_path=tmp_path / "j.jsonl",
+                              workers=1) == 4
+        asked = [e["prompt_tail"].rsplit("Is ", 1)[1].split()[0] for e in server.log.entries]
+        assert asked == ["drugname0", "drugname0", "drugname1", "drugname2", "drugname3"]
+
+    def test_workers_bound_the_requests_in_flight_through_many_retries(
+            self, tmp_path, mock_server):
+        backoff = 0.4
+        faults = [[503], [429]] * 5  # for 10 of the 12 candidates
+        server = mock_server({"rules": [{"contains": f"Is drugname{i} ", "statuses": list(f)}
+                                        for i, f in enumerate(faults)]})
+        lock = threading.Lock()
+        in_flight, peak = [0], [0]
+        base = server.httpd.RequestHandlerClass
+
+        class CountingHandler(base):
+            def do_POST(self):
+                with lock:
+                    in_flight[0] += 1
+                    peak[0] = max(peak[0], in_flight[0])
+                time.sleep(0.005)
+                super().do_POST()
+
+            def _send_json(self, status, body):
+                with lock:  # before the reply: its client may send again at once
+                    in_flight[0] -= 1
+                super()._send_json(status, body)
+
+        server.httpd.RequestHandlerClass = CountingHandler
+        chat = ChatEndpoint(base_url=server.base_url, model="mock", retry_backoff=backoff)
+        _, embed = endpoints(server)
+        started = time.monotonic()
+        assert run_extraction(make_candidates(12), make_documents(12), chat, embed,
+                              RetrievalConfig(), load_exemplars(), RELATIONS,
+                              journal_path=tmp_path / "j.jsonl", workers=2) == 12
+        elapsed = time.monotonic() - started
+        statuses = [e["status"] for e in server.log.entries]
+        assert len(statuses) == 12 + sum(map(len, faults))
+        assert statuses.count(200) == 12
+        assert 1 <= peak[0] <= 2
+        # the waits overlap: 10 backoffs slept out on 2 workers would take 2 s
+        assert elapsed < 3 * backoff
+
+    def test_a_deferred_batch_holds_only_the_sections_that_need_it(
+            self, tmp_path, mock_server):
+        docs, candidates = long_sections_site()
+        server = mock_server()
+        lock = threading.Lock()
+        embeds, chats = [], []  # (time, texts) and (time, prompt) of each attempt
+
+        class OnceBusyEmbedder(EmbeddingEndpoint):
+            def embed(self, texts):
+                with lock:
+                    embeds.append((time.monotonic(), texts))
+                    first = len(embeds) == 1
+                if first:
+                    raise RetryLater("POST /v1/embeddings: HTTP 503", retry_after=1.0)
+                return super().embed(texts)
+
+        class TimedChat(ChatEndpoint):
+            def complete(self, messages):
+                chats.append((time.monotonic(), messages[-1]["content"]))
+                return super().complete(messages)
+
+        chat = TimedChat(base_url=server.base_url, model="mock")
+        embed = OnceBusyEmbedder(base_url=server.base_url, model="mock-embed", batch_limit=3)
+        assert run_extraction(candidates, docs, chat, embed, RetrievalConfig(),
+                              load_exemplars(), RELATIONS, journal_path=tmp_path / "j.jsonl",
+                              workers=2) == len(candidates)
+        busy = embeds[0][1]
+        (retried,) = [at for at, texts in embeds[1:] if texts == busy]
+        assert retried - embeds[0][0] >= 1.0
+        texts = {}
+        for doc in docs:
+            on_page = [c for c in candidates if c.page_url == doc.page_url]
+            texts.update({(doc.page_url, index): its
+                          for index, its in section_texts(doc, on_page).items()})
+        needs = {question(c) for c in candidates
+                 if set(busy) & set(texts.get((c.page_url, c.section_index), ()))}
+        assert 0 < len(needs) < len(candidates)
+        asked = [(at, next(q for q in map(question, candidates) if q in prompt))
+                 for at, prompt in chats]
+        # the sections that need the batch wait for it; the others go on
+        assert all(at > retried for at, q in asked if q in needs)
+        assert all(at < retried for at, q in asked if q not in needs)
+
+    def test_many_workers_send_each_retry_once(self, tmp_path, mock_server):
+        # more workers than cores and a short switch interval, so the
+        # deferrals, the heap and the waits interleave as much as they can
+        faults = [[503], [429, 503], [429], [503, 503]] * 8  # for 32 of 40 candidates
+        server = mock_server({"rules": [{"contains": f"Is drugname{i} ", "statuses": list(f)}
+                                        for i, f in enumerate(faults)]})
+        chat = ChatEndpoint(base_url=server.base_url, model="mock", retry_backoff=0.001)
+        _, embed = endpoints(server)
+        journal = tmp_path / "j.jsonl"
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                future = pool.submit(
+                    run_extraction, make_candidates(40), make_documents(40), chat, embed,
+                    RetrievalConfig(), load_exemplars(), RELATIONS, journal_path=journal,
+                    workers=8)
+                assert future.result(timeout=60) == 40
+        finally:
+            sys.setswitchinterval(interval)
+        ids = [json.loads(line)["candidate_id"] for line in journal.read_text().splitlines()]
+        assert sorted(ids) == [c.candidate_id for c in make_candidates(40)]
+        statuses = [e["status"] for e in server.log.entries]
+        assert statuses.count(200) == 40
+        assert len(statuses) == 40 + sum(map(len, faults))
+
+    def test_a_request_past_max_retries_ends_the_run(self, tmp_path, mock_server):
+        # drugname0's first attempt is deferred by 10 s; drugname1 fails three
+        # times, 0.1 s and 0.2 s apart; drugname2's chat is in flight then
+        far, outage, late = "Is drugname0 ", "Is drugname1 ", "Is drugname2 "
+        sent = []
+        third = threading.Event()
+
+        class ScriptedChat(ChatEndpoint):
+            def complete(self, messages):
+                prompt = messages[-1]["content"]
+                sent.append(prompt)
+                if outage in prompt:
+                    if len(prompts_about(sent, outage)) == 3:
+                        third.set()
+                    raise RetryLater("POST /v1/chat/completions: HTTP 503")
+                if far in prompt and len(prompts_about(sent, far)) == 1:
+                    raise RetryLater("POST /v1/chat/completions: HTTP 429", retry_after=10)
+                if late in prompt:
+                    assert third.wait(timeout=10)
+                    time.sleep(0.2)  # the reply comes after the run failed
+                return super().complete(messages)
+
+        server = mock_server()
+        chat = ScriptedChat(base_url=server.base_url, model="mock", retry_backoff=0.1)
+        _, embed = endpoints(server)
+        candidates = make_candidates(5)
+        journal = tmp_path / "j.jsonl"
+        started = time.monotonic()
+        with pytest.raises(EndpointUnavailable, match="HTTP 503"):
+            run_extraction(candidates, make_documents(5), chat, embed, RetrievalConfig(),
+                           load_exemplars(), RELATIONS, journal_path=journal, workers=2)
+        assert time.monotonic() - started < 5, "the run waited for a deferred request"
+        assert len(prompts_about(sent, outage)) == 3
+        assert len(prompts_about(sent, far)) == 1, "a deferred request was sent"
+        assert sorted(Journal(journal).load()) == ["cand0002", "cand0003", "cand0004"]
+        # the resume sends each candidate left pending exactly once more
+        chat, embed = endpoints(server)
+        logged = len(server.log.entries)
+        assert run_extraction(candidates, make_documents(5), chat, embed, RetrievalConfig(),
+                              load_exemplars(), RELATIONS, journal_path=journal,
+                              workers=2) == 2
+        resumed = [e["prompt_tail"] for e in server.log.entries[logged:]]
+        assert len(resumed) == 2
+        assert len(prompts_about(resumed, far)) == len(prompts_about(resumed, outage)) == 1
 
 
 def abort_after_embedding(tmp_path, server, docs, candidates, **kw):

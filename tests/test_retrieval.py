@@ -5,8 +5,10 @@ import random
 import numpy as np
 import pytest
 
+from biotriplets.classifier import ChatEndpoint, load_exemplars
 from biotriplets.errors import EndpointRejected, EndpointUnavailable
 from biotriplets.mockserver import MOCK_EMBED_DIM, mock_embedding
+from biotriplets.pipeline import run_extraction
 from biotriplets.retrieval import (
     DEFAULT_RELATIONS,
     Chunk,
@@ -16,6 +18,8 @@ from biotriplets.retrieval import (
     retrieve_top_k,
     unit_rows,
 )
+
+from test_pipeline import drug_candidates, long_section_page
 
 CFG = RetrievalConfig()
 
@@ -283,16 +287,32 @@ class TestEmbedClient:
         # each vector is its own text's deterministic mock embedding
         assert vectors == [mock_embedding(text) for text in texts]
 
-    def test_retries_exhausted(self, mock_server):
+    @staticmethod
+    def extract(server, embed, tmp_path):
+        """`run_extraction` of the candidates of one long section, whose
+        texts go in one request before any chat; a retry waits on the run's
+        heap. Every candidate must be classified."""
+        doc = long_section_page()
+        candidates = [c for c in drug_candidates([doc]) if c.section_index == 0]
+        chat = ChatEndpoint(base_url=server.base_url, model="m")
+        classified = run_extraction(candidates, [doc], chat, embed, CFG, load_exemplars(),
+                                    DEFAULT_RELATIONS, journal_path=tmp_path / "j.jsonl",
+                                    workers=1)
+        assert classified == len(candidates)
+
+    def test_retries_exhausted(self, mock_server, tmp_path):
         server = mock_server({"statuses": [503, 503, 503]})
         ep = EmbeddingEndpoint(base_url=server.base_url, model="m",
                                max_retries=2, retry_backoff=0.0)
         with pytest.raises(EndpointUnavailable):
-            ep.embed(["x"])
+            self.extract(server, ep, tmp_path)
         assert [e["status"] for e in server.log.entries] == [503, 503, 503]
 
-    def test_retry_then_success(self, mock_server):
+    def test_retry_then_success(self, mock_server, tmp_path):
         server = mock_server({"statuses": [503]})
         ep = EmbeddingEndpoint(base_url=server.base_url, model="m",
                                max_retries=2, retry_backoff=0.0)
-        assert len(ep.embed(["x"])) == 1
+        self.extract(server, ep, tmp_path)
+        embeds = [e for e in server.log.entries if e["kind"] == "embed"]
+        assert [e["status"] for e in embeds] == [503, 200]
+        assert embeds[0]["inputs"] == embeds[1]["inputs"]
