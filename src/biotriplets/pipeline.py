@@ -255,23 +255,27 @@ def _section_plan(
 ) -> tuple[list[list[Chunk]], list[str]]:
     """Each candidate's chunks, and the distinct texts to embed: the
     question and chunks of each candidate with more than one chunk. Sends
-    no request."""
-    flat = flatten_section_text(section)
+    no request.
+
+    The section's flattened text is split into words once; its candidates
+    share the chunks of one word span, each joined once. A candidate whose
+    match lies outside the text raises ConfigError naming it.
+    """
+    words = flatten_section_text(section).split()
+    built: dict[tuple[int, int, bool], Chunk] = {}  # the section's chunks by span
     chunks: list[list[Chunk]] = []
     texts: dict[str, None] = {}
-    copies: dict[str, str] = {}  # one copy of a chunk text that candidates share
     for c, question in zip(candidates, questions):
         try:
-            its = chunk_for_candidate(flat, c.match_word_index, cfg)
+            its = chunk_for_candidate(words, c.match_word_index, cfg, built)
         except ValueError as exc:
             raise ConfigError(
                 f"candidate {c.candidate_id}: {exc} in {c.section_path!r}; rerun match"
             ) from None
-        chunks.append([Chunk(copies.setdefault(k.text, k.text), k.word_span, k.is_anchor)
-                       for k in its])
+        chunks.append(its)
         if len(its) > 1:
             texts[question] = None
-            texts.update(dict.fromkeys(chunk.text for chunk in chunks[-1]))
+            texts.update(dict.fromkeys(chunk.text for chunk in its))
     return chunks, list(texts)
 
 

@@ -1,12 +1,14 @@
 """Relations and their questions; chunking, embedding and top-K retrieval.
 
-Long section text is split into an anchor chunk (at least 512 words,
-guaranteed to contain the matched term) plus 128-word windows with a
-32-word overlap over the rest. A section of at most `anchor_min_words`
-words is one chunk, which is retrieved whatever its vectors are, so it is
-not embedded. The chunks of a longer section are embedded through an
-external endpoint and ranked by cosine similarity against the yes/no
-question: the dot product of the unit chunk and query vectors, lists of floats.
+Long section text is split into an anchor chunk of exactly
+`anchor_min_words` (512) words, guaranteed to contain the matched term,
+plus 128-word windows with a 32-word overlap over the rest. A section is
+split into words once, and its candidates share the chunk of each word
+span. A section of at most `anchor_min_words` words is one chunk, which is
+retrieved whatever its vectors are, so it is not embedded. The chunks of a
+longer section are embedded through an external endpoint and ranked by
+cosine similarity against the yes/no question: the dot product of the unit
+chunk and query vectors, lists of floats.
 """
 
 from __future__ import annotations
@@ -70,26 +72,37 @@ class Chunk:
 
 
 def chunk_for_candidate(
-    text: str, match_word_index: int, cfg: RetrievalConfig
+    words: list[str],
+    match_word_index: int,
+    cfg: RetrievalConfig,
+    built: dict[tuple[int, int, bool], Chunk],
 ) -> list[Chunk]:
-    """Anchor chunk around the match plus overlapping windows over the rest.
+    """Anchor chunk around the match plus overlapping windows over the rest
+    of a section's `words`.
 
-    Every word of the input lands in at least one chunk; exactly one chunk
-    is the anchor. A match outside the text raises ValueError.
+    Every word lands in at least one chunk; exactly one chunk is the anchor.
+    `built` holds the chunks of the section's earlier candidates by (start,
+    end, is_anchor): a span found there is that chunk, and a new one is
+    joined and added, so each span of a section is joined once. A match
+    outside the words raises ValueError.
     """
-    words = text.split()
     n = len(words)
     if not 0 <= match_word_index < n:
         raise ValueError(f"word index {match_word_index} outside [0, {n})")
 
+    def chunk(start: int, end: int, is_anchor: bool = False) -> Chunk:
+        key = (start, end, is_anchor)
+        found = built.get(key)
+        if found is None:
+            found = built[key] = Chunk(" ".join(words[start:end]), (start, end), is_anchor)
+        return found
+
     if n <= cfg.anchor_min_words:
-        return [Chunk(" ".join(words), (0, n), is_anchor=True)]
+        return [chunk(0, n, True)]
 
     size = cfg.anchor_min_words
     start = match_word_index - size // 2
     start = max(0, min(start, n - size))
-    anchor = Chunk(" ".join(words[start : start + size]), (start, start + size), True)
-
     step = cfg.chunk_words - cfg.overlap_words
 
     def windows(lo: int, hi: int) -> list[Chunk]:
@@ -97,13 +110,13 @@ def chunk_for_candidate(
         pos = lo
         while pos < hi:
             end = min(pos + cfg.chunk_words, hi)
-            out.append(Chunk(" ".join(words[pos:end]), (pos, end)))
+            out.append(chunk(pos, end))
             if end >= hi:
                 break
             pos += step
         return out
 
-    return windows(0, start) + [anchor] + windows(start + size, n)
+    return windows(0, start) + [chunk(start, start + size, True)] + windows(start + size, n)
 
 
 def build_query(head: str, relation_id: str, tail: str) -> str:

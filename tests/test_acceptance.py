@@ -116,8 +116,8 @@ def test_criterion_4_chunking_invariants():
         for _ in range(500):
             n = rng.randint(1, 4000)
             m = rng.randint(0, n - 1)
-            text = " ".join(f"w{i}" for i in range(n))
-            chunks = chunk_for_candidate(text, m, cfg)
+            words = [f"w{i}" for i in range(n)]
+            chunks = chunk_for_candidate(words, m, cfg, {})
             covered = set()
             anchors = []
             for c in chunks:

@@ -1,5 +1,6 @@
 import ast
 import base64
+import importlib.util
 import json
 import os
 import random
@@ -894,6 +895,32 @@ class TestRetries:
         assert err == "error: interrupted (journal preserved, rerun to resume)\n"
         assert run(config, "extract", "--deterministic") == 0
         assert_golden_outputs(tmp_path / "work")
+
+
+class TestTracedRun:
+    INPROC = Path(__file__).resolve().parents[1] / "perfbench" / "inproc.py"
+
+    def test_every_traced_function_is_on_the_path(self, tmp_path, mock_server):
+        # a function that keeps its name but is no longer called would leave
+        # its benchmark metrics absent without failing the name check
+        spec = importlib.util.spec_from_file_location("perfbench_inproc", self.INPROC)
+        inproc = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(inproc)
+        config = long_page_site(tmp_path, mock_server(GOLDEN_CHAT_SCRIPT).base_url)
+        out = tmp_path / "trace.json"
+        src = Path(cli.__file__).resolve().parents[1]
+        subprocess.run(
+            [sys.executable, str(self.INPROC), "--config", str(config), "--out", str(out),
+             "--trace"],
+            cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)}, check=True,
+            stdout=subprocess.DEVNULL, timeout=120)
+        result = json.loads(out.read_text())
+        assert result["missing"] == []
+        assert result["exits"] == [["preprocess", 0], ["match", 0], ["extract", 0]]
+        traced = {name for _, name, *_ in result["spans"]}
+        assert [name for name, *_ in inproc.Tracer().targets() if name not in traced] == []
+        # the long Treatment section gives its candidates several chunks
+        assert max(info.get("chunks", 0) for *_, info in result["spans"]) > 1
 
 
 class TestEval:

@@ -238,8 +238,8 @@ def section_texts(doc, candidates, cfg=RetrievalConfig()):
     sections = [section for section, _ in doc.walk_sections()]
     out = {}
     for c in candidates:
-        flat = flatten_section_text(sections[c.section_index])
-        chunks = chunk_for_candidate(flat, c.match_word_index, cfg)
+        words = flatten_section_text(sections[c.section_index]).split()
+        chunks = chunk_for_candidate(words, c.match_word_index, cfg, {})
         if len(chunks) == 1:
             continue
         texts = out.setdefault(c.section_index, {})
@@ -323,10 +323,13 @@ class TestSectionEmbedding:
         assert all(len(inputs) <= 3 for inputs in requests)
         assert len(requests) == -(-len(texts) // 3)
         assert sorted(sum(requests, [])) == sorted(texts)
-        flat = flatten_section_text(next(doc.walk_sections())[0])
+        # test_retrieval imports this module, so this import cannot be at the top
+        from test_retrieval import reference_chunks
+
+        words = flatten_section_text(next(doc.walk_sections())[0]).split()
         reordered = 0
         for c in (c for c in candidates if c.section_index == 0):
-            chunks = chunk_for_candidate(flat, c.match_word_index, cfg)
+            chunks = reference_chunks(words, c.match_word_index, cfg)
             assert len(chunks) > cfg.top_k
             query = question(c)
             expected = retrieve_top_k(
@@ -514,6 +517,20 @@ class TestPlanning:
                            journal_path=tmp_path / "j.jsonl", workers=2)
         assert held == [True], "the first chat was not held until the planning error"
         assert [e["kind"] for e in server.log.entries] == ["chat"]
+
+    def test_bad_match_of_a_later_candidate_is_named(self, tmp_path, mock_server):
+        # the section's text is split once, before its first candidate is chunked
+        doc, candidates = long_section_site()
+        first, second, *rest = [c for c in candidates if c.section_index == 0]
+        bad = dataclasses.replace(second, match_word_index=10**6)
+        server = mock_server()
+        chat, embed = endpoints(server)
+        with pytest.raises(ConfigError, match=rf"candidate {bad.candidate_id}: word "
+                           r"index 1000000 outside \[0, \d+\) .*; rerun match"):
+            run_extraction([first, bad, *rest], [doc], chat, embed, RetrievalConfig(),
+                           load_exemplars(), RELATIONS,
+                           journal_path=tmp_path / "j.jsonl", workers=2)
+        assert server.log.entries == []
 
     def test_planning_stays_a_bounded_distance_ahead(self, tmp_path, mock_server,
                                                      monkeypatch):

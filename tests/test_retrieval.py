@@ -5,7 +5,9 @@ import random
 import numpy as np
 import pytest
 
-from biotriplets.classifier import ChatEndpoint, load_exemplars
+from biotriplets import pipeline
+from biotriplets.classifier import CandidatePair, ChatEndpoint, load_exemplars
+from biotriplets.docmodel import Section
 from biotriplets.errors import EndpointRejected, EndpointUnavailable
 from biotriplets.mockserver import MOCK_EMBED_DIM, mock_embedding
 from biotriplets.pipeline import run_extraction
@@ -25,7 +27,7 @@ CFG = RetrievalConfig()
 
 
 def words(n, prefix="w"):
-    return " ".join(f"{prefix}{i}" for i in range(n))
+    return [f"{prefix}{i}" for i in range(n)]
 
 
 def check_coverage(chunks, n):
@@ -54,40 +56,122 @@ def check_coverage(chunks, n):
 
 class TestChunking:
     def test_short_text_single_anchor(self):
-        chunks = chunk_for_candidate(words(100), 40, CFG)
+        chunks = chunk_for_candidate(words(100), 40, CFG, {})
         assert len(chunks) == 1
         assert chunks[0].is_anchor
         assert chunks[0].word_span == (0, 100)
 
     def test_long_text_windows(self):
-        chunks = chunk_for_candidate(words(1000), 600, CFG)
+        chunks = chunk_for_candidate(words(1000), 600, CFG, {})
         anchor = next(c for c in chunks if c.is_anchor)
         assert anchor.word_span[1] - anchor.word_span[0] == 512
         assert anchor.word_span[0] <= 600 < anchor.word_span[1]
         check_coverage(chunks, 1000)
 
     def test_match_at_text_start(self):
-        chunks = chunk_for_candidate(words(600), 0, CFG)
+        chunks = chunk_for_candidate(words(600), 0, CFG, {})
         anchor = next(c for c in chunks if c.is_anchor)
         assert anchor.word_span == (0, 512)
         check_coverage(chunks, 600)
 
     def test_match_at_text_end(self):
-        chunks = chunk_for_candidate(words(600), 599, CFG)
+        chunks = chunk_for_candidate(words(600), 599, CFG, {})
         anchor = next(c for c in chunks if c.is_anchor)
         assert anchor.word_span == (88, 600)
         check_coverage(chunks, 600)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError, match=r"word index 10 outside \[0, 10\)"):
-            chunk_for_candidate(words(10), 10, CFG)
+            chunk_for_candidate(words(10), 10, CFG, {})
 
     def test_randomized_invariants(self):
         rng = random.Random(99)
         for _ in range(100):
             n = rng.randint(1, 3000)
             m = rng.randint(0, n - 1)
-            check_coverage(chunk_for_candidate(words(n), m, CFG), n)
+            check_coverage(chunk_for_candidate(words(n), m, CFG, {}), n)
+
+
+def reference_chunks(words, match, cfg):
+    """The chunking rule written out naively, in text order: an anchor of
+    `anchor_min_words` words (the whole text, if shorter) centred on the
+    match and clamped to the text, and on each side of it windows of
+    `chunk_words` words, each starting `chunk_words - overlap_words` words
+    after the one before, as many as it takes to reach the anchor or the
+    end of the text, the last cut short there."""
+    n = len(words)
+    size = min(n, cfg.anchor_min_words)
+    start = min(max(match - cfg.anchor_min_words // 2, 0), n - size)
+    step = cfg.chunk_words - cfg.overlap_words
+
+    def windows(lo, hi):
+        count = 0 if hi == lo else max(0, -(-(hi - lo - cfg.chunk_words) // step)) + 1
+        return [Chunk(" ".join(words[a:min(a + cfg.chunk_words, hi)]),
+                      (a, min(a + cfg.chunk_words, hi)))
+                for a in range(lo, lo + count * step, step)]
+
+    anchor = Chunk(" ".join(words[start:start + size]), (start, start + size), True)
+    return windows(0, start) + [anchor] + windows(start + size, n)
+
+
+def random_section(rng, n):
+    """A section whose flattened text has `n` words from a small vocabulary,
+    so distinct spans can share a text; sometimes a child section holds the
+    tail, under a one-word heading. Returns it and its words."""
+    ws = rng.choices(["fever", "rash", "cough", "pain", "rest"], k=n)
+    gaps = [rng.choice([" ", "  ", "\n", "\t "]) for _ in range(n)]
+
+    def text(part, offset):
+        return "".join(w + gap for w, gap in zip(part, gaps[offset:])).rstrip()
+
+    k = rng.randrange(n)
+    if rng.random() < 0.3:
+        child = Section(ws[k], 3, text(ws[k + 1:], k + 1))
+        return Section("S", 2, text(ws[:k], 0), [child]), ws
+    return Section("S", 2, text(ws, 0)), ws
+
+
+class TestSectionChunks:
+    """`_section_plan`'s chunks and texts against `reference_chunks`."""
+
+    CONFIGS = [
+        RetrievalConfig(),
+        RetrievalConfig(anchor_min_words=6, chunk_words=3, overlap_words=1),
+        RetrievalConfig(anchor_min_words=40, chunk_words=7, overlap_words=0),
+        RetrievalConfig(anchor_min_words=16, chunk_words=16, overlap_words=5),
+        RetrievalConfig(anchor_min_words=1, chunk_words=1, overlap_words=0),
+    ]
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda cfg: "{}-{}-{}".format(
+        cfg.anchor_min_words, cfg.chunk_words, cfg.overlap_words))
+    def test_matches_the_reference(self, cfg):
+        for seed in range(30):
+            rng = random.Random(seed)
+            edge = cfg.anchor_min_words + seed % 2  # a text of exactly it, or one more
+            n = edge if seed % 3 == 0 else rng.randint(1, 3000)
+            section, ws = random_section(rng, n)
+            matches = [0, n - 1] + [rng.randrange(n) for _ in range(rng.randint(0, 38))]
+            rng.shuffle(matches)
+            members = [
+                CandidatePair(candidate_id=f"c{j}", site_id="s1", page_url="https://x/p",
+                              relation="treatment", head_surface="h", head_concept_id=f"C{j}",
+                              tail_title="T", section_path="T > S", section_index=0,
+                              match_word_index=m)
+                for j, m in enumerate(matches[:rng.randint(1, 40)])]
+            questions = [f"question {rng.randrange(5)}?" for _ in members]
+            chunks, texts = pipeline._section_plan(section, members, questions, cfg)
+            expected = [reference_chunks(ws, c.match_word_index, cfg) for c in members]
+            assert chunks == expected, seed
+            embedded = {}
+            for question, its in zip(questions, expected):
+                if len(its) > 1:
+                    embedded[question] = None
+                    embedded.update(dict.fromkeys(chunk.text for chunk in its))
+            assert texts == list(embedded), seed
+            # one span of a section is one chunk, whichever candidates share it
+            by_span = {}
+            for chunk in (chunk for its in chunks for chunk in its):
+                assert by_span.setdefault((chunk.word_span, chunk.is_anchor), chunk) is chunk, seed
 
 
 def default_question(head, relation_id, tail):
