@@ -10,16 +10,21 @@ alphanumeric), each with its surface lengths, longest first. `match_terms`
 walks the tokens of the folded text and, for a token that starts some
 surface, tries only that token's lengths against the folded-surface dict;
 most tokens cost one dict miss. Building the table is one pass over the
-surfaces, under 1 µs each (10-17 ms for 20k surfaces on Python 3.11).
+surfaces, about 0.3 µs each (6 ms for 20k surfaces on Python 3.11).
+
+One surface has one sense: the first row's concept keeps it, a later row
+of the same concept adds its semantic types, and a row of another concept
+is only counted as a conflict.
 
 A surface can match only where a text token equals its first token, so
 `load_thesaurus` given the tokens of a corpus (`corpus_tokens`) indexes
 only the rows that start with one of them; the matches do not change.
+Every row is still read and checked, about 0.6 µs a row when it is left
+out (11 ms for 20k rows).
 """
 
 from __future__ import annotations
 
-import logging
 import re
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -28,8 +33,6 @@ from typing import Collection, Iterable, NamedTuple
 
 from .errors import ConfigError
 from .retrieval import RelationType
-
-logger = logging.getLogger(__name__)
 
 MIN_SURFACE_LEN = 3
 
@@ -97,19 +100,17 @@ class Thesaurus:
         self.add_folded(fold(surface.strip()), concept_id, types)
 
     def add_folded(self, folded: str, concept_id: str, types: Iterable[str]) -> None:
+        """Index `folded` under `concept_id`. A repeat of the indexed concept
+        adds its types. A row of another concept is only counted: the first
+        concept keeps the surface and its own types."""
         existing = self.index.get(folded)
         if existing is None:
             self.index[folded] = TermEntry(folded, concept_id, frozenset(types))
-            return
-        if existing.concept_id != concept_id:
-            # one sense per surface: first concept wins
+        elif existing.concept_id != concept_id:
             self.concept_conflicts += 1
-            logger.debug("concept conflict for %r: %s vs %s",
-                         folded, existing.concept_id, concept_id)
-            concept_id = existing.concept_id
-        self.index[folded] = TermEntry(
-            folded, concept_id, existing.semantic_types | frozenset(types)
-        )
+        else:
+            self.index[folded] = TermEntry(
+                folded, concept_id, existing.semantic_types | frozenset(types))
 
 
 def load_thesaurus(path: str | Path, tokens: Collection[str] | None = None) -> Thesaurus:
@@ -118,27 +119,36 @@ def load_thesaurus(path: str | Path, tokens: Collection[str] | None = None) -> T
     `tokens`, a usable row is indexed only if its first token is one of
     them, and counted as unreachable otherwise. A file that cannot be read
     or is not UTF-8, a row without 3 columns, and a file without a usable
-    row raise ConfigError naming the file."""
+    row raise ConfigError naming the file. A surface that a later row
+    gives another concept keeps the first concept and its types.
+
+    The file is streamed a line at a time. A line is split on tabs as it is
+    read, the strip of its last column drops the newline, and a line that
+    is only a newline is skipped."""
     thesaurus = Thesaurus()
+    add_folded = thesaurus.add_folded
     type_sets: dict[str, frozenset[str]] = {}
+    skipped_rows = skipped_short = unreachable = 0
     try:
         with open(path, encoding="utf-8-sig") as fh:
             for line_no, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
                 cols = line.split("\t")
                 if len(cols) != 3:
+                    if line == "\n":
+                        continue
                     raise ConfigError(f"thesaurus {path}: line {line_no}: "
                                       f"expected 3 columns, got {len(cols)}")
-                surface, concept_id, types_field = [c.strip() for c in cols]
+                surface, concept_id, types_field = cols
+                surface = surface.strip()
+                concept_id = concept_id.strip()
+                types_field = types_field.strip()
                 if not surface or not concept_id or not types_field:
-                    thesaurus.skipped_rows += 1
+                    skipped_rows += 1
                     continue
                 if len(surface) < MIN_SURFACE_LEN and not (
                     surface.isupper() and any(c.isalpha() for c in surface)
                 ):
-                    thesaurus.skipped_short += 1
+                    skipped_short += 1
                     continue
                 types = type_sets.get(types_field)
                 if types is None:
@@ -146,18 +156,21 @@ def load_thesaurus(path: str | Path, tokens: Collection[str] | None = None) -> T
                         t.strip() for t in types_field.split(";") if t.strip()
                     )
                 if not types:
-                    thesaurus.skipped_rows += 1
+                    skipped_rows += 1
                     continue
                 folded = fold(surface)
                 if tokens is not None and first_token(folded) not in tokens:
-                    thesaurus.unreachable += 1
+                    unreachable += 1
                     continue
-                thesaurus.add_folded(folded, concept_id, types)
+                add_folded(folded, concept_id, types)
     except UnicodeDecodeError as exc:
         raise ConfigError(f"thesaurus {path}: not UTF-8 text: {exc}") from None
     except OSError as exc:
         raise ConfigError(f"thesaurus {path}: {exc}") from None
-    if not thesaurus.index and not thesaurus.unreachable:
+    thesaurus.skipped_rows = skipped_rows
+    thesaurus.skipped_short = skipped_short
+    thesaurus.unreachable = unreachable
+    if not thesaurus.index and not unreachable:
         raise ConfigError(f"thesaurus {path}: cannot build a matcher from an empty thesaurus")
     return thesaurus
 

@@ -33,7 +33,6 @@ import threading
 import time
 from bisect import bisect_left
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from itertools import count, islice, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -383,6 +382,8 @@ def run_extraction(
     starts another request, and the deferred requests are dropped; a reply
     that arrives after the failure is still journaled.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     from .embeddings import EmbeddingCheckpoint
 
     journal = Journal(journal_path)

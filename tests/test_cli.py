@@ -52,7 +52,32 @@ def add_entry(manifest, drop=None, **fields):
         fh.write(json.dumps(entry) + "\n")
 
 
+# modules preprocess and match have no use for: the HTTP client and the
+# thread pool of extract, the mock server, eval's decimal, and logging
+UNUSED_MODULES = ("http.client", "ssl", "urllib.request", "http.server", "decimal",
+                        "importlib.resources", "concurrent.futures", "logging")
+
+
+def unused_modules_loaded(config, stage):
+    """The UNUSED_MODULES that `stage` loads, run in a fresh interpreter."""
+    src = Path(cli.__file__).resolve().parents[1]
+    loaded = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys; from biotriplets import cli; "
+         f"assert cli.main(['--config', {str(config)!r}, {stage!r}]) == 0; "
+         f"print(' '.join(m for m in {UNUSED_MODULES!r} if m in sys.modules))"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60, check=True,
+    ).stdout.splitlines()
+    return loaded[-1].split()
+
+
 class TestPreprocess:
+    def test_loads_no_http_client(self, site):
+        root, config, _ = site
+        assert unused_modules_loaded(config, "preprocess") == []
+        assert (root / "work" / "documents.jsonl").exists()
+
     def test_writes_one_line_per_page(self, site):
         root, config, _ = site
         assert run(config, "preprocess") == 0
@@ -188,17 +213,7 @@ class TestMatch:
     def test_loads_no_http_client(self, site):
         root, config, _ = site
         assert run(config, "preprocess") == 0
-        src = Path(cli.__file__).resolve().parents[1]
-        loaded = subprocess.run(
-            [sys.executable, "-S", "-c",
-             "import sys; from biotriplets import cli; "
-             f"assert cli.main(['--config', {str(config)!r}, 'match']) == 0; "
-             "print(' '.join(m for m in ('http.client', 'ssl', 'urllib.request', "
-             "'http.server', 'decimal', 'importlib.resources') if m in sys.modules))"],
-            env={**os.environ, "PYTHONPATH": str(src)},
-            capture_output=True, text=True, timeout=60, check=True,
-        ).stdout.splitlines()
-        assert loaded[-1].split() == []
+        assert unused_modules_loaded(config, "match") == []
         assert (root / "work" / "candidates.jsonl").exists()
 
     def assert_config_error(self, root, config, capsys, *expected):

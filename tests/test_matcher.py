@@ -8,6 +8,7 @@ from biotriplets.docmodel import Section, WebDocument
 from biotriplets.errors import ConfigError
 from biotriplets.matcher import (
     MatcherAutomaton,
+    TermEntry,
     TermMatch,
     Thesaurus,
     corpus_tokens,
@@ -18,7 +19,7 @@ from biotriplets.matcher import (
     semantic_filter,
 )
 from biotriplets.pipeline import enumerate_candidates
-from biotriplets.retrieval import RelationType
+from biotriplets.retrieval import DEFAULT_RELATIONS, RelationType
 
 
 def make_automaton(surfaces):
@@ -151,11 +152,15 @@ class TestLoadThesaurus:
             load_thesaurus(tmp_path / "missing.tsv")
 
     def test_concept_conflict_keeps_first(self, tmp_path):
+        # the first concept keeps the surface and only its own types
         f = tmp_path / "t.tsv"
-        f.write_text("fever\tC1\tA\nFever\tC2\tB\n")
+        f.write_text("cold\tC1\tSign, Symptom, or Finding\nCold\tC2\tChemical or Drug\n")
         th = load_thesaurus(f)
-        assert th.index["fever"].concept_id == "C1"
+        assert th.index["cold"] == TermEntry("cold", "C1", frozenset({"Sign, Symptom, or Finding"}))
         assert th.concept_conflicts == 1
+        doc = WebDocument("site", "https://x/1", "Page", [Section("h", 2, "A cold for days.")])
+        candidates = enumerate_candidates([doc], MatcherAutomaton(th), DEFAULT_RELATIONS)
+        assert [(c.relation, c.head_concept_id) for c in candidates] == [("manifestation", "C1")]
 
     def test_short_surfaces(self, tmp_path):
         f = tmp_path / "t.tsv"
@@ -392,6 +397,116 @@ class TestCorpusFilter:
         f.write_text("of\tC1\tA\nfever\tC2\t \n")
         with pytest.raises(ConfigError, match="empty thesaurus"):
             load_thesaurus(f, set())
+
+
+def reference_load(rows, tokens):
+    """The loader's rules written out, applied one row at a time in their
+    order. `rows` are the file's lines without their line ends and without
+    the byte-order mark. Returns the index and the counts (skipped_rows,
+    skipped_short, unreachable, concept_conflicts), or the message of the
+    first row without 3 columns."""
+    index = {}
+    skipped_rows = skipped_short = unreachable = conflicts = 0
+    for line_no, row in enumerate(rows, start=1):
+        if not row:
+            continue
+        cols = row.split("\t")
+        if len(cols) != 3:
+            return f"line {line_no}: expected 3 columns, got {len(cols)}"
+        surface, concept_id, types_field = (col.strip() for col in cols)
+        types = frozenset(t.strip() for t in types_field.split(";")) - {""}
+        if not surface or not concept_id or not types_field:
+            skipped_rows += 1
+        elif len(surface) < 3 and not (surface.isupper()
+                                       and any(c.isalpha() for c in surface)):
+            skipped_short += 1
+        elif not types:
+            skipped_rows += 1
+        else:
+            folded = fold_per_char(surface)
+            first = re.match(r"[^\W_]+|\S", folded).group()
+            if tokens is not None and first not in tokens:
+                unreachable += 1
+            elif folded not in index:
+                index[folded] = TermEntry(folded, concept_id, types)
+            elif index[folded].concept_id != concept_id:
+                conflicts += 1  # the first concept keeps the surface and its types
+            else:
+                index[folded] = TermEntry(folded, concept_id,
+                                          index[folded].semantic_types | types)
+    return index, (skipped_rows, skipped_short, unreachable, conflicts)
+
+
+class TestLoaderReference:
+    """load_thesaurus agrees with `reference_load` on random files of
+    TestCorpusFilter's vocabulary and of the rows the rules single out."""
+
+    CORPUS = TestCorpusFilter()
+    # Ⅻ and Ⓐ are upper case without being letters
+    SHORT = ["ab", "AB", "x", "X", "İ", "Σ", "σ", "A1", "12", "-", "(R", "x-", "Ⅻ", "ⒶⒷ"]
+    BLANK = ["", " ", "\xa0", "\u3000 "]
+    TYPES = ["R", "S", "N", "R;N", " R ; N ", "R;;S", ";R;", ";", " ; ", ";;"]
+    BAD = ["a\tb", "fever\tC1", "a\tb\tc\td", "fever\tC1\tR\tR", " "]
+
+    def pad(self, rng, text):
+        return (rng.choice(self.BLANK) if rng.random() < 0.2 else "") + text + (
+            rng.choice(self.BLANK) if rng.random() < 0.2 else "")
+
+    def random_row(self, rng, rows):
+        earlier = [row for row in rows if row]
+        if earlier and rng.random() < 0.15:  # a repeated row, or the same surface
+            surface, concept, types = rng.choice(earlier).split("\t")
+            if rng.random() < 0.5:
+                surface = surface.upper() if rng.random() < 0.5 else surface.lower()
+            return "\t".join((surface, concept, types))
+        kind = rng.random()
+        if kind < 0.2:
+            surface = rng.choice(self.SHORT)
+        elif kind < 0.25:
+            surface = rng.choice(self.BLANK)
+        else:
+            words = [rng.choice(self.CORPUS.WORDS) for _ in range(rng.randint(1, 3))]
+            surface = self.CORPUS.join(rng, words)
+            if rng.random() < 0.2:
+                surface = surface.upper()
+        concept = rng.choice(self.BLANK) if rng.random() < 0.05 else f"C{rng.randint(0, 5)}"
+        types = rng.choice(self.BLANK) if rng.random() < 0.05 else rng.choice(self.TYPES)
+        return "\t".join(self.pad(rng, field) for field in (surface, concept, types))
+
+    def test_matches_the_reference(self, tmp_path):
+        rng = random.Random(20261020)
+        path = tmp_path / "t.tsv"
+        vocabulary = sorted(corpus_tokens(self.CORPUS.WORDS + self.CORPUS.FILLER + self.SHORT))
+        seen = [0] * 4
+        for _ in range(300):
+            rows = []
+            for _ in range(rng.randint(1, 40)):
+                rows.append("" if rng.random() < 0.1 else self.random_row(rng, rows))
+            if rng.random() < 0.15:
+                rows.insert(rng.randint(0, len(rows)), rng.choice(self.BAD))
+            ends = [rng.choice(["\n", "\r\n"]) for _ in rows]
+            if rng.random() < 0.3:
+                ends[-1] = ""
+            text = "".join(row + end for row, end in zip(rows, ends))
+            path.write_bytes((("\ufeff" if rng.random() < 0.3 else "") + text).encode("utf-8"))
+            subset = set(rng.sample(vocabulary, rng.randint(0, len(vocabulary))))
+            for tokens in (None, set(), subset):
+                expected = reference_load(rows, tokens)
+                if isinstance(expected, str):
+                    with pytest.raises(ConfigError, match=re.escape(f"t.tsv: {expected}")):
+                        load_thesaurus(path, tokens)
+                    continue
+                index, counts = expected
+                if not index and not counts[2]:
+                    with pytest.raises(ConfigError, match="empty thesaurus"):
+                        load_thesaurus(path, tokens)
+                    continue
+                th = load_thesaurus(path, tokens)
+                assert list(th.index.items()) == list(index.items()), rows
+                assert (th.skipped_rows, th.skipped_short, th.unreachable,
+                        th.concept_conflicts) == counts, rows
+                seen = [a + b for a, b in zip(seen, counts)]
+        assert all(seen)  # each count was nonzero somewhere
 
 
 def mk_match(types):
