@@ -10,7 +10,6 @@ errors.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional
@@ -157,11 +156,9 @@ class Judgment:
     answer: str  # "Yes" | "No" | "Malformed"
     reason: str
     raw_output: str
-    latency_ms: int = 0
-    model_id: str = ""
 
 
-def parse_judgment(raw: str, latency_ms: int = 0, model_id: str = "") -> Judgment:
+def parse_judgment(raw: str) -> Judgment:
     """Recover the first answer JSON from the reply; total, never raises.
 
     Scans every '{' for a balanced JSON object carrying string "answer"
@@ -186,18 +183,9 @@ def parse_judgment(raw: str, latency_ms: int = 0, model_id: str = "") -> Judgmen
         ):
             answer = obj["answer"].strip().lower()
             if answer in ("yes", "no"):
-                return Judgment(
-                    answer=answer.capitalize(),
-                    reason=obj["reason"],
-                    raw_output=raw,
-                    latency_ms=latency_ms,
-                    model_id=model_id,
-                )
+                return Judgment(answer.capitalize(), obj["reason"], raw)
         pos = idx + 1
-    return Judgment(
-        answer="Malformed", reason="", raw_output=raw,
-        latency_ms=latency_ms, model_id=model_id,
-    )
+    return Judgment("Malformed", "", raw)
 
 
 def _reply_content(body: dict) -> str:
@@ -211,18 +199,17 @@ def _reply_content(body: dict) -> str:
 class ChatEndpoint(Endpoint):
     timeout: float = 120.0
 
-    def complete(self, messages: list[dict]) -> tuple[str, int]:
-        """Returns (reply text, latency in ms) of one attempt; a retryable
-        failure raises `endpoint.RetryLater`."""
+    def complete(self, messages: list[dict]) -> str:
+        """Returns the reply text of one attempt; a retryable failure raises
+        `endpoint.RetryLater`. It keeps no clock: `pipeline.run_extraction`
+        times each verdict from its first attempt."""
         payload = {
             "model": self.model,
             "messages": messages,
             "temperature": TEMPERATURE,
             "max_tokens": MAX_TOKENS,
         }
-        started = time.monotonic()
-        content = self.post("/v1/chat/completions", payload, _reply_content)
-        return content, int((time.monotonic() - started) * 1000)
+        return self.post("/v1/chat/completions", payload, _reply_content)
 
 
 def classify(
@@ -233,5 +220,4 @@ def classify(
     exemplars: dict[str, list[Exemplar]],
 ) -> Judgment:
     bundle = build_prompt(candidate, question, retrieved, exemplars)
-    content, latency = endpoint.complete(bundle.to_messages())
-    return parse_judgment(content, latency_ms=latency, model_id=endpoint.model)
+    return parse_judgment(endpoint.complete(bundle.to_messages()))

@@ -41,7 +41,8 @@ class MockScript:
         data = data or {}
         self.default = data.get("default", {"answer": "No", "reason": "mock default"})
         self.rules = [dict(rule) for rule in data.get("rules", [])]
-        self.statuses = list(data.get("statuses", []))  # applies to every chat request
+        # consumed in turn by every chat and every embedding request
+        self.statuses = list(data.get("statuses", []))
         self._lock = threading.Lock()
 
     @classmethod

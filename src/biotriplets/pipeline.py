@@ -420,7 +420,6 @@ def run_extraction(
         first = time.monotonic()  # made just before the first attempt
 
         def send() -> int:
-            waited = int((time.monotonic() - first) * 1000)  # latency counts from it
             judgment = _process_candidate(
                 candidate, question, chunks, vectors, chat, retrieval_cfg, exemplars
             )
@@ -428,10 +427,10 @@ def run_extraction(
                 "candidate_id": candidate.candidate_id,
                 "answer": judgment.answer,
                 "reason": judgment.reason,
-                "model_id": judgment.model_id,
+                "model_id": chat.model,
             }
             if not deterministic:
-                record["latency_ms"] = waited + judgment.latency_ms
+                record["latency_ms"] = int((time.monotonic() - first) * 1000)
             journal.append(record)
             return 1
         return send

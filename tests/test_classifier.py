@@ -149,13 +149,14 @@ class TestParseJudgment:
 
 
 class TestClassify:
-    def test_scripted_yes(self, mock_server):
+    def test_scripted_yes(self, mock_server, tmp_path):
         server = mock_server({"default": {"answer": "Yes", "reason": "scripted"}})
         endpoint = ChatEndpoint(base_url=server.base_url, model="mock")
         j = classify(make_candidate(), QUESTION, CHUNKS, endpoint, load_exemplars())
         assert j.answer == "Yes"
         assert j.reason == "scripted"
-        assert j.model_id == "mock"
+        (record,) = self.journaled(endpoint, tmp_path).values()
+        assert record["model_id"] == "mock"
 
     @staticmethod
     def journaled(endpoint, tmp_path):

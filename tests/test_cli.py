@@ -7,6 +7,7 @@ import random
 import signal
 import subprocess
 import sys
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -454,6 +455,22 @@ class TestExtract:
         assert f"cannot read {root / 'work' / name}" in err and "Traceback" not in err
         assert not server.log.entries
 
+    def test_default_run_is_golden_but_for_the_malformed_latency(self, tmp_path, mock_server):
+        config = golden_site(tmp_path, mock_server(GOLDEN_CHAT_SCRIPT))
+        assert run(config, "extract") == 0
+        work = tmp_path / "work"
+        for name in ("triplets.jsonl", "report.txt", "report.json"):
+            assert (work / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+        golden = [json.loads(line) for line in
+                  (GOLDEN / "malformed.jsonl").read_text().splitlines()]
+        timed = [json.loads(line) for line in
+                 (work / "malformed.jsonl").read_text().splitlines()]
+        assert golden and len(timed) == len(golden)
+        for record, expected in zip(timed, golden):
+            latency = record.pop("latency_ms")
+            assert type(latency) is int and latency >= 0
+            assert record == expected
+
     def test_deterministic_runs_with_two_workers(self, tmp_path, mock_server):
         works = []
         for name in ("a", "b"):
@@ -885,9 +902,26 @@ class TestRetries:
 
     def test_interrupt_exits_1_with_one_line_and_the_rerun_resumes(
             self, tmp_path, mock_server):
-        # two 503s hold one chat for 0.6 s of backoff, while the workers wait
+        # two 503s hold one chat for 0.6 s of backoff; the first chat after
+        # the first 503 is held, so the run is still going when SIGINT comes
         question = "Is headache an informative manifestation of Plague?"
         server = mock_server(faulted_script({question: [503, 503]}))
+        held, release, lock = threading.Event(), threading.Event(), threading.Lock()
+        base = server.httpd.RequestHandlerClass
+
+        class HoldingHandler(base):
+            def do_POST(self):
+                if self.path == "/v1/chat/completions":
+                    with lock:
+                        hold = not held.is_set() and any(
+                            e["status"] == 503 for e in server.log.entries)
+                        if hold:
+                            held.set()
+                    if hold:
+                        release.wait(timeout=30)
+                super().do_POST()
+
+        server.httpd.RequestHandlerClass = HoldingHandler
         config = golden_site(tmp_path, server)
         src = Path(cli.__file__).resolve().parents[1]
         proc = subprocess.Popen(
@@ -896,14 +930,12 @@ class TestRetries:
             cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)},
             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
         try:
-            deadline = time.monotonic() + 30
-            while proc.poll() is None and time.monotonic() < deadline:
-                if any(e["status"] == 503 for e in server.log.entries):
-                    proc.send_signal(signal.SIGINT)
-                    break
-                time.sleep(0.005)
+            assert held.wait(timeout=30)
+            proc.send_signal(signal.SIGINT)
+            release.set()
             _, err = proc.communicate(timeout=30)
         finally:
+            release.set()
             proc.kill()
             proc.wait()
         assert proc.returncode == 1

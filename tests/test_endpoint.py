@@ -120,7 +120,7 @@ def test_request_bodies_and_authorization(server):
     server.reply(200, {"data": [{"index": 1, "embedding": [0.0, 1.0]},
                                 {"index": 0, "embedding": [1.0, 0.0]}]})
     server.reply(200, CHAT_OK)
-    assert chat(server, api_key="chat-key").complete(MESSAGES)[0] == "reply"
+    assert chat(server, api_key="chat-key").complete(MESSAGES) == "reply"
     vectors = embedder(server, api_key="embed-key").embed(["a", "b"])
     assert vectors == [[1.0, 0.0], [0.0, 1.0]]
     chat(server).complete(MESSAGES)
@@ -159,9 +159,8 @@ def extract(client, tmp_path):
     complete = client.complete
 
     def recorded(messages):
-        content, latency = complete(messages)
-        replies.append(content)
-        return content, latency
+        replies.append(complete(messages))
+        return replies[-1]
 
     client.complete = recorded
     embed = EmbeddingEndpoint(base_url=client.base_url, model="embed-m")  # sends nothing
@@ -308,7 +307,7 @@ def test_sequential_posts_share_one_connection(keep_alive):
     client = chat(keep_alive)
     for _ in range(5):
         keep_alive.reply(200, CHAT_OK)
-        assert client.complete(MESSAGES)[0] == "reply"
+        assert client.complete(MESSAGES) == "reply"
     client.close()
     assert [r["connection"] for r in keep_alive.requests] == [1] * 5
 
@@ -346,7 +345,7 @@ def test_connection_closed_by_server_is_reopened_without_retry():
         started = time.monotonic()
         for _ in range(3):
             closing.reply(200, CHAT_OK)
-            assert client.complete(MESSAGES)[0] == "reply"
+            assert client.complete(MESSAGES) == "reply"
             time.sleep(0.1)  # the server's close reaches the idle socket
         assert time.monotonic() - started < 5, "a retry waited out the backoff"
         client.close()
@@ -526,7 +525,7 @@ def test_https_proxy_tunnels_with_connect(tls_server, proxy_env):
         client = chat(server)
         for _ in range(2):
             server.reply(200, CHAT_OK)
-            assert client.complete(MESSAGES)[0] == "reply"
+            assert client.complete(MESSAGES) == "reply"
         client.close()
     finally:
         httpd.shutdown()

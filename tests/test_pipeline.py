@@ -880,6 +880,27 @@ class TestDeferral:
         assert retry - first > 1, "no other chat was sent while the retry waited"
         assert sent[retry][0] - sent[first][0] >= 1.0
 
+    def test_journaled_latency_counts_from_the_first_attempt(self, tmp_path, mock_server):
+        server = mock_server({"rules": [{"contains": "Is drugname0 ", "statuses": [503]}]})
+        chat = ChatEndpoint(base_url=server.base_url, model="mock", retry_backoff=0.3)
+        _, embed = endpoints(server)
+
+        def journal(name, **kw):
+            run_extraction(make_candidates(3), make_documents(3), chat, embed,
+                           RetrievalConfig(), load_exemplars(), RELATIONS,
+                           journal_path=tmp_path / name, workers=1, **kw)
+            return Journal(tmp_path / name).load()
+
+        timed = journal("timed.jsonl")
+        assert [e["status"] for e in server.log.entries].count(503) == 1
+        assert timed["cand0000"]["latency_ms"] >= 300
+        for record in timed.values():
+            assert type(record["latency_ms"]) is int and record["latency_ms"] >= 0
+            assert record["model_id"] == "mock"
+        untimed = journal("untimed.jsonl", deterministic=True)
+        assert len(untimed) == 3
+        assert not any("latency_ms" in record for record in untimed.values())
+
     def test_a_due_retry_goes_before_the_next_candidate(self, tmp_path, mock_server):
         # one section of four candidates; the first one's 503 is due at once
         server = mock_server({"rules": [{"contains": "Is drugname0 ", "statuses": [503]}]})
