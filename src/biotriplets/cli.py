@@ -292,11 +292,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_extract.add_argument("--limit", type=int, default=None,
                            help="process at most N pending candidates this run")
     p_extract.add_argument("--deterministic", action="store_true",
-                           help="omit timing fields: runs against a deterministic "
-                                "endpoint write byte-identical triplets.jsonl, "
-                                "report.txt, report.json and malformed.jsonl; "
-                                "journal.jsonl holds the same records in "
-                                "completion order")
+                           help="leave latency_ms out of journal.jsonl, so that runs "
+                                "against a deterministic endpoint journal the same "
+                                "records, in completion order; their triplets.jsonl, "
+                                "report.txt, report.json and malformed.jsonl are "
+                                "byte-identical with or without this flag")
 
     p_eval = sub.add_parser("eval", help="benchmark JSONL -> metrics + agreement")
     p_eval.add_argument("benchmark", help="benchmark JSONL file")

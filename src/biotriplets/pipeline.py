@@ -3,13 +3,14 @@
 Candidates are one per (head concept, relation, page) and point at their
 section in documents.jsonl. The pending section is the unit of planning:
 one worker sends a section's chats in turn, so concurrency comes from
-distinct sections. The workers take, in turn, what one planner yields:
-the embedding requests, each of texts that no earlier run or request
-embedded, filled to `batch_limit` across section boundaries so each text is
-embedded once per run, and each section after the requests it needs.
-A request that meets a transport error, 5xx or 429 waits for its retry on
-one heap of deferred requests, not on a worker: the worker goes on sending
-other requests, and takes a retry first once it is due.
+distinct sections. One planner yields the embedding requests, each of texts
+that no earlier run or request embedded, filled to `batch_limit` across
+section boundaries so each text is embedded once per run, and each section
+after the requests it needs. The workers share one `_Extraction`, and each
+runs its `work`: send the deferred requests that are due, take the
+planner's next item, then send the batch or classify the section. A request
+that meets a transport error, 5xx or 429 waits for its retry on one heap
+of deferred requests, not on a worker, which goes on sending.
 A section of at most `anchor_min_words` words gives each candidate one
 chunk, the one retrieved whatever the vectors, so it is neither embedded nor
 ranked. Classification progress is journaled to an append-only JSONL file
@@ -32,8 +33,8 @@ import re
 import threading
 import time
 from bisect import bisect_left
-from collections import deque
-from itertools import count, islice, repeat
+from functools import partial
+from itertools import count, islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -342,6 +343,113 @@ def plan_extraction(
     yield from held
 
 
+class _Extraction:
+    """The state the workers of one `run_extraction` share, and their `work`."""
+
+    def __init__(self, plan: Iterator, journal: Journal, checkpoint, chat: ChatEndpoint,
+                 embedder: EmbeddingEndpoint, retrieval_cfg: RetrievalConfig,
+                 exemplars: dict[str, list[Exemplar]], deterministic: bool):
+        self.plan = plan
+        self.taking = threading.Lock()  # the planner runs on one thread at a time
+        # the checkpoint gained keys, a request was deferred, or the run failed
+        self.changed = threading.Condition()
+        self.failed = threading.Event()
+        self.deferred: list[tuple] = []  # heap of (due, order, send, endpoint, failures)
+        self.order = count()
+        self.journal, self.checkpoint = journal, checkpoint
+        self.chat, self.embedder = chat, embedder
+        self.retrieval_cfg, self.exemplars = retrieval_cfg, exemplars
+        self.deterministic = deterministic
+        self.classified = 0  # the candidates journaled, counted under `changed`
+
+    def stop(self) -> None:
+        self.failed.set()
+        with self.changed:  # after the flag, so no waiter misses it
+            self.changed.notify_all()
+
+    def send_batch(self, batch: dict[bytes, str]) -> None:
+        self.checkpoint.add(list(batch), self.embedder.embed(list(batch.values())))
+        with self.changed:
+            self.changed.notify_all()
+
+    def send_chat(self, candidate: CandidatePair, question: str, chunks: list[Chunk],
+                  vectors: dict[str, list[float]], first: float) -> None:
+        """Classify and journal `candidate`; `first` is when its first
+        attempt began."""
+        judgment = _process_candidate(candidate, question, chunks, vectors, self.chat,
+                                      self.retrieval_cfg, self.exemplars)
+        record = dict(zip(_VERDICT_KEYS, (candidate.candidate_id, judgment.answer,
+                                          judgment.reason, self.chat.model)))
+        if not self.deterministic:
+            record["latency_ms"] = int((time.monotonic() - first) * 1000)
+        self.journal.append(record)
+        with self.changed:
+            self.classified += 1
+
+    def attempt(self, send: Callable[[], None], endpoint: Endpoint, failures: int = 0) -> None:
+        """Send once; a retryable failure defers the request."""
+        try:
+            send()
+        except RetryLater as exc:
+            failures += 1
+            due = time.monotonic() + endpoint.retry_delay(exc, failures)
+            with self.changed:
+                heapq.heappush(self.deferred, (due, next(self.order), send, endpoint, failures))
+                self.changed.notify_all()  # it may be due before what the others wait for
+
+    def wait(self, ready: Callable[[], bool] = lambda: True) -> bool:
+        """Send each deferred request that is due, until `ready()`; returns
+        False, sending no more, once the run fails."""
+        while True:
+            with self.changed:
+                while not self.failed.is_set():
+                    timeout = self.deferred[0][0] - time.monotonic() if self.deferred else None
+                    if timeout is not None and timeout <= 0:
+                        retry = heapq.heappop(self.deferred)
+                        break
+                    if ready():
+                        return True
+                    self.changed.wait(timeout)
+                else:
+                    return False
+            self.attempt(*retry[2:])
+
+    def classify_section(self, members: list[CandidatePair], questions: list[str],
+                         chunks: list[list[Chunk]], texts: list[str],
+                         keys: list[bytes]) -> None:
+        """Once the checkpoint holds the section's texts, send its chats in
+        turn, each after the deferred requests that are due."""
+        if not self.wait(lambda: all(key in self.checkpoint.offsets for key in keys)):
+            return
+        # only this section's chats keep its vectors
+        vectors = dict(zip(texts, unit_rows(self.checkpoint.vectors(keys)))) if texts else {}
+        for candidate, question, its in zip(members, questions, chunks):
+            if not self.wait():
+                return
+            self.attempt(partial(self.send_chat, candidate, question, its, vectors,
+                                 time.monotonic()), self.chat)
+
+    def work(self) -> None:
+        """Send requests until none is left or the run fails: the deferred
+        requests that are due, then the planner's next item, a batch to send
+        or a section to classify. Once the planner is spent, stay while a
+        request is deferred."""
+        try:
+            while self.wait():
+                with self.taking:
+                    item = next(self.plan, None)
+                if item is None:
+                    self.wait(lambda: not self.deferred)
+                    return
+                if isinstance(item, dict):  # an embedding batch
+                    self.attempt(partial(self.send_batch, item), self.embedder)
+                else:
+                    self.classify_section(*item)
+        except BaseException:
+            self.stop()
+            raise
+
+
 def run_extraction(
     candidates: list[CandidatePair],
     documents: Iterable[WebDocument],
@@ -363,24 +471,25 @@ def run_extraction(
     relation. `limit` caps how many pending candidates this run processes;
     the rest stay pending for a later resume.
 
-    One thread per pending section, up to `workers` and this one among them,
-    sends one request at a time, so at most `workers` are in flight. A
-    thread sends a deferred request that is due first; then the next
-    candidate of the section it holds, once `embeddings.jsonl` beside the
-    journal holds that section's texts; then it takes the next item
-    `plan_extraction` yields: a batch, which it sends, appending the reply
-    to that checkpoint, or a section, which it holds. A section comes after
-    every batch it needs. When nothing is ready, the thread waits until a
-    deferred request is due, a batch's reply arrives or the run fails.
+    One `_Extraction.work` per pending section, up to `workers` and this
+    thread among them, sends one request at a time, so at most `workers`
+    are in flight. A worker first sends the deferred requests that are due
+    (`wait`), then takes the next item `plan_extraction` yields: a batch,
+    which it sends (`send_batch`) and appends to `embeddings.jsonl` beside
+    the journal, or a section (`classify_section`). A section waits until
+    that checkpoint holds its texts, then sends its chats in turn
+    (`send_chat`), each after the deferred requests that are due. A waiting
+    worker sleeps until a deferred request is due, a batch's reply arrives
+    or the run fails.
 
-    A chat or batch that meets `endpoint.RetryLater` is deferred: it goes
-    onto one heap, due at the time its endpoint's `retry_delay` gives, and
-    its thread moves on. So a backoff delays only its own request. Past
-    `max_retries` the endpoint raises EndpointUnavailable. The checkpoint is
-    deleted once no candidate is left pending. A failure or an interrupt
-    aborts the run with the journal and the checkpoint intact: no thread
-    starts another request, and the deferred requests are dropped; a reply
-    that arrives after the failure is still journaled.
+    A chat or batch that meets `endpoint.RetryLater` is deferred (`attempt`):
+    it goes onto one heap, due at the time its endpoint's `retry_delay`
+    gives, and its worker moves on. Past `max_retries` the endpoint raises
+    EndpointUnavailable. The checkpoint is deleted once no candidate is left
+    pending. A failure or an interrupt aborts the run with the journal and
+    the checkpoint intact: no worker starts another request, the deferred
+    requests are dropped, and the run returns once every worker has
+    stopped; a reply that arrives after the failure is still journaled.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -395,130 +504,21 @@ def run_extraction(
                                      embedder.model)
     plan = plan_extraction(sections, relations, retrieval_cfg, checkpoint,
                            embedder.batch_limit)
-    taking = threading.Lock()  # the planner runs on one thread at a time
-    # the checkpoint gained keys, a request was deferred, or the run failed
-    changed = threading.Condition()
-    failed = threading.Event()
-    deferred: list[tuple] = []  # heap of (due, order, send, endpoint, failures)
-    order = count()
-
-    def stop() -> None:
-        failed.set()
-        with changed:  # after the flag, so no waiter misses it
-            changed.notify_all()
-
-    def batch_request(batch: dict[bytes, str]) -> Callable[[], int]:
-        def send() -> int:
-            checkpoint.add(list(batch), embedder.embed(list(batch.values())))
-            with changed:
-                changed.notify_all()
-            return 0
-        return send
-
-    def chat_request(candidate: CandidatePair, question: str, chunks: list[Chunk],
-                     vectors: dict[str, list[float]]) -> Callable[[], int]:
-        first = time.monotonic()  # made just before the first attempt
-
-        def send() -> int:
-            judgment = _process_candidate(
-                candidate, question, chunks, vectors, chat, retrieval_cfg, exemplars
-            )
-            record = {
-                "candidate_id": candidate.candidate_id,
-                "answer": judgment.answer,
-                "reason": judgment.reason,
-                "model_id": chat.model,
-            }
-            if not deterministic:
-                record["latency_ms"] = int((time.monotonic() - first) * 1000)
-            journal.append(record)
-            return 1
-        return send
-
-    def section_chats(members: list[CandidatePair], questions: list[str],
-                      chunks: list[list[Chunk]], texts: list[str],
-                      keys: list[bytes]) -> Iterator[tuple]:
-        """chat_request's arguments for each candidate of a section whose
-        texts the checkpoint holds. Only the chats keep its vectors."""
-        vectors = dict(zip(texts, unit_rows(checkpoint.vectors(keys)))) if texts else {}
-        return zip(members, questions, chunks, repeat(vectors))
-
-    def attempt(send: Callable[[], int], endpoint: Endpoint, failures: int = 0) -> int:
-        """Send once; returns how many candidates that journaled. A
-        retryable failure defers the request and returns 0."""
+    run = _Extraction(plan, journal, checkpoint, chat, embedder, retrieval_cfg, exemplars,
+                      deterministic)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         try:
-            return send()
-        except RetryLater as exc:
-            due = time.monotonic() + endpoint.retry_delay(exc, failures + 1)
-            with changed:
-                heapq.heappush(deferred, (due, next(order), send, endpoint, failures + 1))
-                changed.notify_all()  # it may be due before what the others wait for
-            return 0
-
-    def wait(ready: Callable[[], bool]) -> Optional[tuple]:
-        """Wait until the run fails or is ready (None), or a deferred
-        request is due (it, popped from the heap)."""
-        with changed:
-            while not failed.is_set():
-                timeout = deferred[0][0] - time.monotonic() if deferred else None
-                if timeout is not None and timeout <= 0:
-                    return heapq.heappop(deferred)
-                if ready():
-                    return None
-                changed.wait(timeout)
-        return None
-
-    def work() -> int:
-        """Send requests until none is left or the run is failing; returns
-        how many candidates this thread classified."""
-        classified = 0
-        held = None  # the section taken from the planner, until its texts are checkpointed
-        todo: deque[tuple] = deque()  # then chat_request's arguments per candidate
-        planned_all = False
-        try:
-            while True:
-                if todo:
-                    retry = wait(lambda: True)
-                elif held is not None:
-                    retry = wait(lambda: all(key in checkpoint.offsets for key in held[-1]))
-                else:  # once every item is taken, stay while a request is deferred
-                    retry = wait(lambda: not (planned_all and deferred))
-                if failed.is_set():
-                    break
-                if retry is not None:
-                    classified += attempt(*retry[2:])
-                elif todo:
-                    classified += attempt(chat_request(*todo.popleft()), chat)
-                elif held is not None:
-                    todo.extend(section_chats(*held))
-                    held = None
-                elif planned_all:
-                    break
-                else:
-                    with taking:
-                        item = next(plan, None)
-                    if item is None:
-                        planned_all = True
-                    elif isinstance(item, dict):  # an embedding batch
-                        attempt(batch_request(item), embedder)
-                    else:
-                        held = item
+            others = [pool.submit(run.work) for _ in range(min(workers, len(sections)) - 1)]
+            run.work()  # here too, so an interrupt is a failure of the run
+            # futures, not Thread.join: Ctrl-C can end a join before its thread
+            for other in others:
+                other.result()  # raises a worker's failure
         except BaseException:
-            stop()
-            raise
-        return classified
-
-    try:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            others = [pool.submit(work) for _ in range(min(workers, len(sections)) - 1)]
-            classified = work()  # here too, so an interrupt is a failure of the run
-    except BaseException:
-        stop()  # an interrupt while the pool is joined reaches no worker
-        raise
-    classified += sum(other.result() for other in others)
+            run.stop()
+            raise  # once the pool's exit has joined the workers
     if finishes:  # no candidate is left pending: nothing will read the vectors
         checkpoint.path.unlink(missing_ok=True)
-    return classified
+    return run.classified
 
 
 # --------------------------------------------------------------------------
@@ -573,7 +573,7 @@ def summarize(
             kind = "negatives"
         else:
             kind = "malformed"
-            malformed.append({"candidate_id": c.candidate_id, **rec})
+            malformed.append({key: rec[key] for key in _VERDICT_KEYS})
         cell = cells.setdefault((c.site_id, c.relation), dict.fromkeys(_COUNTS, 0))
         for counts in (cell, totals):
             counts["candidates"] += 1

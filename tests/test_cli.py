@@ -455,21 +455,29 @@ class TestExtract:
         assert f"cannot read {root / 'work' / name}" in err and "Traceback" not in err
         assert not server.log.entries
 
-    def test_default_run_is_golden_but_for_the_malformed_latency(self, tmp_path, mock_server):
+    def test_default_run_is_golden(self, tmp_path, mock_server):
+        # the journal times each verdict, but no output carries the time
         config = golden_site(tmp_path, mock_server(GOLDEN_CHAT_SCRIPT))
         assert run(config, "extract") == 0
         work = tmp_path / "work"
-        for name in ("triplets.jsonl", "report.txt", "report.json"):
-            assert (work / name).read_bytes() == (GOLDEN / name).read_bytes(), name
-        golden = [json.loads(line) for line in
-                  (GOLDEN / "malformed.jsonl").read_text().splitlines()]
-        timed = [json.loads(line) for line in
-                 (work / "malformed.jsonl").read_text().splitlines()]
-        assert golden and len(timed) == len(golden)
-        for record, expected in zip(timed, golden):
-            latency = record.pop("latency_ms")
-            assert type(latency) is int and latency >= 0
-            assert record == expected
+        assert_golden_outputs(work)
+        records = [json.loads(line) for line in
+                   (work / "journal.jsonl").read_text().splitlines()]
+        assert records and all(type(r["latency_ms"]) is int for r in records)
+
+    def test_unknown_journal_key_reaches_no_output(self, tmp_path, mock_server):
+        server = mock_server(GOLDEN_CHAT_SCRIPT)
+        config = golden_site(tmp_path, server)
+        assert run(config, "extract", "--deterministic") == 0
+        journal = tmp_path / "work" / "journal.jsonl"
+        records = [json.loads(line) for line in journal.read_text().splitlines()]
+        assert any(r["answer"] == "Malformed" for r in records)
+        journal.write_text("".join(json.dumps({**r, "note": "from a later version"}) + "\n"
+                                   for r in records))
+        sent = len(server.log.entries)
+        assert run(config, "extract", "--deterministic") == 0
+        assert len(server.log.entries) == sent  # every extended record loaded as done
+        assert_golden_outputs(tmp_path / "work")
 
     def test_deterministic_runs_with_two_workers(self, tmp_path, mock_server):
         works = []

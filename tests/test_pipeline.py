@@ -838,6 +838,77 @@ class TestWorkers:
         chats = [e for e in server.log.entries if e["kind"] == "chat"]
         assert not any(q in e["prompt_tail"] for e in chats for q in long)
 
+    def test_one_classify_section_call_per_pending_section(self, tmp_path, mock_server,
+                                                           monkeypatch):
+        docs, candidates = long_sections_site()
+        server = mock_server()
+        chat, embed = endpoints(server)
+        journal = tmp_path / "j.jsonl"
+        run_extraction(candidates, docs, chat, embed, RetrievalConfig(), load_exemplars(),
+                       RELATIONS, journal_path=journal, workers=2, limit=3)
+        pending = [c for c in candidates if c.candidate_id not in Journal(journal).load()]
+        calls = []
+        real = pipeline._Extraction.classify_section
+
+        def classify_section(run, members, *rest):
+            calls.append(members)
+            return real(run, members, *rest)
+
+        monkeypatch.setattr(pipeline._Extraction, "classify_section", classify_section)
+        assert run_extraction(candidates, docs, chat, embed, RetrievalConfig(),
+                              load_exemplars(), RELATIONS, journal_path=journal,
+                              workers=2) == len(pending)
+        sections = {(c.page_url, c.section_index) for c in pending}
+        assert len(calls) == len(sections) > 1
+        assert all(len({(c.page_url, c.section_index) for c in members}) == 1
+                   for members in calls)
+        assert sorted(c.candidate_id for members in calls for c in members) == sorted(
+            c.candidate_id for c in pending)
+
+    def test_no_worker_outlives_the_run(self, tmp_path):
+        main = threading.main_thread()
+        other_started, main_done = threading.Event(), threading.Event()
+
+        class OfflineChat(ChatEndpoint):
+            """Replies Yes without a request; `script` may fail or interrupt."""
+            script = None
+
+            def complete(self, messages):
+                if self.script == "fail" and "Is drugname3 " in messages[-1]["content"]:
+                    raise EndpointUnavailable("POST /v1/chat/completions: HTTP 503")
+                if self.script == "interrupt" and threading.current_thread() is main:
+                    assert other_started.wait(timeout=10)  # each took a section
+                    main_done.set()
+                elif self.script == "interrupt":
+                    other_started.set()
+                    assert main_done.wait(timeout=10)
+                    time.sleep(0.1)  # the main thread ran out of work and joins the pool
+                    signal.pthread_kill(main.ident, signal.SIGINT)
+                    time.sleep(0.2)  # the reply comes after Ctrl-C
+                time.sleep(0.01)
+                return '{"answer": "Yes", "reason": "r"}'
+
+        chat = OfflineChat(base_url="http://127.0.0.1:9", model="offline")
+        embed = EmbeddingEndpoint(base_url="http://127.0.0.1:9", model="offline-embed")
+
+        def extract(name, count):
+            return run_extraction(make_candidates(count), make_documents(count), chat, embed,
+                                  RetrievalConfig(), load_exemplars(), RELATIONS,
+                                  journal_path=tmp_path / name, workers=4)
+
+        before = threading.enumerate()
+        assert extract("ok.jsonl", 8) == 8
+        assert [t for t in threading.enumerate() if t not in before] == []
+        chat.script = "fail"
+        with pytest.raises(EndpointUnavailable):
+            extract("fail.jsonl", 8)
+        assert [t for t in threading.enumerate() if t not in before] == []
+        chat.script = "interrupt"
+        with pytest.raises(KeyboardInterrupt):
+            extract("interrupt.jsonl", 2)
+        assert [t for t in threading.enumerate() if t not in before] == []
+        assert len(Journal(tmp_path / "interrupt.jsonl").load()) == 2
+
 
 def prompts_about(log, question):
     """The chats of `log`, a list of prompts, that ask `question`."""

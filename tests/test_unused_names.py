@@ -38,12 +38,17 @@ def outside_reads(trees: dict[Path, ast.Module]) -> set[tuple[str, str]]:
     return reads
 
 
+def parsed() -> dict[Path, ast.Module]:
+    """The trees of the package, the tests and the benchmark."""
+    files = [*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py"),
+             *(ROOT / "perfbench").glob("*.py")]
+    return {f: ast.parse(f.read_text(encoding="utf-8")) for f in files}
+
+
 def test_no_module_level_name_is_unread():
     # no linter runs here, so this keeps dead constants, imports, functions
     # and classes out
-    files = [*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py"),
-             *(ROOT / "perfbench").glob("*.py")]
-    trees = {f: ast.parse(f.read_text(encoding="utf-8")) for f in files}
+    trees = parsed()
     reads = outside_reads(trees)
     unread = []
     for path in sorted(PACKAGE.glob("*.py")):
@@ -52,4 +57,24 @@ def test_no_module_level_name_is_unread():
                and isinstance(n.ctx, ast.Load)}
         unread += [f"{path.stem}.{name}" for name in sorted(module_names(tree))
                    if name not in own and (path.stem, name) not in reads]
+    assert unread == []
+
+
+def test_no_method_is_unread():
+    # a method of a class whose bases are all package classes is called only
+    # by name, so one that no `x.name` reads is dead; dunders are called by
+    # the language, and a method overriding another library's is left out
+    trees = parsed()
+    classes = [(path, node) for path in sorted(PACKAGE.glob("*.py"))
+               for node in trees[path].body if isinstance(node, ast.ClassDef)]
+    names = {node.name for _, node in classes}
+    reads = {node.attr for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [f"{path.stem}.{cls.name}.{node.name}" for path, cls in classes
+              if all(getattr(base, "id", getattr(base, "attr", None)) in names
+                     for base in cls.bases)
+              for node in cls.body
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and not (node.name.startswith("__") and node.name.endswith("__"))
+              and node.name not in reads]
     assert unread == []
