@@ -97,10 +97,6 @@ def cmd_match(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    # run_extraction imports this too; importing it before the corpus is read
-    # keeps its compilation (where no bytecode is cached) off extract's peak RSS
-    from . import embeddings  # noqa: F401
-
     if args.limit is not None and args.limit < 0:
         raise ConfigError(f"--limit must be at least 0, not {args.limit}")
     cfg = _load_cfg(args)
@@ -136,10 +132,7 @@ def cmd_extract(args) -> int:
     except EndpointRejected as exc:
         print(f"error: {exc} (journal preserved)", file=sys.stderr)
         return EXIT_PARTIAL
-    except EndpointUnavailable as exc:
-        print(f"error: {exc} (journal preserved, rerun to resume)", file=sys.stderr)
-        return EXIT_PARTIAL
-    except OSError as exc:  # writing the journal or the embedding checkpoint
+    except (EndpointUnavailable, OSError) as exc:  # OSError: a journal or checkpoint write
         print(f"error: {exc} (journal preserved, rerun to resume)", file=sys.stderr)
         return EXIT_PARTIAL
     finally:

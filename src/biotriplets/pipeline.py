@@ -14,9 +14,9 @@ of deferred requests, not on a worker, which goes on sending.
 A section of at most `anchor_min_words` words gives each candidate one
 chunk, the one retrieved whatever the vectors, so it is neither embedded nor
 ranked. Classification progress is journaled to an append-only JSONL file
-keyed by candidate id, and every embedding to a checkpoint beside it
-(`embeddings.py`), so an interrupted run resumes without re-querying
-finished candidates or re-embedding a text.
+keyed by candidate id, and every embedding to a checkpoint beside it, so
+an interrupted run resumes without re-querying finished candidates or
+re-embedding a text.
 
 `run_extraction` only classifies. `summarize` then derives the triplets,
 the report and the malformed records from the journal in one pass over the
@@ -25,21 +25,26 @@ candidates, so every count and every triplet is a journaled verdict.
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import heapq
 import json
+import math
 import os
 import re
+import struct
 import threading
 import time
 from bisect import bisect_left
+from dataclasses import dataclass, fields
 from functools import partial
 from itertools import count, islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .classifier import CandidatePair, ChatEndpoint, Exemplar, Judgment, classify
-from .docmodel import Section, WebDocument, flatten_section_text, read_jsonl
+from .docmodel import (Section, WebDocument, _field, flatten_section_text, json_object,
+                       read_jsonl)
 from .endpoint import Endpoint, RetryLater
 from .errors import ConfigError
 from .matcher import MatcherAutomaton, match_terms, semantic_filter
@@ -142,8 +147,25 @@ def read_candidates(path: str | Path) -> list[CandidatePair]:
 # Extraction run with append-only journal.
 
 
-# The string fields of every journal record.
-_VERDICT_KEYS = ("candidate_id", "answer", "reason", "model_id")
+@dataclass(frozen=True)
+class Verdict:
+    """A journal record: the chat model's answer to one candidate. A timed
+    run's line also holds `latency_ms`, which no loader reads."""
+
+    candidate_id: str
+    answer: str
+    reason: str
+    model_id: str
+
+    def to_dict(self) -> dict:
+        return dict(self.__dict__)
+
+    @classmethod
+    def from_dict(cls, value) -> "Verdict":
+        """Raises KeyError on a missing field and TypeError unless `value` is
+        an object whose fields are str; other keys are ignored."""
+        d = json_object(value)
+        return cls(*(_field(d, f.name, str) for f in fields(cls)))
 
 
 class AppendLog:
@@ -187,10 +209,10 @@ class AppendLog:
 class Journal(AppendLog):
     """Append-only JSONL of finished candidates, the resume checkpoint."""
 
-    def load(self) -> dict[str, dict]:
-        """Verdict records by candidate id. A line that is not JSON is
-        skipped; a JSON line that is not a verdict record raises ConfigError
-        naming the file and the line."""
+    def load(self) -> dict[str, Verdict]:
+        """Verdicts by candidate id. A line that is not JSON is skipped; a
+        JSON line that is not a verdict record raises ConfigError naming the
+        file, the line and what is wrong with it."""
         done = {}
         lines = self._lines("deleting it costs asking its candidates again")
         for line_no, line in enumerate(lines, 1):
@@ -201,16 +223,85 @@ class Journal(AppendLog):
                 rec = json.loads(line)
             except (ValueError, RecursionError):
                 continue  # torn tail line from a killed run
-            if not (isinstance(rec, dict) and all(
-                    isinstance(rec.get(k), str) for k in _VERDICT_KEYS)):
+            try:
+                verdict = Verdict.from_dict(rec)
+            except (KeyError, TypeError) as exc:
+                problem = f"lacks {exc}" if isinstance(exc, KeyError) else exc
                 raise ConfigError(
-                    f"{self.path} line {line_no} is not a verdict record; "
-                    "delete that line so its candidate is asked again")
-            done[rec["candidate_id"]] = rec
+                    f"{self.path} line {line_no} is not a verdict record ({problem}); "
+                    "delete that line so its candidate is asked again") from None
+            done[verdict.candidate_id] = verdict
         return done
 
-    def append(self, record: dict) -> None:
+    def append(self, verdict: Verdict, latency_ms: Optional[int] = None) -> None:
+        record = verdict.to_dict()
+        if latency_ms is not None:
+            record["latency_ms"] = latency_ms
         self._append([(json.dumps(record, ensure_ascii=False) + "\n").encode("utf-8")])
+
+
+def _pack(vector: list[float]) -> str:
+    """base64 of the vector as little-endian float64."""
+    return base64.b64encode(struct.pack(f"<{len(vector)}d", *vector)).decode("ascii")
+
+
+def _unpack(text: str) -> list[float]:
+    """The vector `_pack` wrote; ValueError unless `text` is base64 of a
+    whole number of float64s."""
+    raw = base64.b64decode(text, validate=True)
+    if len(raw) % 8:
+        raise ValueError("not a vector of float64")
+    return list(struct.unpack(f"<{len(raw) // 8}d", raw))
+
+
+class EmbeddingCheckpoint(AppendLog):
+    """Append-only JSONL of every embedding an extract run paid for, one
+    line per text: {"key": sha1 of (model, text), "vector": `_pack` of the
+    raw reply vector}, so a reload is bit-identical. `plan_extraction`
+    decides which texts go in which request, and `run_extraction` appends
+    each reply here. A resume after an abort or a kill finds its texts here
+    and embeds none of them again. Lines that are torn or unusable (not a
+    non-zero finite vector) are skipped: that text is embedded again.
+
+    Only each key's digest and line offset are held in memory; `vectors`
+    reads the lines back, so a vector is held only while its section is
+    worked on."""
+
+    def __init__(self, path: str | Path, model: str):
+        super().__init__(path)
+        self._model = model
+        self.offsets: dict[bytes, int] = {}
+        offset = 0
+        for line in self._lines("deleting it costs only embedding its texts again"):
+            try:
+                rec = json.loads(line)
+                vector = _unpack(rec["vector"])
+                if vector and 0 < math.hypot(*vector) < math.inf:
+                    self.offsets[bytes.fromhex(rec["key"])] = offset
+            except (ValueError, LookupError, TypeError, RecursionError):
+                pass  # torn by a kill, or damaged: embedded again
+            offset += len(line)
+
+    def key(self, text: str) -> bytes:
+        return hashlib.sha1(f"{self._model}\x00{text}".encode("utf-8")).digest()
+
+    def add(self, keys: list[bytes], vectors: list[list[float]]) -> None:
+        # hex and base64 need no JSON escapes
+        lines = [f'{{"key": "{key.hex()}", "vector": "{_pack(vector)}"}}\n'.encode()
+                 for key, vector in zip(keys, vectors)]
+        offset = self._append(lines)
+        for key, line in zip(keys, lines):
+            self.offsets[key] = offset
+            offset += len(line)
+
+    def vectors(self, keys: list[bytes]) -> list[list[float]]:
+        """The stored vectors of `keys`, each of which `offsets` holds."""
+        with open(self.path, "rb") as fh:
+            out = []
+            for key in keys:
+                fh.seek(self.offsets[key])
+                out.append(_unpack(json.loads(fh.readline())["vector"]))
+        return out
 
 
 def pending_sections(
@@ -378,11 +469,10 @@ class _Extraction:
         attempt began."""
         judgment = _process_candidate(candidate, question, chunks, vectors, self.chat,
                                       self.retrieval_cfg, self.exemplars)
-        record = dict(zip(_VERDICT_KEYS, (candidate.candidate_id, judgment.answer,
-                                          judgment.reason, self.chat.model)))
-        if not self.deterministic:
-            record["latency_ms"] = int((time.monotonic() - first) * 1000)
-        self.journal.append(record)
+        verdict = Verdict(candidate.candidate_id, judgment.answer, judgment.reason,
+                          self.chat.model)
+        latency_ms = None if self.deterministic else int((time.monotonic() - first) * 1000)
+        self.journal.append(verdict, latency_ms)
         with self.changed:
             self.classified += 1
 
@@ -493,8 +583,6 @@ def run_extraction(
     """
     from concurrent.futures import ThreadPoolExecutor
 
-    from .embeddings import EmbeddingCheckpoint
-
     journal = Journal(journal_path)
     done = journal.load()
     pending = [c for c in candidates if c.candidate_id not in done]
@@ -529,12 +617,12 @@ _COUNTS = ("candidates", "positives", "negatives", "malformed")
 
 def summarize(
     candidates: list[CandidatePair],
-    records: dict[str, dict],
+    records: dict[str, Verdict],
     relations: list[str],
     site_priority: Sequence[str],
 ) -> tuple[list[dict], int, dict, list[dict]]:
     """The triplets, duplicate count, report and malformed records of the
-    candidates that have a journal record in `records`.
+    candidates that have a verdict in `records`.
 
     A Yes verdict is a triplet. One is kept per (head concept, relation,
     case-folded tail title): the one from the earliest site in
@@ -550,7 +638,7 @@ def summarize(
     pending: it counts only toward its site's pages.
     """
     priority = {site: i for i, site in enumerate(site_priority)}
-    best: dict[tuple[str, str, str], tuple[tuple[int, int], CandidatePair, dict]] = {}
+    best: dict[tuple[str, str, str], tuple[tuple[int, int], CandidatePair, Verdict]] = {}
     duplicates = 0
     malformed: list[dict] = []
     pages: dict[str, set[str]] = {}
@@ -561,19 +649,18 @@ def summarize(
         rec = records.get(c.candidate_id)
         if rec is None:
             continue
-        answer = rec["answer"]
-        if answer == "Yes":
+        if rec.answer == "Yes":
             kind = "positives"
             key = (c.head_concept_id, c.relation, c.tail_title.casefold())
             rank = (priority.get(c.site_id, len(priority)), order)
             duplicates += key in best
             if key not in best or rank < best[key][0]:
                 best[key] = (rank, c, rec)
-        elif answer == "No":
+        elif rec.answer == "No":
             kind = "negatives"
         else:
             kind = "malformed"
-            malformed.append({key: rec[key] for key in _VERDICT_KEYS})
+            malformed.append(rec.to_dict())
         cell = cells.setdefault((c.site_id, c.relation), dict.fromkeys(_COUNTS, 0))
         for counts in (cell, totals):
             counts["candidates"] += 1
@@ -602,8 +689,8 @@ def summarize(
             "site_id": c.site_id,
             "page_url": c.page_url,
             "section_path": c.section_path,
-            "reason": rec["reason"],
-            "model_id": rec["model_id"],
+            "reason": rec.reason,
+            "model_id": rec.model_id,
         }
         for _, c, rec in sorted(best.values(), key=lambda kept: kept[0][1])
     ]

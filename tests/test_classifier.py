@@ -156,7 +156,7 @@ class TestClassify:
         assert j.answer == "Yes"
         assert j.reason == "scripted"
         (record,) = self.journaled(endpoint, tmp_path).values()
-        assert record["model_id"] == "mock"
+        assert record.model_id == "mock"
 
     @staticmethod
     def journaled(endpoint, tmp_path):
@@ -174,7 +174,7 @@ class TestClassify:
         endpoint = ChatEndpoint(base_url=server.base_url, model="mock",
                                 max_retries=2, retry_backoff=0.0)
         (j,) = self.journaled(endpoint, tmp_path).values()
-        assert j["answer"] == "Yes"
+        assert j.answer == "Yes"
         statuses = [e["status"] for e in server.log.entries]
         assert statuses == [429, 429, 200]
 

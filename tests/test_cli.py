@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from biotriplets import cli, embeddings
+from biotriplets import cli, pipeline
 from biotriplets.retrieval import DEFAULT_RELATIONS
 from test_acceptance import GOLDEN, GOLDEN_FILES
 from conftest import (
@@ -465,6 +465,28 @@ class TestExtract:
                    (work / "journal.jsonl").read_text().splitlines()]
         assert records and all(type(r["latency_ms"]) is int for r in records)
 
+    def test_journal_line_format(self, tmp_path, mock_server):
+        # journals already written must keep loading: each line is the
+        # verdict's four fields in this order, then latency_ms when timed
+        server = mock_server(GOLDEN_CHAT_SCRIPT)
+        config = golden_site(tmp_path, server)
+        config.write_text(config.read_text().replace("workers = 2", "workers = 1"))
+        journal = tmp_path / "work" / "journal.jsonl"
+        keys = ("candidate_id", "answer", "reason", "model_id")
+        for flags, timed in ((["--deterministic"], False), ([], True)):
+            journal.unlink(missing_ok=True)
+            assert run(config, "extract", *flags) == 0
+            lines = journal.read_text(encoding="utf-8").splitlines()
+            assert len(lines) == len(
+                (tmp_path / "work" / "candidates.jsonl").read_text().splitlines())
+            for line in lines:
+                record = json.loads(line)
+                fields = {key: record[key] for key in keys}
+                if timed:
+                    assert type(record["latency_ms"]) is int
+                    fields["latency_ms"] = record["latency_ms"]
+                assert line == json.dumps(fields, ensure_ascii=False)
+
     def test_unknown_journal_key_reaches_no_output(self, tmp_path, mock_server):
         server = mock_server(GOLDEN_CHAT_SCRIPT)
         config = golden_site(tmp_path, server)
@@ -562,12 +584,13 @@ class TestExtract:
         assert f"endpoint {key} must be" in err and "Traceback" not in err
         assert not server.log.entries, "no request before the endpoints are checked"
 
-    @pytest.mark.parametrize("record", [
-        lambda cid: [1],
-        lambda cid: {"candidate_id": cid},
-        lambda cid: {"candidate_id": cid, "answer": "Yes", "reason": "r", "model_id": 7},
+    @pytest.mark.parametrize("record,expected", [
+        (lambda cid: [1], "(expected a JSON object, got list)"),
+        (lambda cid: {"candidate_id": cid}, "(lacks 'answer')"),
+        (lambda cid: {"candidate_id": cid, "answer": "Yes", "reason": "r", "model_id": 7},
+         "(model_id is int, not str)"),
     ], ids=["not-an-object", "no-answer", "model-id-not-str"])
-    def test_journal_line_not_a_verdict(self, site, capsys, record):
+    def test_journal_line_not_a_verdict(self, site, capsys, record, expected):
         root, config, server = site
         run(config, "preprocess")
         run(config, "match")
@@ -581,7 +604,7 @@ class TestExtract:
         assert run(config, "extract", "--deterministic") == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1, err
-        assert f"{journal} line 3 " in err and "delete that line" in err
+        assert f"{journal} line 3 is not a verdict record {expected}; delete that line" in err
         assert "Traceback" not in err
         assert len(server.log.entries) == sent, "no request after the journal is read"
 
@@ -845,7 +868,7 @@ class TestCheckpoint:
         def full_disk(self, keys, vectors):
             raise OSError(28, "No space left on device", str(self.path))
 
-        monkeypatch.setattr(embeddings.EmbeddingCheckpoint, "add", full_disk)
+        monkeypatch.setattr(pipeline.EmbeddingCheckpoint, "add", full_disk)
         capsys.readouterr()
         assert run(config, "extract", "--deterministic") == 1
         err = capsys.readouterr().err

@@ -27,6 +27,7 @@ from biotriplets.matcher import MatcherAutomaton, Thesaurus
 from biotriplets.mockserver import mock_embedding
 from biotriplets.pipeline import (
     Journal,
+    Verdict,
     enumerate_candidates,
     report_table,
     run_extraction,
@@ -127,14 +128,14 @@ class TestWordIndex:
 
 class TestJournal:
     RECORDS = [
-        {"candidate_id": "a", "answer": "Yes", "reason": "listed", "model_id": "m"},
-        {"candidate_id": "b", "answer": "No", "reason": "fièvre 世界", "model_id": "m"},
-        {"candidate_id": "c", "answer": "Yes", "reason": "named", "model_id": "m"},
+        Verdict("a", "Yes", "listed", "m"),
+        Verdict("b", "No", "fièvre 世界", "m"),
+        Verdict("c", "Yes", "named", "m"),
     ]
 
     def test_append_after_torn_tail_at_every_byte(self, tmp_path):
         a, b, c = self.RECORDS
-        line_a, line_b = ((json.dumps(r, ensure_ascii=False) + "\n").encode("utf-8")
+        line_a, line_b = ((json.dumps(r.to_dict(), ensure_ascii=False) + "\n").encode("utf-8")
                           for r in (a, b))
         for cut in range(len(line_b) + 1):
             path = tmp_path / f"journal{cut}.jsonl"
@@ -776,15 +777,19 @@ class TestWorkers:
         signaller = threading.Thread(target=interrupt)
         running.set()
         signaller.start()
+        before = threading.enumerate()
         try:
             with pytest.raises(KeyboardInterrupt):
                 run_extraction(sections, make_documents(10), chat, embed, RetrievalConfig(),
                                load_exemplars(), RELATIONS,
                                journal_path=tmp_path / "j.jsonl", workers=2)
+            # no worker of the run can send another chat (the mock server's
+            # request threads, daemons, may still be closing their sockets)
+            assert [t for t in threading.enumerate()
+                    if t not in before and not t.daemon] == []
         finally:
             running.clear()
             signaller.join()
-        time.sleep(1.0)  # time for the other worker's last chats, were it going on
         assert len(main_chats) == 5
         assert other_chats.count(True) == 0, "a worker started a chat after Ctrl-C"
         assert len(other_chats) < 5
@@ -960,7 +965,9 @@ class TestDeferral:
             run_extraction(make_candidates(3), make_documents(3), chat, embed,
                            RetrievalConfig(), load_exemplars(), RELATIONS,
                            journal_path=tmp_path / name, workers=1, **kw)
-            return Journal(tmp_path / name).load()
+            # latency_ms is in the journal's lines only: no loader reads it
+            lines = (tmp_path / name).read_text().splitlines()
+            return {r["candidate_id"]: r for r in map(json.loads, lines)}
 
         timed = journal("timed.jsonl")
         assert [e["status"] for e in server.log.entries].count(503) == 1
@@ -1366,8 +1373,7 @@ def journaled(specs):
         )
         candidates.append(c)
         if answer is not None:
-            records[c.candidate_id] = {"candidate_id": c.candidate_id, "answer": answer,
-                                       "reason": f"r{i}", "model_id": "m"}
+            records[c.candidate_id] = Verdict(c.candidate_id, answer, f"r{i}", "m")
     return candidates, records
 
 
@@ -1446,9 +1452,9 @@ class TestDedupe:
                 {"head_concept_id": c.head_concept_id, "head_surface": c.head_surface,
                  "relation": c.relation, "tail_title": c.tail_title, "site_id": c.site_id,
                  "page_url": c.page_url, "section_path": c.section_path,
-                 "reason": records[c.candidate_id]["reason"], "model_id": "m"}
+                 "reason": records[c.candidate_id].reason, "model_id": "m"}
                 for c in candidates
-                if records.get(c.candidate_id, {}).get("answer") == "Yes"
+                if c.candidate_id in records and records[c.candidate_id].answer == "Yes"
             ]
             expected, expected_dupes = reference_dedupe(yes_triplets, priority)
             kept, dupes = dedupe(specs, priority)
@@ -1464,11 +1470,8 @@ def summary_table(relation, answers, pending=0):
     were journaled with `answers`, plus `pending` candidates without a
     record."""
     candidates = make_candidates(len(answers) + pending, relation=relation, site_id="s")
-    records = {
-        c.candidate_id: {"candidate_id": c.candidate_id, "answer": answer,
-                         "reason": "r", "model_id": "m"}
-        for c, answer in zip(candidates, answers)
-    }
+    records = {c.candidate_id: Verdict(c.candidate_id, answer, "r", "m")
+               for c, answer in zip(candidates, answers)}
     _, _, report, _ = summarize(candidates, records, [relation], [])
     return report_table(report), report
 

@@ -78,3 +78,38 @@ def test_no_method_is_unread():
               and not (node.name.startswith("__") and node.name.endswith("__"))
               and node.name not in reads]
     assert unread == []
+
+
+def relative_imports(tree: ast.Module, modules: set[str]) -> set[str]:
+    """The package modules that `tree` imports, at the top or inside a
+    function; a name that `from . import` takes and no module has is
+    `__init__`'s."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                imported.add(node.module.partition(".")[0])
+            else:
+                imported.update(a.name if a.name in modules else "__init__"
+                                for a in node.names)
+    return imported
+
+
+def test_no_import_cycle():
+    # a cycle loads only in some import orders, and an import moved into a
+    # function to break it hides the cycle from the reader
+    trees = parsed()
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    imports = {path.stem: relative_imports(trees[path], modules)
+               for path in PACKAGE.glob("*.py")}
+    cyclic = []
+    for module in sorted(modules):
+        reached, todo = set(), list(imports[module])
+        while todo:
+            other = todo.pop()
+            if other not in reached:
+                reached.add(other)
+                todo += imports[other]
+        if module in reached:
+            cyclic.append(module)
+    assert cyclic == []
