@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional
 
+from .docmodel import record
 from .endpoint import Endpoint
 from .errors import ConfigError
 from .retrieval import Chunk
@@ -57,31 +58,23 @@ class CandidatePair:
     def to_dict(self) -> dict:
         return dict(self.__dict__)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "CandidatePair":
-        """Raises TypeError on a missing or unknown key, on an index that is
-        not an int (a bool is rejected), or on another value that is not a str."""
-        pair = cls(**d)
-        for name, value in d.items():
-            expected = int if name in ("section_index", "match_word_index") else str
-            if type(value) is not expected:
-                raise TypeError(f"{name} is {type(value).__name__}, not {expected.__name__}")
-        return pair
-
 
 @dataclass(frozen=True)
 class Exemplar:
+    """One few-shot example: a question and the reply the model should give."""
+
     question: str
-    answer_json: str
+    answer: str
+    reason: str
 
 
 def load_exemplars(
     path: Optional[str | Path] = None, relations: Iterable[str] = ()
 ) -> dict[str, list[Exemplar]]:
     """Load the few-shot exemplar file: a JSON object mapping each relation
-    to exactly three objects with "question", "answer" and "reason". A file
-    that is missing, unreadable, otherwise shaped, or without exemplars for
-    one of `relations` raises ConfigError naming it."""
+    to exactly three objects with "question", "answer" and "reason", each a
+    string. A file that is missing, unreadable, otherwise shaped, or without
+    exemplars for one of `relations` raises ConfigError naming it."""
     if path is None:
         from importlib import resources  # only extract reads exemplars
 
@@ -106,13 +99,7 @@ def _relation_exemplars(relation: str, items: list[dict]) -> list[Exemplar]:
     if len(items) != EXEMPLARS_PER_RELATION:
         raise ValueError(f"relation {relation!r} has {len(items)} exemplars, "
                          f"expected {EXEMPLARS_PER_RELATION}")
-    return [
-        Exemplar(item["question"], json.dumps(
-            {"answer": item["answer"], "reason": item["reason"]},
-            ensure_ascii=False,
-        ))
-        for item in items
-    ]
+    return [record(Exemplar, item) for item in items]
 
 
 @dataclass(frozen=True)
@@ -126,7 +113,8 @@ class PromptBundle:
         messages = [{"role": "system", "content": self.system_preamble}]
         for ex in self.exemplars:
             messages.append({"role": "user", "content": ex.question})
-            messages.append({"role": "assistant", "content": ex.answer_json})
+            reply = json.dumps({"answer": ex.answer, "reason": ex.reason}, ensure_ascii=False)
+            messages.append({"role": "assistant", "content": reply})
         messages.append(
             {"role": "user", "content": f"{self.context_block}\n\n{self.question}"}
         )

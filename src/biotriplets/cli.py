@@ -70,10 +70,7 @@ def cmd_match(args) -> int:
     cfg = _load_cfg(args)
     if cfg.thesaurus_path is None:
         raise ConfigError("no thesaurus configured (paths.thesaurus)")
-    documents_path = cfg.workdir / "documents.jsonl"
-    if not documents_path.exists():
-        raise ConfigError(f"{documents_path} not found; rerun preprocess")
-    docs = _read(docmodel.read_documents, documents_path)
+    docs = docmodel.read_documents(cfg.workdir / "documents.jsonl")
     # a row whose first token no section holds can neither match nor shadow
     tokens = matcher.corpus_tokens(
         section.text for doc in docs for section, _ in doc.walk_sections())
@@ -100,17 +97,14 @@ def cmd_extract(args) -> int:
     if args.limit is not None and args.limit < 0:
         raise ConfigError(f"--limit must be at least 0, not {args.limit}")
     cfg = _load_cfg(args)
-    for name in ("candidates.jsonl", "documents.jsonl"):
-        if not (cfg.workdir / name).exists():
-            raise ConfigError(f"{cfg.workdir / name} not found; rerun preprocess and match")
-    candidates = _read(pipeline.read_candidates, cfg.workdir / "candidates.jsonl")
+    candidates = pipeline.read_candidates(cfg.workdir / "candidates.jsonl")
     relations = [r.id for r in cfg.relations]
     unconfigured = sorted({c.relation for c in candidates}.difference(relations))
     if unconfigured:
         raise ConfigError(f"{cfg.workdir / 'candidates.jsonl'} holds relation "
                           f"{', '.join(unconfigured)}, which the config does not list; "
                           "rerun match")
-    documents = _read(docmodel.read_documents, cfg.workdir / "documents.jsonl")
+    documents = docmodel.read_documents(cfg.workdir / "documents.jsonl")
     exemplars = classifier.load_exemplars(cfg.exemplars_path, relations)
     chat = cfg.chat_endpoint()
     embedder = cfg.embedding_endpoint()
@@ -156,15 +150,6 @@ def cmd_extract(args) -> int:
     return EXIT_OK
 
 
-def _read(read: Callable[[Path], list], path: Path) -> list:
-    """`read(path)`; an OSError (the file became a directory, say) is a
-    ConfigError naming the file."""
-    try:
-        return read(path)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from None
-
-
 def _write_whole(writers: dict[Path, Callable[[Path], None]]) -> bool:
     """Write each output through its writer to `<name>.tmp`, then
     os.replace each over its output. A write that fails (a full disk, say)
@@ -205,7 +190,7 @@ def cmd_eval(args) -> int:
         samples = evaluation.load_benchmark(args.benchmark)
         model_ids = sorted({m for s in samples for m in s.predictions})
         confusions = [evaluation.confusion(samples, model) for model in model_ids]
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARTIAL
     if not model_ids:

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cache
 from html.parser import HTMLParser
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, get_type_hints
 
 from .errors import ConfigError, DocumentError
 
@@ -125,11 +126,21 @@ class _Node:
 
 
 class _TreeBuilder(HTMLParser):
-    def __init__(self):
+    """Builds the mini-DOM without the elements that `_DROP_TAGS` or one of
+    `selectors` names. Such an element still opens and closes on the stack,
+    so the tag-soup rules see it, but no parent holds it or its content."""
+
+    def __init__(self, selectors: list[str]):
         super().__init__(convert_charrefs=True)
         self.root = _Node("#root")
         self.stack = [self.root]
         self.saw_tag = False
+        self.selectors = selectors
+
+    def _attach(self, node: _Node) -> None:
+        if node.tag in _DROP_TAGS or any(_matches_selector(node, s) for s in self.selectors):
+            return
+        self.stack[-1].children.append(node)
 
     def handle_starttag(self, tag, attrs):
         self.saw_tag = True
@@ -142,13 +153,13 @@ class _TreeBuilder(HTMLParser):
                 if t in ("ul", "ol", "table", "tr", "dl") or t.startswith("h"):
                     break
         node = _Node(tag, dict(attrs))
-        self.stack[-1].children.append(node)
+        self._attach(node)
         if tag not in _VOID_TAGS:
             self.stack.append(node)
 
     def handle_startendtag(self, tag, attrs):
         self.saw_tag = True
-        self.stack[-1].children.append(_Node(tag, dict(attrs)))
+        self._attach(_Node(tag, dict(attrs)))
 
     def handle_endtag(self, tag):
         for i in range(len(self.stack) - 1, 0, -1):
@@ -162,8 +173,8 @@ class _TreeBuilder(HTMLParser):
             self.stack[-1].children.append(data)
 
 
-def _parse_tree(html: str) -> _Node:
-    builder = _TreeBuilder()
+def _parse_tree(html: str, selectors: list[str]) -> _Node:
+    builder = _TreeBuilder(selectors)
     builder.feed(html)
     builder.close()
     if not builder.saw_tag:
@@ -178,19 +189,6 @@ def _matches_selector(node: _Node, selector: str) -> bool:
     if selector.startswith("#"):
         return node.attrs.get("id") == selector[1:]
     return node.tag == selector
-
-
-def _prune(node: _Node, selectors: list[str]) -> None:
-    kept = []
-    for child in node.children:
-        if isinstance(child, _Node):
-            if child.tag in _DROP_TAGS:
-                continue
-            if any(_matches_selector(child, s) for s in selectors):
-                continue
-            _prune(child, selectors)
-        kept.append(child)
-    node.children = kept
 
 
 def _iter_nodes(node: _Node) -> Iterator[_Node]:
@@ -270,8 +268,7 @@ def preprocess_html(html: str, profile: SiteProfile, url: str) -> WebDocument:
 
 
 def _document(html: str, profile: SiteProfile, url: str) -> WebDocument:
-    root = _parse_tree(html)
-    _prune(root, profile.strip_selectors)
+    root = _parse_tree(html, profile.strip_selectors)
 
     main_title = ""
     for node in _iter_nodes(root):
@@ -365,21 +362,26 @@ def flatten_section_text(section: Section) -> str:
 
 
 def read_jsonl(path, parse, what: str, action: str, error=ConfigError) -> list:
-    """`parse` of each non-blank JSON line of `path`. A line that is not
-    JSON (or nests past the recursion limit), or that `parse` rejects with
-    ValueError, KeyError or TypeError, raises `error` naming the file, the
-    line and the `action` to take."""
+    """`parse` of each non-blank JSON line of `path`, the one reader of every
+    stage file. A file that cannot be opened or read (missing, a directory,
+    no permission) raises `error` as "cannot read <path>: <reason>; <action>".
+    A line that is not JSON (or nests past the recursion limit), or that
+    `parse` rejects with ValueError, KeyError or TypeError, raises `error`
+    naming the file, the line, what is wrong and the `action` to take."""
     out = []
-    with open(path, "rb") as fh:
-        for line_no, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                out.append(parse(json.loads(line)))
-            except (ValueError, KeyError, TypeError, RecursionError) as exc:
-                raise error(
-                    f"{path} line {line_no} is not {what} ({exc}); {action}"
-                ) from None
+    try:
+        with open(path, "rb") as fh:
+            for line_no, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                try:
+                    out.append(parse(json.loads(line)))
+                except (ValueError, KeyError, TypeError, RecursionError) as exc:
+                    raise error(
+                        f"{path} line {line_no} is not {what} ({exc}); {action}"
+                    ) from None
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc.strerror or exc}; {action}") from None
     return out
 
 
@@ -398,6 +400,23 @@ def _field(d: dict, key: str, kind: type, default=None):
     return value
 
 
+def record(cls, value):
+    """The flat dataclass `cls` decoded from the JSON object `value`: each
+    field is read from the key of its name and checked with `_field`
+    against its declared type (str, or int and not bool); other keys are
+    ignored. Raises KeyError on a missing key, and TypeError on a value of
+    another type or a `value` that is no object."""
+    d = json_object(value)
+    return cls(*[_field(d, name, kind) for name, kind in _record_fields(cls)])
+
+
+@cache
+def _record_fields(cls) -> tuple[tuple[str, type], ...]:
+    """(name, type) of each field of `cls`, a string annotation resolved."""
+    hints = get_type_hints(cls)
+    return tuple((f.name, hints[f.name]) for f in fields(cls))
+
+
 def _manifest_entry(value) -> dict:
     entry = json_object(value)
     for key in ("site_id", "url", "path"):
@@ -407,10 +426,7 @@ def _manifest_entry(value) -> dict:
 
 def read_manifest(path: str | Path) -> list[dict]:
     """Manifest is JSON lines: {site_id, url, path}, each a string."""
-    try:
-        return read_jsonl(path, _manifest_entry, "a manifest entry", "fix the manifest")
-    except OSError as exc:
-        raise ConfigError(f"cannot read manifest: {exc}") from None
+    return read_jsonl(path, _manifest_entry, "a manifest entry", "fix the manifest")
 
 
 def read_html_file(path: str | Path) -> str:
@@ -424,4 +440,6 @@ def write_documents(docs: Iterable[WebDocument], path: str | Path) -> None:
 
 
 def read_documents(path: str | Path) -> list[WebDocument]:
-    return read_jsonl(path, WebDocument.from_dict, "a document record", "rerun preprocess")
+    """The documents `write_documents` wrote; see `read_jsonl` for errors."""
+    return read_jsonl(path, WebDocument.from_dict, "a document record",
+                      "rerun preprocess and match")

@@ -37,7 +37,8 @@ def _sample(record) -> BenchmarkSample:
 
 def load_benchmark(path: str | Path) -> list[BenchmarkSample]:
     """Benchmark JSONL: one sample per line with gold label and predictions.
-    A line that is not a sample raises ValueError naming the file and line."""
+    A file that cannot be read, or a line that is not a sample, raises
+    ValueError naming the file (and the line)."""
     return read_jsonl(path, _sample, "a benchmark sample", "fix the benchmark",
                       ValueError)
 

@@ -36,15 +36,14 @@ import struct
 import threading
 import time
 from bisect import bisect_left
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import partial
 from itertools import count, islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .classifier import CandidatePair, ChatEndpoint, Exemplar, Judgment, classify
-from .docmodel import (Section, WebDocument, _field, flatten_section_text, json_object,
-                       read_jsonl)
+from .docmodel import Section, WebDocument, flatten_section_text, read_jsonl, record
 from .endpoint import Endpoint, RetryLater
 from .errors import ConfigError
 from .matcher import MatcherAutomaton, match_terms, semantic_filter
@@ -139,7 +138,9 @@ def write_candidates(candidates: Iterable[CandidatePair], path: str | Path) -> N
 
 
 def read_candidates(path: str | Path) -> list[CandidatePair]:
-    return read_jsonl(path, CandidatePair.from_dict, "a current candidate record",
+    """The candidates `write_candidates` wrote, each decoded by `record`,
+    so a key it does not read is ignored; see `read_jsonl` for errors."""
+    return read_jsonl(path, partial(record, CandidatePair), "a current candidate record",
                       "rerun match")
 
 
@@ -159,13 +160,6 @@ class Verdict:
 
     def to_dict(self) -> dict:
         return dict(self.__dict__)
-
-    @classmethod
-    def from_dict(cls, value) -> "Verdict":
-        """Raises KeyError on a missing field and TypeError unless `value` is
-        an object whose fields are str; other keys are ignored."""
-        d = json_object(value)
-        return cls(*(_field(d, f.name, str) for f in fields(cls)))
 
 
 class AppendLog:
@@ -210,9 +204,11 @@ class Journal(AppendLog):
     """Append-only JSONL of finished candidates, the resume checkpoint."""
 
     def load(self) -> dict[str, Verdict]:
-        """Verdicts by candidate id. A line that is not JSON is skipped; a
-        JSON line that is not a verdict record raises ConfigError naming the
-        file, the line and what is wrong with it."""
+        """Verdicts by candidate id, each line decoded by `record`, so a key
+        it does not read (`latency_ms`) is ignored. A missing journal is
+        empty. A line that is not JSON is skipped; a JSON line that is not a
+        verdict record raises ConfigError naming the file, the line and what
+        is wrong with it."""
         done = {}
         lines = self._lines("deleting it costs asking its candidates again")
         for line_no, line in enumerate(lines, 1):
@@ -224,7 +220,7 @@ class Journal(AppendLog):
             except (ValueError, RecursionError):
                 continue  # torn tail line from a killed run
             try:
-                verdict = Verdict.from_dict(rec)
+                verdict = record(Verdict, rec)
             except (KeyError, TypeError) as exc:
                 problem = f"lacks {exc}" if isinstance(exc, KeyError) else exc
                 raise ConfigError(
@@ -234,10 +230,10 @@ class Journal(AppendLog):
         return done
 
     def append(self, verdict: Verdict, latency_ms: Optional[int] = None) -> None:
-        record = verdict.to_dict()
+        line = verdict.to_dict()
         if latency_ms is not None:
-            record["latency_ms"] = latency_ms
-        self._append([(json.dumps(record, ensure_ascii=False) + "\n").encode("utf-8")])
+            line["latency_ms"] = latency_ms
+        self._append([(json.dumps(line, ensure_ascii=False) + "\n").encode("utf-8")])
 
 
 def _pack(vector: list[float]) -> str:

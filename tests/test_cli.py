@@ -137,7 +137,7 @@ class TestPreprocess:
     @pytest.mark.parametrize("damage,expected", [
         (lambda m: m.write_text(m.read_text() + "not json\n"), "line 6"),
         (lambda m: m.write_text('["not", "an", "object"]\n'), "line 1"),
-        (lambda m: m.unlink(), "cannot read manifest"),
+        (lambda m: m.unlink(), "cannot read {manifest}: "),
         (lambda m: m.write_text("[" * 200_000 + "\n"), "line 1"),
         (lambda m: add_entry(m, site_id=["fixture"]), "line 6 is not a manifest entry "
                                                       "(site_id is list, not str)"),
@@ -152,6 +152,7 @@ class TestPreprocess:
         assert run(config, "preprocess") == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1, err
+        expected = expected.format(manifest=root / "manifest.jsonl")
         assert "Traceback" not in err and "manifest.jsonl" in err and expected in err
         assert not (root / "work" / "documents.jsonl").exists()
 
@@ -441,6 +442,32 @@ class TestExtract:
         # the temporary files written before the failure are gone
         assert [p.name for p in work.glob("*.tmp")] == ["report.json.tmp"]
 
+    @pytest.mark.parametrize("argv,name,action", [
+        (["match"], "documents.jsonl", "rerun preprocess and match"),
+        (["extract", "--deterministic"], "documents.jsonl", "rerun preprocess and match"),
+        (["extract", "--deterministic"], "candidates.jsonl", "rerun match"),
+    ], ids=["match-documents", "extract-documents", "extract-candidates"])
+    def test_missing_input_exits_2(self, site, capsys, argv, name, action):
+        root, config, server = site
+        run(config, "preprocess")
+        run(config, "match")
+        (root / "work" / name).unlink()
+        capsys.readouterr()
+        assert run(config, *argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith(f"error: cannot read {root / 'work' / name}: "), err
+        assert err.rstrip().endswith(f"; {action}"), err
+        assert not server.log.entries
+
+    def test_unknown_candidate_key_is_ignored(self, tmp_path, mock_server):
+        config = golden_site(tmp_path, mock_server(GOLDEN_CHAT_SCRIPT))
+        path = tmp_path / "work" / "candidates.jsonl"
+        path.write_text("".join(json.dumps({**json.loads(line), "note": "from a later version"})
+                                + "\n" for line in path.read_text().splitlines()))
+        assert run(config, "extract", "--deterministic") == 0
+        assert_golden_outputs(tmp_path / "work")
+
     @pytest.mark.parametrize("name", ["candidates.jsonl", "documents.jsonl"])
     def test_unreadable_input_exits_2(self, site, capsys, name):
         root, config, server = site
@@ -619,7 +646,14 @@ class TestExtract:
             {**data, "manifestation": [{k: v for k, v in item.items() if k != "reason"}
                                        for item in data["manifestation"]]})),
          "lacks 'reason'"),
-    ], ids=["wrong-count", "relation-missing", "missing-file", "not-json", "no-reason"])
+        (lambda p, data: p.write_text(exemplar_changed(data, question=5)),
+         "question is int, not str"),
+        (lambda p, data: p.write_text(exemplar_changed(data, answer=["Yes"])),
+         "answer is list, not str"),
+        (lambda p, data: p.write_text(exemplar_changed(data, reason=None)),
+         "reason is NoneType, not str"),
+    ], ids=["wrong-count", "relation-missing", "missing-file", "not-json", "no-reason",
+            "question-number", "answer-list", "reason-null"])
     def test_unusable_exemplars(self, tmp_path, mock_server, capsys, write, expected):
         server = mock_server(GOLDEN_CHAT_SCRIPT)
         write_fixture_site(tmp_path)
@@ -876,6 +910,13 @@ class TestCheckpoint:
         assert "No space left on device" in err and "Traceback" not in err
 
 
+def exemplar_changed(data, **fields):
+    """The exemplar file `data` as JSON, with `fields` replaced in the first
+    diagnosis exemplar."""
+    first = {**data["diagnosis"][0], **fields}
+    return json.dumps({**data, "diagnosis": [first, *data["diagnosis"][1:]]})
+
+
 def faulted_script(faults):
     """The golden script with failure statuses for single candidates:
     `faults` maps a question to its statuses, and each such rule then
@@ -1042,7 +1083,7 @@ class TestEval:
         bench = root / "absent.jsonl"
         assert run(config, "eval", str(bench)) == 1
         err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and str(bench) in err
+        assert len(err.splitlines()) == 1 and f"cannot read {bench}: " in err
 
     @pytest.mark.parametrize("line", [
         "[1]",

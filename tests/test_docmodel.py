@@ -1,7 +1,9 @@
+import random
 import re
 
 import pytest
 
+from biotriplets import docmodel
 from biotriplets.docmodel import (
     Section,
     SiteProfile,
@@ -168,6 +170,63 @@ class TestPreprocess:
         assert [s.text for s, _ in doc2.walk_sections()] == [
             s.text for s, _ in doc1.walk_sections()
         ]
+
+
+SOUP_TAGS = ["div", "p", "li", "ul", "ol", "dl", "dd", "span", "b", "h2", "h3",
+             "table", "tr", "td", "br", "img", "script", "nav", "aside", "form", "svg"]
+SOUP_ATTRS = ["", "", ' class="ad"', ' class="note ad"', ' class="note"', ' id="promo"']
+
+
+def soup_page(rng):
+    """A seeded tag-soup page: unclosed and stray tags, void and
+    self-closed elements, drop tags and selector-matching attributes."""
+    parts = ["<h1>Title</h1>"]
+    for _ in range(rng.randint(5, 60)):
+        tag, roll = rng.choice(SOUP_TAGS), rng.random()
+        if roll < 0.45:
+            parts.append(f"<{tag}{rng.choice(SOUP_ATTRS)}>")
+        elif roll < 0.7:
+            parts.append(f"</{tag}>")
+        elif roll < 0.75:
+            parts.append(f"<{tag}{rng.choice(SOUP_ATTRS)}/>")
+        else:
+            parts.append(rng.choice(["fever", "cough and rash", " ", "a &amp; b"]))
+    return "".join(parts)
+
+
+def naive_prune(node, selectors):
+    """The tree without each element that a drop tag or a selector names,
+    found by walking the whole tree after it was built."""
+    kept = []
+    for child in node.children:
+        if not isinstance(child, str):
+            if child.tag in docmodel._DROP_TAGS or any(
+                    docmodel._matches_selector(child, s) for s in selectors):
+                continue
+            naive_prune(child, selectors)
+        kept.append(child)
+    node.children = kept
+    return node
+
+
+def shape(node):
+    return [c if isinstance(c, str) else (c.tag, sorted(c.attrs.items()), shape(c))
+            for c in node.children]
+
+
+@pytest.mark.parametrize("selectors", [[], [".ad", "#promo", "table"]],
+                         ids=["no-selectors", "selectors"])
+def test_pruned_while_parsing_as_after(monkeypatch, selectors):
+    rng = random.Random(2811)
+    pages = [soup_page(rng) for _ in range(2000)]
+    pruned = [shape(docmodel._parse_tree(html, selectors)) for html in pages]
+    # the same stack rules with nothing dropped build the whole tree
+    with monkeypatch.context() as m:
+        m.setattr(docmodel, "_DROP_TAGS", set())
+        whole = [docmodel._parse_tree(html, []) for html in pages]
+    # most pages lose something, so the comparison is not of whole trees
+    assert sum(p != shape(w) for p, w in zip(pruned, whole)) > 1000
+    assert pruned == [shape(naive_prune(tree, selectors)) for tree in whole]
 
 
 def reference_walk(doc):

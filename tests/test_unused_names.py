@@ -113,3 +113,23 @@ def test_no_import_cycle():
         if module in reached:
             cyclic.append(module)
     assert cyclic == []
+
+
+def test_no_private_import():
+    # an underscore name is its module's own: a module that needs another's
+    # needs a public name for it
+    trees = parsed()
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    private = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(trees[path]):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                names = [(node.module or "__init__", a.name) for a in node.names]
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in modules):
+                names = [(node.value.id, node.attr)]
+            else:
+                continue
+            private += [f"{path.stem} imports {module}.{name}" for module, name in names
+                        if name.startswith("_") and not name.endswith("__")]
+    assert private == []
