@@ -1,4 +1,4 @@
-"""Prompt assembly, chat endpoint client, and verdict parsing.
+"""Prompt assembly and verdict parsing.
 
 Each candidate becomes one binary question answered by a chat model. The
 reply must be a JSON object with "answer" (Yes/No) and "reason"; the
@@ -14,16 +14,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional
 
+from .candidates import CandidatePair
 from .docmodel import record
-from .endpoint import Endpoint
+from .endpoint import ChatEndpoint
 from .errors import ConfigError
 from .retrieval import Chunk
 
 EXEMPLARS_PER_RELATION = 3
-
-# Sampling settings sent with every chat request.
-TEMPERATURE = 0.0
-MAX_TOKENS = 512
 
 SYSTEM_PREAMBLE = (
     "You are a careful biomedical relation classifier. The context below was "
@@ -36,27 +33,6 @@ SYSTEM_PREAMBLE = (
     "justification grounded in the context or established biomedical "
     "knowledge). Output nothing except that JSON object."
 )
-
-
-@dataclass(frozen=True)
-class CandidatePair:
-    """One question for the chat model. The context comes from the section
-    at `section_index` in the page's `walk_sections()` order; the match is
-    word `match_word_index` of that section's flattened text."""
-
-    candidate_id: str
-    site_id: str
-    page_url: str
-    relation: str
-    head_surface: str
-    head_concept_id: str
-    tail_title: str
-    section_path: str
-    section_index: int
-    match_word_index: int
-
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
 
 
 @dataclass(frozen=True)
@@ -174,30 +150,6 @@ def parse_judgment(raw: str) -> Judgment:
                 return Judgment(answer.capitalize(), obj["reason"], raw)
         pos = idx + 1
     return Judgment("Malformed", "", raw)
-
-
-def _reply_content(body: dict) -> str:
-    content = body["choices"][0]["message"]["content"]
-    if not isinstance(content, str):
-        raise TypeError(f"message content is {type(content).__name__}, not str")
-    return content
-
-
-@dataclass
-class ChatEndpoint(Endpoint):
-    timeout: float = 120.0
-
-    def complete(self, messages: list[dict]) -> str:
-        """Returns the reply text of one attempt; a retryable failure raises
-        `endpoint.RetryLater`. It keeps no clock: `pipeline.run_extraction`
-        times each verdict from its first attempt."""
-        payload = {
-            "model": self.model,
-            "messages": messages,
-            "temperature": TEMPERATURE,
-            "max_tokens": MAX_TOKENS,
-        }
-        return self.post("/v1/chat/completions", payload, _reply_content)
 
 
 def classify(

@@ -7,6 +7,12 @@ rerun after preprocess), extract -> triplets.jsonl + report, eval ->
 metrics and agreement outputs. mock-serve hosts the deterministic
 chat/embedding servers used by the test suite.
 
+Each command imports the modules of its own stage when it runs, so a stage
+process loads only its own layer on top of the config and the document
+model: `preprocess` the HTML parser, `match` the matcher and the
+candidates, `extract` those two and the classifier, retrieval, pipeline
+and endpoint modules.
+
 Exit codes: 0 success, 1 partial failure, 2 configuration error. A stage
 raises ConfigError for an input it cannot use; `main` alone turns it into
 one line on stderr and exit 2. An interrupt (Ctrl-C) is one line and exit 1.
@@ -22,7 +28,7 @@ from collections import Counter
 from pathlib import Path
 from typing import Callable
 
-from . import classifier, docmodel, matcher, pipeline
+from . import docmodel
 from .config import Config, load_config
 from .errors import ConfigError, DocumentError, EndpointRejected, EndpointUnavailable
 
@@ -67,6 +73,9 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_match(args) -> int:
+    from . import matcher
+    from .candidates import enumerate_candidates, write_candidates
+
     cfg = _load_cfg(args)
     if cfg.thesaurus_path is None:
         raise ConfigError("no thesaurus configured (paths.thesaurus)")
@@ -82,9 +91,9 @@ def cmd_match(args) -> int:
           f"left out {thesaurus.unreachable} rows whose first token "
           "is in no document")
     automaton = matcher.MatcherAutomaton(thesaurus)
-    candidates = pipeline.enumerate_candidates(docs, automaton, cfg.relations)
+    candidates = enumerate_candidates(docs, automaton, cfg.relations)
     out = cfg.workdir / "candidates.jsonl"
-    if not _write_whole({out: lambda p: pipeline.write_candidates(candidates, p)}):
+    if not _write_whole({out: lambda p: write_candidates(candidates, p)}):
         return EXIT_PARTIAL
     counts = Counter((c.site_id, c.relation) for c in candidates)
     for (site, relation), count in sorted(counts.items()):
@@ -94,10 +103,13 @@ def cmd_match(args) -> int:
 
 
 def cmd_extract(args) -> int:
+    from . import classifier, pipeline
+    from .candidates import read_candidates
+
     if args.limit is not None and args.limit < 0:
         raise ConfigError(f"--limit must be at least 0, not {args.limit}")
     cfg = _load_cfg(args)
-    candidates = pipeline.read_candidates(cfg.workdir / "candidates.jsonl")
+    candidates = read_candidates(cfg.workdir / "candidates.jsonl")
     relations = [r.id for r in cfg.relations]
     unconfigured = sorted({c.relation for c in candidates}.difference(relations))
     if unconfigured:

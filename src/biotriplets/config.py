@@ -5,6 +5,11 @@ pipeline reads is checked for its type, and a value it cannot use is a
 ConfigError; keys it does not read are ignored. Secrets never live in the
 file; API keys come from the CHAT_API_KEY / EMBED_API_KEY environment
 variables.
+
+The types the tables decode into live here: `RelationType` (with the
+`DEFAULT_RELATIONS`) and `RetrievalConfig`. The endpoints are built by
+`chat_endpoint` and `embedding_endpoint`, which import the `endpoint` module
+when called, so a stage that sends no request does not load it.
 """
 
 from __future__ import annotations
@@ -13,12 +18,56 @@ import os
 import tomllib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .classifier import ChatEndpoint
 from .docmodel import SiteProfile
 from .errors import ConfigError
-from .retrieval import DEFAULT_RELATIONS, EmbeddingEndpoint, RelationType, RetrievalConfig
+
+if TYPE_CHECKING:
+    from .endpoint import ChatEndpoint, EmbeddingEndpoint
+
+
+@dataclass(frozen=True)
+class RelationType:
+    """A relation: its id, its question's phrase, and its heads' semantic types."""
+
+    id: str
+    phrase: str
+    allowed_semantic_types: frozenset[str]
+
+    def question(self, head: str, tail: str) -> str:
+        """The yes/no question; used both for retrieval and as the final prompt."""
+        return f"Is {head} {self.phrase} {tail}?"
+
+
+DEFAULT_RELATIONS = (
+    RelationType("manifestation", "an informative manifestation of",
+                 frozenset({"Sign, Symptom, or Finding"})),
+    RelationType("diagnosis", "an informative diagnostic procedure for",
+                 frozenset({"Diagnostic Procedure", "Laboratory Procedure"})),
+    RelationType("treatment", "an informative therapeutic procedure or drug for",
+                 frozenset({"Therapeutic or Preventive Procedure", "Chemical or Drug"})),
+)
+
+
+@dataclass(frozen=True)
+class RetrievalConfig:
+    anchor_min_words: int = 512
+    chunk_words: int = 128
+    overlap_words: int = 32
+    top_k: int = 10
+
+    def __post_init__(self):
+        if self.chunk_words < 1:
+            raise ValueError("chunk_words must be >= 1")
+        if self.overlap_words < 0:
+            raise ValueError("overlap_words must be >= 0")
+        if self.overlap_words >= self.chunk_words:
+            raise ValueError("overlap_words must be < chunk_words")
+        if self.top_k < 1:
+            raise ValueError("top_k must be >= 1")
+        if self.anchor_min_words < self.chunk_words:
+            raise ValueError("anchor_min_words must be >= chunk_words")
 
 _ENDPOINT = {"base_url": str, "model": str, "max_retries": int, "timeout": float}
 
@@ -82,9 +131,13 @@ class Config:
         return self.sites.get(site_id, SiteProfile(site_id=site_id))
 
     def chat_endpoint(self) -> ChatEndpoint:
+        from .endpoint import ChatEndpoint
+
         return _endpoint(ChatEndpoint, "chat", self.chat, "CHAT_API_KEY")
 
     def embedding_endpoint(self) -> EmbeddingEndpoint:
+        from .endpoint import EmbeddingEndpoint
+
         return _endpoint(EmbeddingEndpoint, "embedding", self.embedding,
                          "EMBED_API_KEY", "batch_limit")
 

@@ -5,38 +5,21 @@ the tail entity of every candidate relation), the heading hierarchy, and
 list structure inlined as balanced marker tokens (``|1|``/``|2|``/``|3|``
 by nesting depth for NUMBERED profiles, ``||`` at every depth for PLAIN).
 Everything else (scripts, navigation chrome, tags) is stripped.
+
+The HTML parser is in `htmltree`, which `preprocess_html` imports when
+called: `match` and `extract` read documents.jsonl through this module and
+do not load it. This module also reads and writes the stage files.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass, field, fields
 from functools import cache
-from html.parser import HTMLParser
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, get_type_hints
+from typing import Iterable, Iterator, get_type_hints
 
 from .errors import ConfigError, DocumentError
-
-# Tags whose content never carries article text.
-_DROP_TAGS = {
-    "script", "style", "noscript", "template", "iframe", "svg",
-    "nav", "header", "footer", "aside", "form", "button", "select",
-}
-
-_VOID_TAGS = {
-    "area", "base", "br", "col", "embed", "hr", "img", "input",
-    "link", "meta", "param", "source", "track", "wbr",
-}
-
-# Opening one of these implicitly closes a same-tag sibling still on the
-# stack (tag soup like <li>a<li>b is routine on real pages).
-_SELF_CLOSING_SIBLINGS = {"li", "p", "td", "th", "tr", "option", "dt", "dd"}
-
-_HEADING_LEVELS = {"h2": 2, "h3": 3, "h4": 4, "h5": 4, "h6": 4}
-
-_WS_RE = re.compile(r"\s+")
 
 
 @dataclass
@@ -113,144 +96,6 @@ class SiteProfile:
 
 
 # --------------------------------------------------------------------------
-# Lenient HTML parsing into a throwaway mini-DOM.
-
-
-class _Node:
-    __slots__ = ("tag", "attrs", "children")
-
-    def __init__(self, tag: str, attrs: Optional[dict] = None):
-        self.tag = tag
-        self.attrs = attrs or {}
-        self.children: list = []  # _Node | str
-
-
-class _TreeBuilder(HTMLParser):
-    """Builds the mini-DOM without the elements that `_DROP_TAGS` or one of
-    `selectors` names. Such an element still opens and closes on the stack,
-    so the tag-soup rules see it, but no parent holds it or its content."""
-
-    def __init__(self, selectors: list[str]):
-        super().__init__(convert_charrefs=True)
-        self.root = _Node("#root")
-        self.stack = [self.root]
-        self.saw_tag = False
-        self.selectors = selectors
-
-    def _attach(self, node: _Node) -> None:
-        if node.tag in _DROP_TAGS or any(_matches_selector(node, s) for s in self.selectors):
-            return
-        self.stack[-1].children.append(node)
-
-    def handle_starttag(self, tag, attrs):
-        self.saw_tag = True
-        if tag in _SELF_CLOSING_SIBLINGS:
-            for i in range(len(self.stack) - 1, 0, -1):
-                t = self.stack[i].tag
-                if t == tag:
-                    del self.stack[i:]
-                    break
-                if t in ("ul", "ol", "table", "tr", "dl") or t.startswith("h"):
-                    break
-        node = _Node(tag, dict(attrs))
-        self._attach(node)
-        if tag not in _VOID_TAGS:
-            self.stack.append(node)
-
-    def handle_startendtag(self, tag, attrs):
-        self.saw_tag = True
-        self._attach(_Node(tag, dict(attrs)))
-
-    def handle_endtag(self, tag):
-        for i in range(len(self.stack) - 1, 0, -1):
-            if self.stack[i].tag == tag:
-                del self.stack[i:]
-                return
-        # stray close tag: ignore
-
-    def handle_data(self, data):
-        if data:
-            self.stack[-1].children.append(data)
-
-
-def _parse_tree(html: str, selectors: list[str]) -> _Node:
-    builder = _TreeBuilder(selectors)
-    builder.feed(html)
-    builder.close()
-    if not builder.saw_tag:
-        raise DocumentError("no HTML tags found in input")
-    return builder.root
-
-
-def _matches_selector(node: _Node, selector: str) -> bool:
-    if selector.startswith("."):
-        classes = node.attrs.get("class", "").split()
-        return selector[1:] in classes
-    if selector.startswith("#"):
-        return node.attrs.get("id") == selector[1:]
-    return node.tag == selector
-
-
-def _iter_nodes(node: _Node) -> Iterator[_Node]:
-    for child in node.children:
-        if isinstance(child, _Node):
-            yield child
-            yield from _iter_nodes(child)
-
-
-def _collapse(text: str) -> str:
-    return _WS_RE.sub(" ", text).strip()
-
-
-def _plain_text(node: _Node) -> str:
-    parts = []
-    for child in node.children:
-        if isinstance(child, str):
-            parts.append(child)
-        else:
-            parts.append(_plain_text(child))
-    return _collapse(" ".join(parts))
-
-
-# --------------------------------------------------------------------------
-# Text rendering with inline list markers.
-
-
-def _list_marker(style: str, depth: int) -> str:
-    if style == "numbered":
-        return f"|{min(depth, 3)}|"
-    return "||"
-
-
-def _render_text(node: _Node, style: str, list_depth: int = 0) -> str:
-    """Render a node's content to one whitespace-collapsed text run."""
-    parts: list[str] = []
-    for child in node.children:
-        if isinstance(child, str):
-            parts.append(_collapse(child))
-            continue
-        tag = child.tag
-        if tag in ("ul", "ol", "dl"):
-            parts.append(_render_text(child, style, list_depth + 1))
-        elif tag in ("li", "dt", "dd"):
-            marker = _list_marker(style, max(list_depth, 1))
-            body = _render_text(child, style, list_depth)
-            if body.endswith("|"):
-                body += " "
-            parts.append(f"{marker}{body}{marker}")
-        elif tag == "tr":
-            cells = [
-                _render_text(c, style, list_depth)
-                for c in child.children
-                if isinstance(c, _Node) and c.tag in ("td", "th")
-            ]
-            parts.append(" | ".join(c for c in cells if c))
-        else:
-            parts.append(_render_text(child, style, list_depth))
-    return _collapse(" ".join(p for p in parts if p))
-
-
-# --------------------------------------------------------------------------
 # Main entry points.
 
 
@@ -268,31 +113,19 @@ def preprocess_html(html: str, profile: SiteProfile, url: str) -> WebDocument:
 
 
 def _document(html: str, profile: SiteProfile, url: str) -> WebDocument:
-    root = _parse_tree(html, profile.strip_selectors)
+    from .htmltree import outline  # only preprocess parses HTML
 
-    main_title = ""
-    for node in _iter_nodes(root):
-        if node.tag == "h1":
-            main_title = _plain_text(node)
-            if main_title:
-                break
-    if not main_title:
-        for node in _iter_nodes(root):
-            if node.tag == "title":
-                main_title = _plain_text(node)
-                break
-    if not main_title:
-        raise DocumentError(f"no main title found in {url}")
-
+    main_title, blocks = outline(html, profile.strip_selectors,
+                                 profile.list_marker_style, url)
     doc = WebDocument(site_id=profile.site_id, page_url=url, main_title=main_title)
 
-    # Walk block-level order: headings open sections, everything between
-    # headings renders into the innermost open section.
+    # Headings open sections, and the text between headings goes into the
+    # innermost open section.
     open_stack: list[Section] = []  # innermost last
     pending: list[str] = []
 
     def flush():
-        text = _collapse(" ".join(p for p in pending if p))
+        text = " ".join(pending)
         pending.clear()
         if not text:
             return
@@ -304,41 +137,21 @@ def _document(html: str, profile: SiteProfile, url: str) -> WebDocument:
             sec = open_stack[-1]
             sec.text = f"{sec.text} {text}".strip() if sec.text else text
 
-    def open_section(heading: str, level: int):
+    for level, text in blocks:
+        if not level:
+            pending.append(text)
+            continue
         flush()
         while open_stack and open_stack[-1].level >= level:
             open_stack.pop()
         # never jump more than one level deeper than the parent
         parent_level = open_stack[-1].level if open_stack else 1
-        level = min(level, parent_level + 1)
-        sec = Section(heading=heading, level=level)
+        sec = Section(heading=text, level=min(level, parent_level + 1))
         if open_stack:
             open_stack[-1].children.append(sec)
         else:
             doc.sections.append(sec)
         open_stack.append(sec)
-
-    def visit(node: _Node):
-        for child in node.children:
-            if isinstance(child, str):
-                pending.append(_collapse(child))
-                continue
-            tag = child.tag
-            if tag == "h1" or tag == "title":
-                continue
-            if tag in _HEADING_LEVELS:
-                heading = _plain_text(child)
-                if heading:
-                    open_section(heading, _HEADING_LEVELS[tag])
-                continue
-            if tag in ("ul", "ol", "dl", "table"):
-                wrapper = _Node("#block")
-                wrapper.children = [child]
-                pending.append(_render_text(wrapper, profile.list_marker_style))
-                continue
-            visit(child)
-
-    visit(root)
     flush()
     return doc
 

@@ -1,4 +1,4 @@
-"""The HTTP client shared by the chat and embedding endpoints.
+"""The chat and embedding endpoints, and the HTTP client they share.
 
 Both endpoints take a JSON body by POST and answer with JSON. `post` sends
 one attempt and sorts its reply into one of three kinds: a transport error,
@@ -13,14 +13,16 @@ most one request at a time, so the worker count bounds concurrency.
 Each worker thread keeps one HTTP/1.1 connection per endpoint and reuses it
 while the server keeps it open. Proxies come from HTTP(S)_PROXY/NO_PROXY,
 read once per endpoint; TLS is verified against the default trust store.
-The HTTP, TLS and proxy modules are imported by the methods that use them,
-so a stage that sends no request does not load them.
+Only `extract` loads this module: `config` imports it when it builds an
+endpoint. The HTTP, TLS and proxy modules are imported by the methods that
+use them, so a stage that sends no request does not load them either.
 """
 
 from __future__ import annotations
 
 import base64
 import json
+import math
 import threading
 import urllib.parse
 from dataclasses import dataclass, field
@@ -42,6 +44,10 @@ MAX_TIMEOUT_S = 86400.0
 
 # Some hosted gateways refuse a request without a User-Agent.
 USER_AGENT = f"biotriplets/{__version__}"
+
+# Sampling settings sent with every chat request.
+TEMPERATURE = 0.0
+MAX_TOKENS = 512
 
 
 def _retry_after(value: str) -> float | None:
@@ -205,3 +211,67 @@ class Endpoint:
             return parse(json.loads(data))
         except (ValueError, LookupError, TypeError, RecursionError) as exc:
             raise EndpointRejected(f"POST {url}: unreadable reply: {exc!r}") from None
+
+
+def _reply_content(body: dict) -> str:
+    content = body["choices"][0]["message"]["content"]
+    if not isinstance(content, str):
+        raise TypeError(f"message content is {type(content).__name__}, not str")
+    return content
+
+
+@dataclass
+class ChatEndpoint(Endpoint):
+    timeout: float = 120.0
+
+    def complete(self, messages: list[dict]) -> str:
+        """Returns the reply text of one attempt; a retryable failure raises
+        `RetryLater`. It keeps no clock: `pipeline.run_extraction` times
+        each verdict from its first attempt."""
+        payload = {
+            "model": self.model,
+            "messages": messages,
+            "temperature": TEMPERATURE,
+            "max_tokens": MAX_TOKENS,
+        }
+        return self.post("/v1/chat/completions", payload, _reply_content)
+
+
+def _reply_vectors(body: dict, n: int) -> list[list[float]]:
+    """The reply's embeddings in input order; its indices must be 0..n-1, and
+    its vectors flat lists of numbers, of one length, with a positive finite norm."""
+    data = sorted(body["data"], key=lambda d: d["index"])
+    if [d["index"] for d in data] != list(range(n)):
+        raise ValueError(f"reply indices do not match the {n} inputs sent")
+    vectors = [d["embedding"] for d in data]
+    # bool is a subclass of int, so compare exact types
+    if not all(isinstance(v, list) and set(map(type, v)) <= {int, float} for v in vectors):
+        raise TypeError("an embedding is not a flat list of numbers")
+    dims = sorted({len(v) for v in vectors})
+    if len(dims) > 1:
+        raise ValueError(f"mixed dimensions {dims}")
+    try:
+        norms = [math.hypot(*v) for v in vectors]
+    except OverflowError as exc:  # an int beyond the float range
+        raise ValueError(str(exc)) from None
+    if not all(0 < norm < math.inf for norm in norms):
+        raise ValueError("an all-zero or non-finite embedding")
+    return vectors
+
+
+@dataclass
+class EmbeddingEndpoint(Endpoint):
+    batch_limit: int = 128
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.batch_limit < 1:
+            raise ConfigError(f"endpoint batch_limit must be at least 1, "
+                              f"not {self.batch_limit}")
+
+    def embed(self, texts: list[str]) -> list[list[float]]:
+        """Embed texts in input order, in one attempt of one request: the
+        caller keeps to `batch_limit`. A retryable failure raises
+        `RetryLater`."""
+        return self.post("/v1/embeddings", {"model": self.model, "input": texts},
+                         lambda body: _reply_vectors(body, len(texts)))

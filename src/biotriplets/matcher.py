@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Collection, Iterable, NamedTuple
 
+from .config import RelationType
 from .errors import ConfigError
-from .retrieval import RelationType
 
 MIN_SURFACE_LEN = 3
 

@@ -1,7 +1,7 @@
-"""End-to-end orchestration: candidates, classification by section, triplets.
+"""Extraction: classification by section, then triplets.
 
-Candidates are one per (head concept, relation, page) and point at their
-section in documents.jsonl. The pending section is the unit of planning:
+Candidates (see `candidates`) point at their section in documents.jsonl.
+The pending section is the unit of planning:
 one worker sends a section's chats in turn, so concurrency comes from
 distinct sections. One planner yields the embedding requests, each of texts
 that no earlier run or request embedded, filled to `batch_limit` across
@@ -31,117 +31,25 @@ import heapq
 import json
 import math
 import os
-import re
 import struct
 import threading
 import time
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
 from itertools import count, islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .classifier import CandidatePair, ChatEndpoint, Exemplar, Judgment, classify
-from .docmodel import Section, WebDocument, flatten_section_text, read_jsonl, record
-from .endpoint import Endpoint, RetryLater
+from .candidates import CandidatePair
+from .classifier import Exemplar, Judgment, classify
+from .config import DEFAULT_RELATIONS, RelationType, RetrievalConfig
+from .docmodel import Section, WebDocument, flatten_section_text, record
+from .endpoint import ChatEndpoint, EmbeddingEndpoint, Endpoint, RetryLater
 from .errors import ConfigError
-from .matcher import MatcherAutomaton, match_terms, semantic_filter
-from .retrieval import (
-    DEFAULT_RELATIONS,
-    Chunk,
-    EmbeddingEndpoint,
-    RelationType,
-    RetrievalConfig,
-    chunk_for_candidate,
-    retrieve_top_k,
-    unit_rows,
-)
+from .retrieval import Chunk, chunk_for_candidate, retrieve_top_k, unit_rows
 
 # Only the benchmark's workload generator (perfbench/workloads.py) reads this.
 DEFAULT_SEMANTIC_TYPES = {r.id: r.allowed_semantic_types for r in DEFAULT_RELATIONS}
-
-
-def candidate_id(site_id: str, page_url: str, relation: str, concept_id: str) -> str:
-    key = f"{site_id}\x00{page_url}\x00{relation}\x00{concept_id}"
-    return hashlib.sha1(key.encode("utf-8")).hexdigest()[:16]
-
-
-_TOKEN = re.compile(r"\S+")
-
-
-def token_starts(text: str) -> list[int]:
-    """Offsets at which the whitespace-separated tokens of `text` begin."""
-    return [m.start() for m in _TOKEN.finditer(text)]
-
-
-def word_index(text: str, starts: list[int], offset: int) -> int:
-    """Index of the whitespace token of `text` that contains `offset`, given
-    `token_starts(text)`: `len(text[:offset].split())`, less one when the
-    offset falls inside a token."""
-    index = bisect_left(starts, offset)
-    if offset > 0 and not text[offset - 1].isspace():
-        index -= 1
-    return index
-
-
-def enumerate_candidates(
-    docs: Iterable[WebDocument],
-    automaton: MatcherAutomaton,
-    relations: Sequence[RelationType],
-) -> list[CandidatePair]:
-    """One candidate per (head concept, relation, page), anchored at the
-    first mention on the page."""
-    candidates = []
-    seen: set[tuple[str, str, str]] = set()
-    for doc in docs:
-        for section_index, (section, path) in enumerate(doc.walk_sections()):
-            if not section.text:
-                continue
-            matches = match_terms(automaton, section.text)
-            if not matches:
-                continue
-            starts = token_starts(section.text)
-            for relation in relations:
-                for match in semantic_filter(matches, relation):
-                    key = (doc.page_url, relation.id, match.concept_id)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    candidates.append(
-                        CandidatePair(
-                            candidate_id=candidate_id(
-                                doc.site_id, doc.page_url, relation.id, match.concept_id
-                            ),
-                            site_id=doc.site_id,
-                            page_url=doc.page_url,
-                            relation=relation.id,
-                            head_surface=match.surface,
-                            head_concept_id=match.concept_id,
-                            tail_title=doc.main_title,
-                            section_path=path,
-                            section_index=section_index,
-                            # the flattened section text begins with the
-                            # section's own text, so indexes carry over
-                            match_word_index=word_index(
-                                section.text, starts, match.span[0]
-                            ),
-                        )
-                    )
-    return candidates
-
-
-def write_candidates(candidates: Iterable[CandidatePair], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for c in candidates:
-            fh.write(json.dumps(c.to_dict(), ensure_ascii=False) + "\n")
-
-
-def read_candidates(path: str | Path) -> list[CandidatePair]:
-    """The candidates `write_candidates` wrote, each decoded by `record`,
-    so a key it does not read is ignored; see `read_jsonl` for errors."""
-    return read_jsonl(path, partial(record, CandidatePair), "a current candidate record",
-                      "rerun match")
 
 
 # --------------------------------------------------------------------------

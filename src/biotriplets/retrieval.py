@@ -1,4 +1,4 @@
-"""Relations and their questions; chunking, embedding and top-K retrieval.
+"""Chunking and top-K retrieval of a section's text.
 
 Long section text is split into an anchor chunk of exactly
 `anchor_min_words` (512) words, guaranteed to contain the matched term,
@@ -6,9 +6,10 @@ plus 128-word windows with a 32-word overlap over the rest. A section is
 split into words once, and its candidates share the chunk of each word
 span. A section of at most `anchor_min_words` words is one chunk, which is
 retrieved whatever its vectors are, so it is not embedded. The chunks of a
-longer section are embedded through an external endpoint and ranked by
-cosine similarity against the yes/no question: the dot product of the unit
-chunk and query vectors, lists of floats.
+longer section are embedded through the embedding endpoint
+(`endpoint.EmbeddingEndpoint`) and ranked by cosine similarity against the
+yes/no question: the dot product of the unit chunk and query vectors, lists
+of floats.
 """
 
 from __future__ import annotations
@@ -17,51 +18,9 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .endpoint import Endpoint
-from .errors import ConfigError, EndpointRejected
-
-
-@dataclass(frozen=True)
-class RelationType:
-    """A relation: its id, its question's phrase, and its heads' semantic types."""
-
-    id: str
-    phrase: str
-    allowed_semantic_types: frozenset[str]
-
-    def question(self, head: str, tail: str) -> str:
-        """The yes/no question; used both for retrieval and as the final prompt."""
-        return f"Is {head} {self.phrase} {tail}?"
-
-
-DEFAULT_RELATIONS = (
-    RelationType("manifestation", "an informative manifestation of",
-                 frozenset({"Sign, Symptom, or Finding"})),
-    RelationType("diagnosis", "an informative diagnostic procedure for",
-                 frozenset({"Diagnostic Procedure", "Laboratory Procedure"})),
-    RelationType("treatment", "an informative therapeutic procedure or drug for",
-                 frozenset({"Therapeutic or Preventive Procedure", "Chemical or Drug"})),
-)
-
-
-@dataclass(frozen=True)
-class RetrievalConfig:
-    anchor_min_words: int = 512
-    chunk_words: int = 128
-    overlap_words: int = 32
-    top_k: int = 10
-
-    def __post_init__(self):
-        if self.chunk_words < 1:
-            raise ValueError("chunk_words must be >= 1")
-        if self.overlap_words < 0:
-            raise ValueError("overlap_words must be >= 0")
-        if self.overlap_words >= self.chunk_words:
-            raise ValueError("overlap_words must be < chunk_words")
-        if self.top_k < 1:
-            raise ValueError("top_k must be >= 1")
-        if self.anchor_min_words < self.chunk_words:
-            raise ValueError("anchor_min_words must be >= chunk_words")
+from .config import DEFAULT_RELATIONS, RetrievalConfig
+from .endpoint import EmbeddingEndpoint  # the benchmark traces embed under this name
+from .errors import EndpointRejected
 
 
 @dataclass(frozen=True)
@@ -156,43 +115,3 @@ def retrieve_top_k(
         # it ranks below every chunk kept, so the order holds
         top[-1] = anchor
     return [chunks[i][0] for i in top]
-
-
-def _reply_vectors(body: dict, n: int) -> list[list[float]]:
-    """The reply's embeddings in input order; its indices must be 0..n-1, and
-    its vectors flat lists of numbers, of one length, with a positive finite norm."""
-    data = sorted(body["data"], key=lambda d: d["index"])
-    if [d["index"] for d in data] != list(range(n)):
-        raise ValueError(f"reply indices do not match the {n} inputs sent")
-    vectors = [d["embedding"] for d in data]
-    # bool is a subclass of int, so compare exact types
-    if not all(isinstance(v, list) and set(map(type, v)) <= {int, float} for v in vectors):
-        raise TypeError("an embedding is not a flat list of numbers")
-    dims = sorted({len(v) for v in vectors})
-    if len(dims) > 1:
-        raise ValueError(f"mixed dimensions {dims}")
-    try:
-        norms = [math.hypot(*v) for v in vectors]
-    except OverflowError as exc:  # an int beyond the float range
-        raise ValueError(str(exc)) from None
-    if not all(0 < norm < math.inf for norm in norms):
-        raise ValueError("an all-zero or non-finite embedding")
-    return vectors
-
-
-@dataclass
-class EmbeddingEndpoint(Endpoint):
-    batch_limit: int = 128
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.batch_limit < 1:
-            raise ConfigError(f"endpoint batch_limit must be at least 1, "
-                              f"not {self.batch_limit}")
-
-    def embed(self, texts: list[str]) -> list[list[float]]:
-        """Embed texts in input order, in one attempt of one request: the
-        caller keeps to `batch_limit`. A retryable failure raises
-        `endpoint.RetryLater`."""
-        return self.post("/v1/embeddings", {"model": self.model, "input": texts},
-                         lambda body: _reply_vectors(body, len(texts)))

@@ -20,10 +20,10 @@ from biotriplets.classifier import parse_judgment
 from biotriplets.evaluation import ConfusionMatrix, cohen_kappa, metrics, round3
 from biotriplets.matcher import MatcherAutomaton, corpus_tokens, load_thesaurus, match_terms
 from biotriplets.docmodel import write_documents
-from biotriplets.pipeline import write_candidates
+from biotriplets.candidates import write_candidates
+from biotriplets.config import RetrievalConfig
 from biotriplets.retrieval import (
     Chunk,
-    RetrievalConfig,
     chunk_for_candidate,
     retrieve_top_k,
     unit_rows,

@@ -4,8 +4,8 @@ import string
 
 import pytest
 
+from biotriplets.candidates import CandidatePair
 from biotriplets.classifier import (
-    CandidatePair,
     ChatEndpoint,
     build_prompt,
     classify,
@@ -15,7 +15,8 @@ from biotriplets.classifier import (
 from biotriplets.endpoint import RetryLater
 from biotriplets.errors import ConfigError, EndpointUnavailable
 from biotriplets.pipeline import Journal, run_extraction
-from biotriplets.retrieval import DEFAULT_RELATIONS, Chunk, EmbeddingEndpoint, RetrievalConfig
+from biotriplets.config import DEFAULT_RELATIONS, RetrievalConfig
+from biotriplets.retrieval import Chunk, EmbeddingEndpoint
 from test_pipeline import make_candidates, make_documents
 
 

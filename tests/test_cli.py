@@ -18,8 +18,9 @@ from pathlib import Path
 import pytest
 
 from biotriplets import cli, pipeline
-from biotriplets.retrieval import DEFAULT_RELATIONS
+from biotriplets.config import DEFAULT_RELATIONS
 from test_acceptance import GOLDEN, GOLDEN_FILES
+from test_perfbench import ABSENT_MATCH_TARGETS
 from conftest import (
     GOLDEN_CHAT_SCRIPT,
     THESAURUS_ROWS,
@@ -59,14 +60,22 @@ UNUSED_MODULES = ("http.client", "ssl", "urllib.request", "http.server", "decima
                         "importlib.resources", "concurrent.futures", "logging")
 
 
-def unused_modules_loaded(config, stage):
-    """The UNUSED_MODULES that `stage` loads, run in a fresh interpreter."""
+# each stage loads only its own layer: preprocess the HTML parser, match the
+# matcher and the candidates, extract all but the HTML parser
+NOT_PREPROCESS = ("biotriplets.matcher", "biotriplets.candidates", "biotriplets.pipeline",
+                  "biotriplets.classifier", "biotriplets.endpoint", "biotriplets.retrieval")
+NOT_MATCH = ("biotriplets.pipeline", "biotriplets.classifier", "biotriplets.endpoint",
+             "biotriplets.retrieval", "html.parser")
+
+
+def unused_modules_loaded(config, stage, modules=UNUSED_MODULES):
+    """The `modules` that `stage` loads, run in a fresh interpreter."""
     src = Path(cli.__file__).resolve().parents[1]
     loaded = subprocess.run(
         [sys.executable, "-S", "-c",
          "import sys; from biotriplets import cli; "
          f"assert cli.main(['--config', {str(config)!r}, {stage!r}]) == 0; "
-         f"print(' '.join(m for m in {UNUSED_MODULES!r} if m in sys.modules))"],
+         f"print(' '.join(m for m in {modules!r} if m in sys.modules))"],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True, text=True, timeout=60, check=True,
     ).stdout.splitlines()
@@ -78,6 +87,26 @@ class TestPreprocess:
         root, config, _ = site
         assert unused_modules_loaded(config, "preprocess") == []
         assert (root / "work" / "documents.jsonl").exists()
+
+    def test_loads_no_module_of_another_stage(self, site):
+        root, config, _ = site
+        assert unused_modules_loaded(config, "preprocess", NOT_PREPROCESS) == []
+        assert (root / "work" / "documents.jsonl").exists()
+
+    def test_valueless_class_attribute_with_class_selector(self, site):
+        root, config, _ = site
+        text = config.read_text()
+        config.write_text(text.replace('list_marker_style = "plain"',
+                                       'list_marker_style = "plain"\nstrip_selectors = [".ad"]'))
+        page = root / "pages" / "valueless.html"
+        page.write_text('<h1>Valueless</h1><h2>S</h2><div class>kept</div>'
+                        '<div class="ad">dropped</div>', encoding="utf-8")
+        add_entry(root / "manifest.jsonl", url="https://x/valueless", path=str(page))
+        assert run(config, "preprocess") == 0
+        lines = (root / "work" / "documents.jsonl").read_text().splitlines()
+        assert len(lines) == 6
+        doc = json.loads(lines[-1])
+        assert doc["main_title"] == "Valueless" and doc["sections"][0]["text"] == "kept"
 
     def test_writes_one_line_per_page(self, site):
         root, config, _ = site
@@ -218,6 +247,12 @@ class TestMatch:
         assert unused_modules_loaded(config, "match") == []
         assert (root / "work" / "candidates.jsonl").exists()
 
+    def test_loads_no_module_of_another_stage(self, site):
+        root, config, _ = site
+        assert run(config, "preprocess") == 0
+        assert unused_modules_loaded(config, "match", NOT_MATCH) == []
+        assert (root / "work" / "candidates.jsonl").exists()
+
     def assert_config_error(self, root, config, capsys, *expected):
         capsys.readouterr()
         assert run(config, "match") == 2
@@ -337,6 +372,13 @@ class TestMatch:
 
 
 class TestExtract:
+    def test_loads_no_html_parser(self, site):
+        root, config, _ = site
+        run(config, "preprocess")
+        run(config, "match")
+        assert unused_modules_loaded(config, "extract", ("html.parser",)) == []
+        assert (root / "work" / "triplets.jsonl").exists()
+
     def test_end_to_end(self, site):
         root, config, _ = site
         run(config, "preprocess")
@@ -1034,10 +1076,11 @@ class TestTracedRun:
             cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)}, check=True,
             stdout=subprocess.DEVNULL, timeout=120)
         result = json.loads(out.read_text())
-        assert result["missing"] == []
+        assert result["missing"] == ABSENT_MATCH_TARGETS
         assert result["exits"] == [["preprocess", 0], ["match", 0], ["extract", 0]]
         traced = {name for _, name, *_ in result["spans"]}
-        assert [name for name, *_ in inproc.Tracer().targets() if name not in traced] == []
+        assert ([name for name, *_ in inproc.Tracer().targets() if name not in traced]
+                == ABSENT_MATCH_TARGETS)
         # the long Treatment section gives its candidates several chunks
         assert max(info.get("chunks", 0) for *_, info in result["spans"]) > 1
 

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from biotriplets import docmodel
+from biotriplets import htmltree
 from biotriplets.docmodel import (
     Section,
     SiteProfile,
@@ -87,6 +87,12 @@ class TestPreprocess:
         )
         text = next(doc.walk_sections())[0].text
         assert text == "keep me"
+
+    def test_valueless_class_attribute_with_class_selector(self):
+        profile = SiteProfile(site_id="s", strip_selectors=[".ad"])
+        doc = preprocess_html('<h1>T</h1><div class>x</div><div class="ad">y</div>',
+                              profile, "u")
+        assert next(doc.walk_sections())[0].text == "x"
 
     def test_no_html_residue(self):
         doc = preprocess_html(
@@ -200,8 +206,8 @@ def naive_prune(node, selectors):
     kept = []
     for child in node.children:
         if not isinstance(child, str):
-            if child.tag in docmodel._DROP_TAGS or any(
-                    docmodel._matches_selector(child, s) for s in selectors):
+            if child.tag in htmltree._DROP_TAGS or any(
+                    htmltree._matches_selector(child, s) for s in selectors):
                 continue
             naive_prune(child, selectors)
         kept.append(child)
@@ -219,11 +225,11 @@ def shape(node):
 def test_pruned_while_parsing_as_after(monkeypatch, selectors):
     rng = random.Random(2811)
     pages = [soup_page(rng) for _ in range(2000)]
-    pruned = [shape(docmodel._parse_tree(html, selectors)) for html in pages]
+    pruned = [shape(htmltree._parse_tree(html, selectors)) for html in pages]
     # the same stack rules with nothing dropped build the whole tree
     with monkeypatch.context() as m:
-        m.setattr(docmodel, "_DROP_TAGS", set())
-        whole = [docmodel._parse_tree(html, []) for html in pages]
+        m.setattr(htmltree, "_DROP_TAGS", set())
+        whole = [htmltree._parse_tree(html, []) for html in pages]
     # most pages lose something, so the comparison is not of whole trees
     assert sum(p != shape(w) for p, w in zip(pruned, whole)) > 1000
     assert pruned == [shape(naive_prune(tree, selectors)) for tree in whole]

@@ -20,9 +20,9 @@ import pytest
 
 from biotriplets import endpoint, errors
 from biotriplets.classifier import ChatEndpoint, load_exemplars
-from biotriplets.config import load_config
+from biotriplets.config import DEFAULT_RELATIONS, RetrievalConfig, load_config
 from biotriplets.pipeline import run_extraction
-from biotriplets.retrieval import DEFAULT_RELATIONS, EmbeddingEndpoint, RetrievalConfig
+from biotriplets.retrieval import EmbeddingEndpoint
 from test_pipeline import make_candidates, make_documents
 
 MESSAGES = [{"role": "system", "content": "s"}, {"role": "user", "content": "q"}]

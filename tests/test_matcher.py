@@ -18,8 +18,8 @@ from biotriplets.matcher import (
     match_terms,
     semantic_filter,
 )
-from biotriplets.pipeline import enumerate_candidates
-from biotriplets.retrieval import DEFAULT_RELATIONS, RelationType
+from biotriplets.candidates import enumerate_candidates
+from biotriplets.config import DEFAULT_RELATIONS, RelationType
 
 
 def make_automaton(surfaces):

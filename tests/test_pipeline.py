@@ -13,7 +13,9 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from biotriplets import pipeline
-from biotriplets.classifier import CandidatePair, ChatEndpoint, build_prompt, load_exemplars
+from biotriplets.candidates import CandidatePair, enumerate_candidates, token_starts, word_index
+from biotriplets.classifier import ChatEndpoint, build_prompt, load_exemplars
+from biotriplets.config import DEFAULT_RELATIONS, RetrievalConfig
 from biotriplets.docmodel import (
     Section,
     SiteProfile,
@@ -28,17 +30,12 @@ from biotriplets.mockserver import mock_embedding
 from biotriplets.pipeline import (
     Journal,
     Verdict,
-    enumerate_candidates,
     report_table,
     run_extraction,
     summarize,
-    token_starts,
-    word_index,
 )
 from biotriplets.retrieval import (
-    DEFAULT_RELATIONS,
     EmbeddingEndpoint,
-    RetrievalConfig,
     chunk_for_candidate,
     retrieve_top_k,
 )

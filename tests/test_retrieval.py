@@ -6,16 +6,16 @@ import numpy as np
 import pytest
 
 from biotriplets import pipeline
-from biotriplets.classifier import CandidatePair, ChatEndpoint, load_exemplars
+from biotriplets.candidates import CandidatePair
+from biotriplets.classifier import ChatEndpoint, load_exemplars
+from biotriplets.config import DEFAULT_RELATIONS, RetrievalConfig
 from biotriplets.docmodel import Section
 from biotriplets.errors import EndpointRejected, EndpointUnavailable
 from biotriplets.mockserver import MOCK_EMBED_DIM, mock_embedding
 from biotriplets.pipeline import run_extraction
 from biotriplets.retrieval import (
-    DEFAULT_RELATIONS,
     Chunk,
     EmbeddingEndpoint,
-    RetrievalConfig,
     chunk_for_candidate,
     retrieve_top_k,
     unit_rows,
