@@ -5,23 +5,26 @@ mention of the head on the page. It points at its section by the index of
 the section in the page's `walk_sections()` order and at the match by its
 word index in that section's flattened text, so `extract` reads the
 context from documents.jsonl. `match` and `extract` both import this
-module; neither the HTML parser nor the HTTP client comes with it.
+module; neither the HTML parser, the matcher nor the HTTP client comes
+with it: `enumerate_candidates` imports the matcher when `match` calls it.
+`docmodel` encodes and decodes candidates.jsonl's lines.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .config import RelationType
-from .docmodel import WebDocument, read_jsonl, record
-from .matcher import MatcherAutomaton, match_terms, semantic_filter
+from .docmodel import WebDocument, read_jsonl, record, write_jsonl
+
+if TYPE_CHECKING:
+    from .matcher import MatcherAutomaton
 
 
 @dataclass(frozen=True)
@@ -40,9 +43,6 @@ class CandidatePair:
     section_path: str
     section_index: int
     match_word_index: int
-
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
 
 
 def candidate_id(site_id: str, page_url: str, relation: str, concept_id: str) -> str:
@@ -75,6 +75,8 @@ def enumerate_candidates(
 ) -> list[CandidatePair]:
     """One candidate per (head concept, relation, page), anchored at the
     first mention on the page."""
+    from .matcher import match_terms, semantic_filter  # only match matches
+
     candidates = []
     seen: set[tuple[str, str, str]] = set()
     for doc in docs:
@@ -114,10 +116,7 @@ def enumerate_candidates(
     return candidates
 
 
-def write_candidates(candidates: Iterable[CandidatePair], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for c in candidates:
-            fh.write(json.dumps(c.to_dict(), ensure_ascii=False) + "\n")
+write_candidates = write_jsonl  # the name match writes candidates.jsonl by
 
 
 def read_candidates(path: str | Path) -> list[CandidatePair]:

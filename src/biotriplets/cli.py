@@ -58,11 +58,11 @@ def cmd_preprocess(args) -> int:
     docs, failures = [], []
     for entry in entries:
         try:
-            html = docmodel.read_html_file(entry["path"])
-            profile = cfg.site_profile(entry["site_id"])
-            docs.append(docmodel.preprocess_html(html, profile, entry["url"]))
+            html = docmodel.read_html_file(entry.path)
+            profile = cfg.site_profile(entry.site_id)
+            docs.append(docmodel.preprocess_html(html, profile, entry.url))
         except (OSError, DocumentError) as exc:
-            failures.append((entry["path"], exc))
+            failures.append((entry.path, exc))
     for path, exc in failures:
         print(f"error: {path}: {exc}", file=sys.stderr)
     out = cfg.workdir / "documents.jsonl"
@@ -149,10 +149,10 @@ def cmd_extract(args) -> int:
         candidates, records, relations, cfg.site_priority)
     text = pipeline.report_table(report)
     outputs = {
-        "triplets.jsonl": _jsonl(triplets),
+        "triplets.jsonl": "".join(map(docmodel.json_line, triplets)),
         "report.txt": text + "\n",
         "report.json": json.dumps(report, indent=2, ensure_ascii=False) + "\n",
-        "malformed.jsonl": _jsonl(malformed),
+        "malformed.jsonl": "".join(map(docmodel.json_line, malformed)),
     }
     if not _write_whole(_text_writers(cfg.workdir, outputs)):
         return EXIT_PARTIAL
@@ -188,10 +188,6 @@ def _text_writers(workdir: Path, outputs: dict[str, str]) -> dict:
     """`_write_whole`'s writers of each named output's text in `workdir`."""
     return {workdir / name: lambda p, body=body: p.write_text(body, encoding="utf-8")
             for name, body in outputs.items()}
-
-
-def _jsonl(rows: list[dict]) -> str:
-    return "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows)
 
 
 def cmd_eval(args) -> int:

@@ -8,16 +8,18 @@ Everything else (scripts, navigation chrome, tags) is stripped.
 
 The HTML parser is in `htmltree`, which `preprocess_html` imports when
 called: `match` and `extract` read documents.jsonl through this module and
-do not load it. This module also reads and writes the stage files.
+do not load it. This module is also the one codec of the stage files:
+`read_jsonl` reads them, `record` decodes each line's record and
+`json_line` encodes it.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
-from functools import cache
+from dataclasses import MISSING, dataclass, field, fields
+from functools import cache, partial
 from pathlib import Path
-from typing import Iterable, Iterator, get_type_hints
+from typing import Iterable, Iterator, get_args, get_origin, get_type_hints
 
 from .errors import ConfigError, DocumentError
 
@@ -27,24 +29,7 @@ class Section:
     heading: str
     level: int
     text: str = ""
-    children: list["Section"] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "heading": self.heading,
-            "level": self.level,
-            "text": self.text,
-            "children": [c.to_dict() for c in self.children],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Section":
-        return cls(
-            heading=_field(d, "heading", str),
-            level=_field(d, "level", int),
-            text=_field(d, "text", str, ""),
-            children=[cls.from_dict(c) for c in _field(d, "children", list, [])],
-        )
+    children: list[Section] = field(default_factory=list)
 
 
 @dataclass
@@ -66,22 +51,15 @@ class WebDocument:
 
         return walk(self.sections, self.main_title)
 
-    def to_dict(self) -> dict:
-        return {
-            "site_id": self.site_id,
-            "page_url": self.page_url,
-            "main_title": self.main_title,
-            "sections": [s.to_dict() for s in self.sections],
-        }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "WebDocument":
-        return cls(
-            site_id=_field(d, "site_id", str),
-            page_url=_field(d, "page_url", str),
-            main_title=_field(d, "main_title", str),
-            sections=[Section.from_dict(s) for s in _field(d, "sections", list, [])],
-        )
+@dataclass(frozen=True)
+class ManifestEntry:
+    """One manifest line: the page at `path`, preprocessed as `url` with
+    the profile of `site_id`."""
+
+    site_id: str
+    url: str
+    path: str
 
 
 @dataclass
@@ -204,55 +182,68 @@ def json_object(value) -> dict:
     return value
 
 
-def _field(d: dict, key: str, kind: type, default=None):
-    """`d[key]`, or `default` when given and the key is absent; raises
-    TypeError unless it is a `kind` (a bool is no int)."""
-    value = d[key] if default is None else d.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise TypeError(f"{key} is {type(value).__name__}, not {kind.__name__}")
-    return value
-
-
 def record(cls, value):
-    """The flat dataclass `cls` decoded from the JSON object `value`: each
-    field is read from the key of its name and checked with `_field`
-    against its declared type (str, or int and not bool); other keys are
-    ignored. Raises KeyError on a missing key, and TypeError on a value of
-    another type or a `value` that is no object."""
+    """The dataclass `cls` decoded from the JSON object `value`, the one
+    decoder of every stage-file record. Each field is read from the key of
+    its name and checked against its declared type: str, int (a bool is no
+    int), or a list of records, each decoded in turn. A key that `value`
+    leaves out keeps the field's default; other keys are ignored. Raises
+    KeyError on a missing key without a default, and TypeError on a value
+    of another type or a `value` that is no object."""
     d = json_object(value)
-    return cls(*[_field(d, name, kind) for name, kind in _record_fields(cls)])
+    args = {}
+    for name, kind, item, optional in _record_fields(cls):
+        if optional and name not in d:
+            continue  # the dataclass builds the default, a new list each time
+        v = d[name]
+        if isinstance(v, bool) or not isinstance(v, kind):
+            raise TypeError(f"{name} is {type(v).__name__}, not {kind.__name__}")
+        args[name] = v if item is None else [record(item, x) for x in v]
+    return cls(**args)
 
 
 @cache
-def _record_fields(cls) -> tuple[tuple[str, type], ...]:
-    """(name, type) of each field of `cls`, a string annotation resolved."""
+def _record_fields(cls) -> tuple[tuple[str, type, type | None, bool], ...]:
+    """(name, type, record type of its items or None, has a default) of
+    each field of `cls`, a string annotation resolved."""
     hints = get_type_hints(cls)
-    return tuple((f.name, hints[f.name]) for f in fields(cls))
+    out = []
+    for f in fields(cls):
+        kind = get_origin(hints[f.name]) or hints[f.name]
+        item = get_args(hints[f.name])[0] if kind is list else None
+        optional = f.default is not MISSING or f.default_factory is not MISSING
+        out.append((f.name, kind, item, optional))
+    return tuple(out)
 
 
-def _manifest_entry(value) -> dict:
-    entry = json_object(value)
-    for key in ("site_id", "url", "path"):
-        _field(entry, key, str)
-    return entry
+def json_line(row) -> str:
+    """`row` as one stage-file line, the one encoder of every record: a
+    dataclass is its fields in declaration order, nested records included."""
+    return json.dumps(row, ensure_ascii=False, default=vars) + "\n"
 
 
-def read_manifest(path: str | Path) -> list[dict]:
-    """Manifest is JSON lines: {site_id, url, path}, each a string."""
-    return read_jsonl(path, _manifest_entry, "a manifest entry", "fix the manifest")
+def write_jsonl(rows: Iterable, path: str | Path) -> None:
+    """Write each of `rows` to `path` as its `json_line`."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(map(json_line, rows))
+
+
+def read_manifest(path: str | Path) -> list[ManifestEntry]:
+    """Manifest is JSON lines, each a `ManifestEntry` decoded by `record`:
+    {site_id, url, path}, each a string; see `read_jsonl` for errors."""
+    return read_jsonl(path, partial(record, ManifestEntry), "a manifest entry",
+                      "fix the manifest")
 
 
 def read_html_file(path: str | Path) -> str:
     return Path(path).read_bytes().decode("utf-8", errors="replace")
 
 
-def write_documents(docs: Iterable[WebDocument], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for doc in docs:
-            fh.write(json.dumps(doc.to_dict(), ensure_ascii=False) + "\n")
+write_documents = write_jsonl  # the name preprocess writes documents.jsonl by
 
 
 def read_documents(path: str | Path) -> list[WebDocument]:
-    """The documents `write_documents` wrote; see `read_jsonl` for errors."""
-    return read_jsonl(path, WebDocument.from_dict, "a document record",
+    """The documents `write_documents` wrote, each decoded by `record` with
+    its sections; see `read_jsonl` for errors."""
+    return read_jsonl(path, partial(record, WebDocument), "a document record",
                       "rerun preprocess and match")

@@ -91,6 +91,14 @@ class _TreeBuilder(HTMLParser):
         if data:
             self.stack[-1].children.append(data)
 
+    def parse_html_declaration(self, i):
+        # `<![` that opens no marked section the parser knows (`<![;`,
+        # `<![foo[`) fails an assertion; a browser reads it as a comment
+        try:
+            return super().parse_html_declaration(i)
+        except AssertionError:
+            return self.parse_bogus_comment(i)
+
 
 def _parse_tree(html: str, selectors: list[str]) -> _Node:
     builder = _TreeBuilder(selectors)

@@ -43,7 +43,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 from .candidates import CandidatePair
 from .classifier import Exemplar, Judgment, classify
 from .config import DEFAULT_RELATIONS, RelationType, RetrievalConfig
-from .docmodel import Section, WebDocument, flatten_section_text, record
+from .docmodel import Section, WebDocument, flatten_section_text, json_line, record
 from .endpoint import ChatEndpoint, EmbeddingEndpoint, Endpoint, RetryLater
 from .errors import ConfigError
 from .retrieval import Chunk, chunk_for_candidate, retrieve_top_k, unit_rows
@@ -65,9 +65,6 @@ class Verdict:
     answer: str
     reason: str
     model_id: str
-
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
 
 
 class AppendLog:
@@ -138,10 +135,8 @@ class Journal(AppendLog):
         return done
 
     def append(self, verdict: Verdict, latency_ms: Optional[int] = None) -> None:
-        line = verdict.to_dict()
-        if latency_ms is not None:
-            line["latency_ms"] = latency_ms
-        self._append([(json.dumps(line, ensure_ascii=False) + "\n").encode("utf-8")])
+        row = verdict if latency_ms is None else {**vars(verdict), "latency_ms": latency_ms}
+        self._append([json_line(row).encode("utf-8")])
 
 
 def _pack(vector: list[float]) -> str:
@@ -524,15 +519,15 @@ def summarize(
     records: dict[str, Verdict],
     relations: list[str],
     site_priority: Sequence[str],
-) -> tuple[list[dict], int, dict, list[dict]]:
-    """The triplets, duplicate count, report and malformed records of the
+) -> tuple[list[dict], int, dict, list[Verdict]]:
+    """The triplets, duplicate count, report and malformed verdicts of the
     candidates that have a verdict in `records`.
 
     A Yes verdict is a triplet. One is kept per (head concept, relation,
     case-folded tail title): the one from the earliest site in
     `site_priority` (unlisted sites last), then the first candidate. Every
     other Yes of a key is a duplicate. The kept triplets are in the order
-    of their candidates, as are the malformed records.
+    of their candidates, as are the malformed verdicts.
 
     The report is what report.json holds. For each site, in sorted order,
     it gives the site's number of pages and, for each of `relations`, a
@@ -544,7 +539,7 @@ def summarize(
     priority = {site: i for i, site in enumerate(site_priority)}
     best: dict[tuple[str, str, str], tuple[tuple[int, int], CandidatePair, Verdict]] = {}
     duplicates = 0
-    malformed: list[dict] = []
+    malformed: list[Verdict] = []
     pages: dict[str, set[str]] = {}
     cells: dict[tuple[str, str], dict[str, int]] = {}
     totals = dict.fromkeys(_COUNTS, 0)
@@ -564,7 +559,7 @@ def summarize(
             kind = "negatives"
         else:
             kind = "malformed"
-            malformed.append(rec.to_dict())
+            malformed.append(rec)
         cell = cells.setdefault((c.site_id, c.relation), dict.fromkeys(_COUNTS, 0))
         for counts in (cell, totals):
             counts["candidates"] += 1

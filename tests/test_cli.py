@@ -61,11 +61,12 @@ UNUSED_MODULES = ("http.client", "ssl", "urllib.request", "http.server", "decima
 
 
 # each stage loads only its own layer: preprocess the HTML parser, match the
-# matcher and the candidates, extract all but the HTML parser
+# matcher and the candidates, extract all but the HTML parser and the matcher
 NOT_PREPROCESS = ("biotriplets.matcher", "biotriplets.candidates", "biotriplets.pipeline",
                   "biotriplets.classifier", "biotriplets.endpoint", "biotriplets.retrieval")
 NOT_MATCH = ("biotriplets.pipeline", "biotriplets.classifier", "biotriplets.endpoint",
              "biotriplets.retrieval", "html.parser")
+NOT_EXTRACT = ("html.parser", "biotriplets.matcher")
 
 
 def unused_modules_loaded(config, stage, modules=UNUSED_MODULES):
@@ -107,6 +108,18 @@ class TestPreprocess:
         assert len(lines) == 6
         doc = json.loads(lines[-1])
         assert doc["main_title"] == "Valueless" and doc["sections"][0]["text"] == "kept"
+
+    def test_unknown_marked_section_is_a_comment(self, site):
+        root, config, _ = site
+        page = root / "pages" / "marked.html"
+        page.write_text("<h1>Marked</h1><h2>S</h2><p>kept</p><![foo[ b ]]><p>too</p><![;",
+                        encoding="utf-8")
+        add_entry(root / "manifest.jsonl", url="https://x/marked", path=str(page))
+        assert run(config, "preprocess") == 0
+        lines = (root / "work" / "documents.jsonl").read_text().splitlines()
+        assert len(lines) == 6
+        doc = json.loads(lines[-1])
+        assert doc["main_title"] == "Marked" and doc["sections"][0]["text"].startswith("kept too")
 
     def test_writes_one_line_per_page(self, site):
         root, config, _ = site
@@ -241,6 +254,11 @@ class TestMatch:
         assert (f"loaded {len(THESAURUS_ROWS)} surfaces "
                 "(1 rows skipped, 1 too short, 1 concept conflicts)") in capsys.readouterr().out
 
+    def test_preprocess_and_match_write_the_golden_stage_files(self, tmp_path, mock_server):
+        golden_site(tmp_path, mock_server(GOLDEN_CHAT_SCRIPT))
+        for name in ("documents.jsonl", "candidates.jsonl"):
+            assert (tmp_path / "work" / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
     def test_loads_no_http_client(self, site):
         root, config, _ = site
         assert run(config, "preprocess") == 0
@@ -357,9 +375,11 @@ class TestMatch:
         (lambda d: d["sections"][0].update(level="2"), "level is str, not int"),
         (lambda d: d.update(sections={"a": 1}), "sections is dict, not list"),
         (lambda d: d["sections"][0].update(children="none"), "children is str, not list"),
+        (lambda d: d["sections"].append(5), "expected a JSON object, got int"),
+        (lambda d: d["sections"][0]["children"].append([]), "expected a JSON object, got list"),
     ], ids=["text-list", "text-number", "main-title-number", "site-id-null",
             "heading-number", "level-bool", "level-string", "sections-object",
-            "children-string"])
+            "children-string", "section-number", "child-list"])
     def test_documents_field_of_wrong_type(self, site, capsys, damage, expected):
         root, config, _ = site
         run(config, "preprocess")
@@ -370,13 +390,28 @@ class TestMatch:
         self.assert_config_error(root, config, capsys, "documents.jsonl line 2",
                                  expected, "rerun preprocess")
 
+    def test_documents_keys_left_out_keep_their_defaults(self, site):
+        root, config, _ = site
+        run(config, "preprocess")
+        run(config, "match")
+        work = root / "work"
+        candidates = (work / "candidates.jsonl").read_bytes()
+        docs = [json.loads(line) for line in (work / "documents.jsonl").read_text().splitlines()]
+        for d in docs:
+            for section in d["sections"]:
+                del section["children"]
+            d["sections"].append({"heading": "See also", "level": 2})
+        (work / "documents.jsonl").write_text("".join(json.dumps(d) + "\n" for d in docs))
+        assert run(config, "match") == 0
+        assert (work / "candidates.jsonl").read_bytes() == candidates
+
 
 class TestExtract:
     def test_loads_no_html_parser(self, site):
         root, config, _ = site
         run(config, "preprocess")
         run(config, "match")
-        assert unused_modules_loaded(config, "extract", ("html.parser",)) == []
+        assert unused_modules_loaded(config, "extract", NOT_EXTRACT) == []
         assert (root / "work" / "triplets.jsonl").exists()
 
     def test_end_to_end(self, site):

@@ -21,6 +21,7 @@ from biotriplets.docmodel import (
     SiteProfile,
     WebDocument,
     flatten_section_text,
+    json_line,
     preprocess_html,
 )
 from biotriplets.endpoint import RetryLater
@@ -132,8 +133,7 @@ class TestJournal:
 
     def test_append_after_torn_tail_at_every_byte(self, tmp_path):
         a, b, c = self.RECORDS
-        line_a, line_b = ((json.dumps(r.to_dict(), ensure_ascii=False) + "\n").encode("utf-8")
-                          for r in (a, b))
+        line_a, line_b = (json_line(r).encode("utf-8") for r in (a, b))
         for cut in range(len(line_b) + 1):
             path = tmp_path / f"journal{cut}.jsonl"
             path.write_bytes(line_a + line_b[:cut])
