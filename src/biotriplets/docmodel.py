@@ -21,7 +21,7 @@ from functools import cache, partial
 from pathlib import Path
 from typing import Iterable, Iterator, get_args, get_origin, get_type_hints
 
-from .errors import ConfigError, DocumentError
+from .errors import ConfigError
 
 
 @dataclass
@@ -80,17 +80,9 @@ class SiteProfile:
 def preprocess_html(html: str, profile: SiteProfile, url: str) -> WebDocument:
     """Turn one raw page into a WebDocument.
 
-    Tolerates tag soup; raises DocumentError when the input has no tags at
-    all, when no main title can be found, and when its elements nest too
-    deeply for the recursive renderers (about 1000 unclosed inline tags).
+    Tolerates tag soup, nested as deep as it likes; raises DocumentError
+    when the input has no tags at all or no main title can be found.
     """
-    try:
-        return _document(html, profile, url)
-    except RecursionError:
-        raise DocumentError(f"elements nested too deeply in {url}") from None
-
-
-def _document(html: str, profile: SiteProfile, url: str) -> WebDocument:
     from .htmltree import outline  # only preprocess parses HTML
 
     main_title, blocks = outline(html, profile.strip_selectors,

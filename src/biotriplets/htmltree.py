@@ -1,4 +1,4 @@
-"""Lenient HTML parsing into a throwaway mini-DOM, read as a page outline.
+"""Lenient HTML parsing, read as a page outline in one pass.
 
 `outline` gives the page's main title and, in document order, its headings
 and the text between them, with lists and tables rendered inline between
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import re
 from html.parser import HTMLParser
-from typing import Iterator, Optional
 
 from .errors import DocumentError
 
@@ -32,64 +31,167 @@ _SELF_CLOSING_SIBLINGS = {"li", "p", "td", "th", "tr", "option", "dt", "dd"}
 
 _HEADING_LEVELS = {"h2": 2, "h3": 3, "h4": 4, "h5": 4, "h6": 4}
 
+_LIST_TAGS = {"ul", "ol", "dl"}
+
 _WS_RE = re.compile(r"\s+")
 
+# A tag, comment or declaration that the page leaves unterminated at its
+# end, where the parser stops. Any other `<` is text.
+_UNTERMINATED_RE = re.compile(r"<[a-zA-Z!/?]")
 
-class _Node:
-    __slots__ = ("tag", "attrs", "children")
+# Where an open element's content goes: nowhere (a dropped element), into
+# the outline (each text a block), into its plain text only (h1, title,
+# headings, and a row's children that are no cells), or into the list or
+# table block being rendered. An element keeps its parent's mode unless it
+# begins another, so all inside a dropped element is dropped.
+_DROPPED, _OUTLINE, _PLAIN, _BLOCK = range(4)
 
-    def __init__(self, tag: str, attrs: Optional[dict] = None):
-        self.tag = tag
-        self.attrs = attrs or {}
-        self.children: list = []  # _Node | str
+_ITEM_TAGS = {"li", "dt", "dd"}
 
 
-class _TreeBuilder(HTMLParser):
-    """Builds the mini-DOM without the elements that `_DROP_TAGS` or one of
-    `selectors` names. Such an element still opens and closes on the stack,
-    so the tag-soup rules see it, but no parent holds it or its content."""
+def _matches_selector(tag: str, attrs: dict, selector: str) -> bool:
+    if selector.startswith("."):
+        # a valueless attribute (<div class>) parses as None
+        classes = (attrs.get("class") or "").split()
+        return selector[1:] in classes
+    if selector.startswith("#"):
+        return attrs.get("id") == selector[1:]
+    return tag == selector
 
-    def __init__(self, selectors: list[str]):
+
+def _collapse(text: str) -> str:
+    return _WS_RE.sub(" ", text).strip()
+
+
+class _OutlineReader(HTMLParser):
+    """Writes the outline while it parses. An element that `_DROP_TAGS` or
+    one of `selectors` names still opens and closes on the stack, so the
+    tag-soup rules see it, but none of its content is read.
+
+    A list or table is written as it arrives into one block, `out`. Its
+    elements join their non-empty parts with a space (a row its cells with
+    " | "), and an item wraps its part in markers, so each part is written
+    after the separator that its element asks for once it has content."""
+
+    def __init__(self, selectors: list[str], style: str):
         super().__init__(convert_charrefs=True)
-        self.root = _Node("#root")
-        self.stack = [self.root]
-        self.saw_tag = False
         self.selectors = selectors
+        self.style = style
+        self.saw_tag = False
+        self.texts: list[str] = []  # every text that is read, in order
+        self.blocks: list[tuple[int, str]] = []
+        self.out: list[str] = []  # the list or table block being written
+        # [start, end) in `texts` of each h1 and title, in opening order
+        self.spans: dict[str, list[list[int]]] = {"h1": [], "title": []}
+        # the open elements, innermost last: [tag, mode, list depth, its
+        # span in `texts` or None, whether its block content has begun]
+        self.stack: list[list] = [["#root", _OUTLINE, 0, None, False]]
 
-    def _attach(self, node: _Node) -> None:
-        if node.tag in _DROP_TAGS or any(_matches_selector(node, s) for s in self.selectors):
-            return
-        self.stack[-1].children.append(node)
+    def _open(self, tag: str, attrs: list) -> None:
+        parent, mode, depth, _, _ = self.stack[-1]
+        span = None
+        if tag in _DROP_TAGS or any(
+                _matches_selector(tag, dict(attrs), s) for s in self.selectors):
+            mode = _DROPPED
+        elif mode == _OUTLINE and (tag in _LIST_TAGS or tag == "table"):
+            mode, self.out = _BLOCK, []
+        elif mode == _BLOCK and parent == "tr" and tag not in ("td", "th"):
+            mode = _PLAIN  # a row keeps only its cells
+        elif mode == _OUTLINE and (tag in _HEADING_LEVELS or tag in self.spans):
+            mode = _PLAIN
+        if mode == _BLOCK:
+            depth += tag in _LIST_TAGS
+            if tag in _ITEM_TAGS:
+                self._write(self._marker(depth))
+        if mode != _DROPPED and (tag in _HEADING_LEVELS or tag in self.spans):
+            span = [len(self.texts)]
+            if tag in self.spans:
+                self.spans[tag].append(span)
+        self.stack.append([tag, mode, depth, span, False])
+
+    def _close(self) -> None:
+        tag, mode, depth, span, begun = self.stack.pop()
+        if span:
+            span.append(len(self.texts))
+        parent_mode = self.stack[-1][1]
+        if mode == _PLAIN and tag in _HEADING_LEVELS and parent_mode == _OUTLINE:
+            heading = self._plain_text(span)
+            if heading:
+                self.blocks.append((_HEADING_LEVELS[tag], heading))
+        elif mode == _BLOCK:
+            if tag in _ITEM_TAGS:
+                if begun and self.out[-1].endswith("|"):
+                    self.out.append(" ")
+                self.out.append(self._marker(depth))
+            if parent_mode == _OUTLINE and self.out:
+                self.blocks.append((0, "".join(self.out)))
+
+    def _write(self, part: str) -> None:
+        """Append `part` to the block. The innermost open element that
+        already has content gets its separator first, and the elements
+        inside it now have content too. An item ends the walk: its markers
+        were written when it opened."""
+        for entry in reversed(self.stack):
+            tag, mode, _, _, begun = entry
+            if mode != _BLOCK:
+                break
+            if begun:
+                self.out.append(" | " if tag == "tr" else " ")
+                break
+            entry[4] = True
+            if tag in _ITEM_TAGS:
+                break
+        self.out.append(part)
+
+    def _marker(self, depth: int) -> str:
+        return f"|{min(max(depth, 1), 3)}|" if self.style == "numbered" else "||"
+
+    def _close_to(self, index: int) -> None:
+        """Close the open elements from `index` in the stack up."""
+        while len(self.stack) > index:
+            self._close()
+
+    def _plain_text(self, span: list[int]) -> str:
+        return _collapse(" ".join(self.texts[span[0]:span[1]]))
 
     def handle_starttag(self, tag, attrs):
         self.saw_tag = True
         if tag in _SELF_CLOSING_SIBLINGS:
             for i in range(len(self.stack) - 1, 0, -1):
-                t = self.stack[i].tag
+                t = self.stack[i][0]
                 if t == tag:
-                    del self.stack[i:]
+                    self._close_to(i)
                     break
                 if t in ("ul", "ol", "table", "tr", "dl") or t.startswith("h"):
                     break
-        node = _Node(tag, dict(attrs))
-        self._attach(node)
-        if tag not in _VOID_TAGS:
-            self.stack.append(node)
+        self._open(tag, attrs)
+        if tag in _VOID_TAGS:
+            self._close()
 
     def handle_startendtag(self, tag, attrs):
         self.saw_tag = True
-        self._attach(_Node(tag, dict(attrs)))
+        self._open(tag, attrs)
+        self._close()
 
     def handle_endtag(self, tag):
         for i in range(len(self.stack) - 1, 0, -1):
-            if self.stack[i].tag == tag:
-                del self.stack[i:]
+            if self.stack[i][0] == tag:
+                self._close_to(i)
                 return
         # stray close tag: ignore
 
     def handle_data(self, data):
-        if data:
-            self.stack[-1].children.append(data)
+        tag, mode, _, _, _ = self.stack[-1]
+        if mode == _DROPPED:
+            return
+        self.texts.append(data)
+        if mode == _PLAIN or (mode == _BLOCK and tag == "tr"):
+            return  # a row keeps only its cells
+        text = _collapse(data)
+        if text and mode == _OUTLINE:
+            self.blocks.append((0, text))
+        elif text:
+            self._write(text)
 
     def parse_html_declaration(self, i):
         # `<![` that opens no marked section the parser knows (`<![;`,
@@ -100,134 +202,25 @@ class _TreeBuilder(HTMLParser):
             return self.parse_bogus_comment(i)
 
 
-def _parse_tree(html: str, selectors: list[str]) -> _Node:
-    builder = _TreeBuilder(selectors)
-    builder.feed(html)
-    builder.close()
-    if not builder.saw_tag:
-        raise DocumentError("no HTML tags found in input")
-    return builder.root
-
-
-def _matches_selector(node: _Node, selector: str) -> bool:
-    if selector.startswith("."):
-        # a valueless attribute (<div class>) parses as None
-        classes = (node.attrs.get("class") or "").split()
-        return selector[1:] in classes
-    if selector.startswith("#"):
-        return node.attrs.get("id") == selector[1:]
-    return node.tag == selector
-
-
-def _iter_nodes(node: _Node) -> Iterator[_Node]:
-    for child in node.children:
-        if isinstance(child, _Node):
-            yield child
-            yield from _iter_nodes(child)
-
-
-def _collapse(text: str) -> str:
-    return _WS_RE.sub(" ", text).strip()
-
-
-def _plain_text(node: _Node) -> str:
-    parts = []
-    for child in node.children:
-        if isinstance(child, str):
-            parts.append(child)
-        else:
-            parts.append(_plain_text(child))
-    return _collapse(" ".join(parts))
-
-
-# --------------------------------------------------------------------------
-# Text rendering with inline list markers.
-
-
-def _list_marker(style: str, depth: int) -> str:
-    if style == "numbered":
-        return f"|{min(depth, 3)}|"
-    return "||"
-
-
-def _render_text(node: _Node, style: str, list_depth: int = 0) -> str:
-    """Render a node's content to one whitespace-collapsed text run."""
-    parts: list[str] = []
-    for child in node.children:
-        if isinstance(child, str):
-            parts.append(_collapse(child))
-            continue
-        tag = child.tag
-        if tag in ("ul", "ol", "dl"):
-            parts.append(_render_text(child, style, list_depth + 1))
-        elif tag in ("li", "dt", "dd"):
-            marker = _list_marker(style, max(list_depth, 1))
-            body = _render_text(child, style, list_depth)
-            if body.endswith("|"):
-                body += " "
-            parts.append(f"{marker}{body}{marker}")
-        elif tag == "tr":
-            cells = [
-                _render_text(c, style, list_depth)
-                for c in child.children
-                if isinstance(c, _Node) and c.tag in ("td", "th")
-            ]
-            parts.append(" | ".join(c for c in cells if c))
-        else:
-            parts.append(_render_text(child, style, list_depth))
-    return _collapse(" ".join(p for p in parts if p))
-
-
-# --------------------------------------------------------------------------
-# The page outline.
-
-
-def _main_title(root: _Node) -> str:
-    """The text of the first h1 that has any, else of the first title."""
-    for node in _iter_nodes(root):
-        if node.tag == "h1":
-            title = _plain_text(node)
-            if title:
-                return title
-    for node in _iter_nodes(root):
-        if node.tag == "title":
-            return _plain_text(node)
-    return ""
-
-
 def outline(html: str, selectors: list[str], style: str,
             url: str) -> tuple[str, list[tuple[int, str]]]:
     """The page's main title, and its content in document order: (level,
     heading) for each h2-h6 heading with text, and (0, text) for each
     non-empty run of text outside them, a list or table rendered whole with
-    `style`'s markers. h1 and title elements are left out. Raises
+    `style`'s markers. h1 and title elements are left out. The main title is
+    the text of the first h1 that has any, else of the first title. Raises
     DocumentError when the input has no tags or no main title."""
-    root = _parse_tree(html, selectors)
-    title = _main_title(root)
+    reader = _OutlineReader(selectors, style)
+    reader.feed(html)
+    if not _UNTERMINATED_RE.match(reader.rawdata):
+        reader.close()  # which would emit such a tail as text; a browser drops it
+    if not reader.saw_tag:
+        raise DocumentError("no HTML tags found in input")
+    reader._close_to(1)
+    h1s = map(reader._plain_text, reader.spans["h1"])
+    titles = reader.spans["title"]
+    title = next(filter(None, h1s), "") or (
+        reader._plain_text(titles[0]) if titles else "")
     if not title:
         raise DocumentError(f"no main title found in {url}")
-    blocks: list[tuple[int, str]] = []
-
-    def visit(node: _Node):
-        for child in node.children:
-            if isinstance(child, str):
-                text = _collapse(child)
-            elif child.tag in ("h1", "title"):
-                continue
-            elif child.tag in _HEADING_LEVELS:
-                heading = _plain_text(child)
-                if heading:
-                    blocks.append((_HEADING_LEVELS[child.tag], heading))
-                continue
-            elif child.tag in ("ul", "ol", "dl", "table"):
-                wrapper = _Node("#block")
-                wrapper.children = [child]
-                text = _render_text(wrapper, style)
-            else:
-                visit(child)
-                continue
-            if text:
-                blocks.append((0, text))
-
-    visit(root)
-    return title, blocks
+    return title, reader.blocks
