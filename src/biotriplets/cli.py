@@ -244,6 +244,8 @@ def cmd_eval(args) -> int:
 def cmd_mock_serve(args) -> int:
     from .mockserver import MockScript, MockServer
 
+    if not 0 <= args.port <= 65535:  # bind() raises OverflowError, no OSError
+        raise ConfigError(f"cannot bind port {args.port}: not in 0-65535")
     try:
         script = MockScript.from_file(args.script) if args.script else MockScript()
     except (OSError, ValueError, TypeError, AttributeError) as exc:

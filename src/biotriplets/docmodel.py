@@ -6,11 +6,11 @@ list structure inlined as balanced marker tokens (``|1|``/``|2|``/``|3|``
 by nesting depth for NUMBERED profiles, ``||`` at every depth for PLAIN).
 Everything else (scripts, navigation chrome, tags) is stripped.
 
-The HTML parser is in `htmltree`, which `preprocess_html` imports when
-called: `match` and `extract` read documents.jsonl through this module and
-do not load it. This module is also the one codec of the stage files:
-`read_jsonl` reads them, `record` decodes each line's record and
-`json_line` encodes it.
+The HTML parser is in `htmltree`, which reads a page straight into its
+section tree and which `preprocess_html` imports when called: `match` and
+`extract` read documents.jsonl through this module and do not load it.
+This module is also the one codec of the stage files: `read_jsonl` reads
+them, `record` decodes each line's record and `json_line` encodes it.
 """
 
 from __future__ import annotations
@@ -78,52 +78,19 @@ class SiteProfile:
 
 
 def preprocess_html(html: str, profile: SiteProfile, url: str) -> WebDocument:
-    """Turn one raw page into a WebDocument.
+    """Turn one raw page into a WebDocument: `htmltree.outline` reads it
+    into its section tree in one pass, and `record` decodes the tree as it
+    decodes a line of documents.jsonl.
 
     Tolerates tag soup, nested as deep as it likes; raises DocumentError
     when the input has no tags at all or no main title can be found.
     """
     from .htmltree import outline  # only preprocess parses HTML
 
-    main_title, blocks = outline(html, profile.strip_selectors,
-                                 profile.list_marker_style, url)
-    doc = WebDocument(site_id=profile.site_id, page_url=url, main_title=main_title)
-
-    # Headings open sections, and the text between headings goes into the
-    # innermost open section.
-    open_stack: list[Section] = []  # innermost last
-    pending: list[str] = []
-
-    def flush():
-        text = " ".join(pending)
-        pending.clear()
-        if not text:
-            return
-        if not open_stack:
-            intro = Section(heading="", level=2, text=text)
-            doc.sections.append(intro)
-            open_stack.append(intro)
-        else:
-            sec = open_stack[-1]
-            sec.text = f"{sec.text} {text}".strip() if sec.text else text
-
-    for level, text in blocks:
-        if not level:
-            pending.append(text)
-            continue
-        flush()
-        while open_stack and open_stack[-1].level >= level:
-            open_stack.pop()
-        # never jump more than one level deeper than the parent
-        parent_level = open_stack[-1].level if open_stack else 1
-        sec = Section(heading=text, level=min(level, parent_level + 1))
-        if open_stack:
-            open_stack[-1].children.append(sec)
-        else:
-            doc.sections.append(sec)
-        open_stack.append(sec)
-    flush()
-    return doc
+    main_title, sections = outline(html, profile.strip_selectors,
+                                   profile.list_marker_style, url)
+    return record(WebDocument, {"site_id": profile.site_id, "page_url": url,
+                                "main_title": main_title, "sections": sections})
 
 
 def flatten_section_text(section: Section) -> str:

@@ -209,8 +209,9 @@ def pending_sections(
     """Group pending candidates by the section they point at, in first-seen
     order.
 
-    Raises ConfigError when a section is missing from the documents or
-    sits at another path than the candidate recorded.
+    Raises ConfigError when a section is missing from the documents, sits
+    at another path than the candidate recorded, or has no word at the
+    candidate's `match_word_index`.
     """
     groups: dict[tuple[str, str, int], list[CandidatePair]] = {}
     for c in pending:
@@ -226,12 +227,18 @@ def pending_sections(
     for (site_id, page_url, index), members in groups.items():
         walk = sections.get((site_id, page_url), [])
         section, path = walk[index] if 0 <= index < len(walk) else (None, None)
+        n = len(flatten_section_text(section).split()) if section else 0
         for c in members:
             if c.section_path != path:
                 raise ConfigError(
                     f"candidate {c.candidate_id} points at section {index} "
                     f"({c.section_path!r}) of {c.page_url}, which documents.jsonl "
                     f"does not have; rerun match"
+                )
+            if not 0 <= c.match_word_index < n:
+                raise ConfigError(
+                    f"candidate {c.candidate_id}: word index {c.match_word_index} "
+                    f"outside [0, {n}) in {c.section_path!r}; rerun match"
                 )
         out.append((section, members))
     return out
@@ -248,20 +255,15 @@ def _section_plan(
     no request.
 
     The section's flattened text is split into words once; its candidates
-    share the chunks of one word span, each joined once. A candidate whose
-    match lies outside the text raises ConfigError naming it.
+    share the chunks of one word span, each joined once; `pending_sections`
+    has checked that each candidate's match lies inside the text.
     """
     words = flatten_section_text(section).split()
     built: dict[tuple[int, int, bool], Chunk] = {}  # the section's chunks by span
     chunks: list[list[Chunk]] = []
     texts: dict[str, None] = {}
     for c, question in zip(candidates, questions):
-        try:
-            its = chunk_for_candidate(words, c.match_word_index, cfg, built)
-        except ValueError as exc:
-            raise ConfigError(
-                f"candidate {c.candidate_id}: {exc} in {c.section_path!r}; rerun match"
-            ) from None
+        its = chunk_for_candidate(words, c.match_word_index, cfg, built)
         chunks.append(its)
         if len(its) > 1:
             texts[question] = None

@@ -819,6 +819,18 @@ class TestExtract:
         assert len(err.splitlines()) == 1, err
         assert "rerun match" in err
 
+    def test_word_index_past_the_section_exits_before_any_request(self, site, capsys):
+        root, config, server = site
+        run(config, "preprocess")
+        run(config, "match")
+        path = root / "work" / "candidates.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        c = json.loads(lines[-1])
+        c["match_word_index"] = 10000
+        path.write_text("".join(lines[:-1]) + json.dumps(c) + "\n")
+        err = self.assert_rerun_match(config, server, capsys)
+        assert f"candidate {c['candidate_id']}: word index 10000 outside [0, " in err
+
     def test_candidates_of_unconfigured_relation(self, site, capsys):
         root, config, server = site
         run(config, "preprocess")
@@ -1271,6 +1283,12 @@ class TestMockServe:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1, err
         assert f"cannot read mock script {script}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("port", ["99999", "-1"])
+    def test_port_out_of_range_exits_2_with_one_line(self, capsys, port):
+        assert cli.main(["mock-serve", "--port", port]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot bind port {port}: not in 0-65535\n"
 
     def test_unscripted_default_is_no(self, mock_server):
         server = mock_server()

@@ -1,6 +1,7 @@
 import json
 import random
 import re
+import time
 from html.parser import HTMLParser
 
 import pytest
@@ -141,6 +142,20 @@ class TestPreprocess:
         assert text.count("w") == 20_000
         assert (text.count("|1|"), text.count("|2|"), text.count("|3|")) == (2, 2, 39_996)
 
+    @pytest.mark.parametrize("body, words", [
+        ("<font>w " * 10_000 + "<p>x</p>" * 10_000, ["w"] * 10_000 + ["x"] * 10_000),
+        ("<font>w " * 10_000 + "</x>" * 10_000, ["w"] * 10_000),
+        # the open p sits below a list, so no later p closes it
+        ("<p><ul><li>" + "<font>w " * 5_000 + "<p>x</p>" * 5_000,
+         ["||w"] + ["w"] * 4_999 + ["x"] * 4_999 + ["x||"]),
+    ], ids=["siblings", "stray-closes", "siblings-past-a-list"])
+    def test_unclosed_elements_parsed_in_linear_time(self, body, words):
+        # a close or a sibling must not walk the 10,000 unclosed tags below it
+        start = time.perf_counter()
+        doc = preprocess_html("<h1>T</h1><h2>S</h2>" + body, PLAIN, "u")
+        assert time.perf_counter() - start < 2.0
+        assert doc.sections[0].text.split() == words
+
     def test_whitespace_collapsed(self):
         doc = preprocess_html(
             "<h1>T</h1><h2>S</h2><p>a\n\n   b\t\tc</p>", PLAIN, "u"
@@ -224,17 +239,22 @@ SOUP_ATTRS = ["", "", " class", ' class="ad"', ' class="note ad"', ' class="note
 SOUP_TEXTS = ["fever", "cough and rash", " ", "a &amp; b", "x < y", "dose |"]
 SOUP_TITLES = ["<h1>Title</h1>", "<h1>Title</h1>", "<h1> </h1>", "<title>Page</title>",
                "<title/>", ""]
+SOUP_HEADINGS = ["<h2>Causes</h2>", "<h3>Dose", "<h4>Adults</h4>", "<h5> </h5>",
+                 "<h6>Children</h6>", "<h3>Signs</h3>"]
 
 
 def soup_page(rng):
     """A seeded tag-soup page: unclosed and stray tags, lists nested deep,
-    rows with stray cells, h1 and title anywhere, void and self-closed
-    elements, drop tags and selector-matching attributes."""
+    rows with stray cells, h1 and title anywhere, headings of every level,
+    void and self-closed elements, drop tags and selector-matching
+    attributes."""
     parts = [rng.choice(SOUP_TITLES)]
     for _ in range(rng.randint(5, 80)):
         tag, roll = rng.choice(SOUP_TAGS), rng.random()
         if roll < 0.03:
             parts.append("<ul><li>drug" * rng.randint(2, 6))
+        elif roll < 0.13:
+            parts.append(rng.choice(SOUP_HEADINGS))
         elif roll < 0.45:
             parts.append(f"<{tag}{rng.choice(SOUP_ATTRS)}>")
         elif roll < 0.7:
@@ -384,9 +404,53 @@ def reference_outline(html, selectors, style, drop_tags=htmltree._DROP_TAGS):
     return title, blocks
 
 
-def one_pass_outline(html, selectors, style):
+def reference_document(html, selectors, style, drop_tags=htmltree._DROP_TAGS):
+    """The reference outline's blocks built into sections by a second pass:
+    headings open sections, and the text between headings goes into the
+    innermost open section."""
+    outline = reference_outline(html, selectors, style, drop_tags)
+    if outline == "no main title":
+        return outline
+    title, blocks = outline
+    doc = WebDocument(site_id="s", page_url="u", main_title=title)
+    open_stack = []  # innermost last
+    pending = []
+
+    def flush():
+        text = " ".join(pending)
+        pending.clear()
+        if not text:
+            return
+        if not open_stack:
+            intro = Section(heading="", level=2, text=text)
+            doc.sections.append(intro)
+            open_stack.append(intro)
+        else:
+            sec = open_stack[-1]
+            sec.text = f"{sec.text} {text}".strip() if sec.text else text
+
+    for level, text in blocks:
+        if not level:
+            pending.append(text)
+            continue
+        flush()
+        while open_stack and open_stack[-1].level >= level:
+            open_stack.pop()
+        # never jump more than one level deeper than the parent
+        parent_level = open_stack[-1].level if open_stack else 1
+        sec = Section(heading=text, level=min(level, parent_level + 1))
+        if open_stack:
+            open_stack[-1].children.append(sec)
+        else:
+            doc.sections.append(sec)
+        open_stack.append(sec)
+    flush()
+    return doc
+
+
+def one_pass_document(html, selectors, style):
     try:
-        return htmltree.outline(html, selectors, style, "u")
+        return preprocess_html(html, SiteProfile("s", style, selectors), "u")
     except DocumentError:
         return "no main title"
 
@@ -397,12 +461,15 @@ def one_pass_outline(html, selectors, style):
 def test_one_pass_outline_as_the_built_tree(selectors, style):
     rng = random.Random(3100 + len(selectors) + len(style))
     pages = [soup_page(rng) for _ in range(750)]
-    expected = [reference_outline(html, selectors, style) for html in pages]
-    assert [one_pass_outline(html, selectors, style) for html in pages] == expected
-    # many pages have a main title, so their outlines are compared, and
-    # pruning changes many outlines, so its check is not vacuous
-    assert sum(e != "no main title" for e in expected) > len(pages) // 3
-    whole = [reference_outline(html, [], style, drop_tags=set()) for html in pages]
+    expected = [reference_document(html, selectors, style) for html in pages]
+    assert [one_pass_document(html, selectors, style) for html in pages] == expected
+    # many pages have a main title, many of those nested sections, so their
+    # trees are compared, and pruning changes many trees, so its check is
+    # not vacuous
+    titled = [e for e in expected if e != "no main title"]
+    assert len(titled) > len(pages) // 3
+    assert sum(any(s.children for s in e.sections) for e in titled) > len(titled) // 10
+    whole = [reference_document(html, [], style, drop_tags=set()) for html in pages]
     assert sum(e != w for e, w in zip(expected, whole)) > len(pages) // 3
 
 

@@ -482,9 +482,8 @@ class TestSectionEmbedding:
 class TestPlanning:
     def test_planning_error_stops_the_run(self, tmp_path, mock_server, monkeypatch):
         first, other, bad = make_candidates(3)
-        # two candidates in the first section; the last points past its text
+        # two candidates in the first section; planning the last one fails
         section = [first, dataclasses.replace(other, page_url=first.page_url)]
-        bad = dataclasses.replace(bad, match_word_index=99)
         started, raised = threading.Event(), threading.Event()
         held = []
         real = pipeline._section_plan
@@ -492,11 +491,9 @@ class TestPlanning:
         def plan(section, members, *rest):
             if members[0] is bad:
                 started.wait(timeout=5)  # the first section's first chat is held
-            try:
-                return real(section, members, *rest)
-            except ConfigError:
                 raised.set()
-                raise
+                raise ConfigError(f"candidate {bad.candidate_id}: rerun match")
+            return real(section, members, *rest)
 
         class HoldingChat(ChatEndpoint):
             def complete(self, messages):
@@ -517,7 +514,7 @@ class TestPlanning:
         assert [e["kind"] for e in server.log.entries] == ["chat"]
 
     def test_bad_match_of_a_later_candidate_is_named(self, tmp_path, mock_server):
-        # the section's text is split once, before its first candidate is chunked
+        # the section's first candidate is fine; the check names its second
         doc, candidates = long_section_site()
         first, second, *rest = [c for c in candidates if c.section_index == 0]
         bad = dataclasses.replace(second, match_word_index=10**6)
