@@ -244,17 +244,19 @@ def cmd_eval(args) -> int:
 def cmd_mock_serve(args) -> int:
     from .mockserver import MockScript, MockServer
 
-    if not 0 <= args.port <= 65535:  # bind() raises OverflowError, no OSError
-        raise ConfigError(f"cannot bind port {args.port}: not in 0-65535")
     try:
         script = MockScript.from_file(args.script) if args.script else MockScript()
     except (OSError, ValueError, TypeError, AttributeError) as exc:
         raise ConfigError(f"cannot read mock script {args.script}: {exc}") from None
-    try:
-        server = MockServer(script, log_path=args.log, port=args.port)
+    try:  # the server appends each request to the log: it must open before serving
+        if args.log:
+            open(args.log, "a").close()
     except OSError as exc:
-        print(f"error: cannot bind port {args.port}: {exc}", file=sys.stderr)
-        return EXIT_PARTIAL
+        raise ConfigError(f"cannot open mock log {args.log}: {exc.strerror}") from None
+    try:  # bind() raises OverflowError for a port outside 0-65535
+        server = MockServer(script, log_path=args.log, port=args.port)
+    except (OSError, OverflowError) as exc:
+        raise ConfigError(f"cannot bind port {args.port}: {exc}") from None
     print(f"mock server listening on {server.base_url}")
     try:
         server.start().thread.join()
@@ -272,8 +274,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--workdir", help="override the working directory")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("preprocess", help="HTML files -> documents.jsonl")
-    sub.add_parser("match", help="documents.jsonl -> candidates.jsonl")
+    sub.add_parser("preprocess", help="HTML files -> documents.jsonl").set_defaults(
+        handler=cmd_preprocess)
+    sub.add_parser("match", help="documents.jsonl -> candidates.jsonl").set_defaults(
+        handler=cmd_match)
 
     p_extract = sub.add_parser(
         "extract", help="candidates.jsonl + documents.jsonl -> triplets.jsonl + report")
@@ -285,31 +289,28 @@ def build_parser() -> argparse.ArgumentParser:
                                 "records, in completion order; their triplets.jsonl, "
                                 "report.txt, report.json and malformed.jsonl are "
                                 "byte-identical with or without this flag")
+    p_extract.set_defaults(handler=cmd_extract)
 
     p_eval = sub.add_parser("eval", help="benchmark JSONL -> metrics + agreement")
     p_eval.add_argument("benchmark", help="benchmark JSONL file")
     p_eval.add_argument("--reference", default=None,
                         help="reference model for the malformed-label convention")
+    p_eval.set_defaults(handler=cmd_eval)
 
     p_mock = sub.add_parser("mock-serve", help="run the deterministic mock endpoint")
     p_mock.add_argument("--script", default=None, help="canned-response script file")
     p_mock.add_argument("--port", type=int, default=0)
     p_mock.add_argument("--log", default=None, help="request log JSONL path")
+    p_mock.set_defaults(handler=cmd_mock_serve)
 
     return parser
 
 
 def main(argv=None) -> int:
+    # built per call, so that a cmd_* replaced on this module is what runs
     args = build_parser().parse_args(argv)
-    handlers = {
-        "preprocess": cmd_preprocess,
-        "match": cmd_match,
-        "extract": cmd_extract,
-        "eval": cmd_eval,
-        "mock-serve": cmd_mock_serve,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -77,6 +77,12 @@ class _OutlineReader(HTMLParser):
     " | "), and an item wraps its part in markers, so each part is written
     after the separator that its element asks for once it has content."""
 
+    # Python 3.11's tables: later releases also read iframe, xmp, noembed
+    # and noframes as raw text, and title and textarea as escaped text, so
+    # an unclosed one would swallow the rest of the page
+    CDATA_CONTENT_ELEMENTS = ("script", "style")
+    RCDATA_CONTENT_ELEMENTS = ()
+
     def __init__(self, selectors: list[str], style: str):
         super().__init__(convert_charrefs=True)
         self.selectors = selectors

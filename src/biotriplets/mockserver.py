@@ -177,9 +177,3 @@ class MockServer:
     def stop(self) -> None:
         self.httpd.shutdown()
         self.httpd.server_close()
-
-    def __enter__(self) -> "MockServer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()

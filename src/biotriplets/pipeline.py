@@ -117,13 +117,10 @@ class Journal(AppendLog):
         done = {}
         lines = self._lines("deleting it costs asking its candidates again")
         for line_no, line in enumerate(lines, 1):
-            line = line.strip()
-            if not line:
-                continue
             try:
                 rec = json.loads(line)
             except (ValueError, RecursionError):
-                continue  # torn tail line from a killed run
+                continue  # a blank line, or a torn tail line from a killed run
             try:
                 verdict = record(Verdict, rec)
             except (KeyError, TypeError) as exc:

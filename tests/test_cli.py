@@ -5,6 +5,7 @@ import json
 import os
 import random
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -218,6 +219,12 @@ class TestConfig:
             assert str(config) in err and expected in err and "Traceback" not in err
         assert not (root / "work").exists() and not server.log.entries
 
+    def test_config_that_is_a_directory_exits_2(self, tmp_path, capsys):
+        assert cli.main(["--config", str(tmp_path), "preprocess"]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith("error: cannot read config: ") and str(tmp_path) in err
+
     @pytest.mark.parametrize("how", ["option", "config"])
     def test_workdir_that_is_a_file_exits_2(self, site, capsys, how):
         root, config, server = site
@@ -281,6 +288,12 @@ class TestMatch:
         for text in expected:
             assert text in err
         assert not (root / "work" / "candidates.jsonl").exists()
+
+    def test_no_thesaurus_configured(self, site, capsys):
+        root, config, _ = site
+        run(config, "preprocess")
+        config.write_text(config.read_text().replace('thesaurus = "thesaurus.tsv"\n', ""))
+        self.assert_config_error(root, config, capsys, "no thesaurus configured")
 
     def test_missing_thesaurus(self, site, capsys):
         root, config, _ = site
@@ -1287,8 +1300,31 @@ class TestMockServe:
     @pytest.mark.parametrize("port", ["99999", "-1"])
     def test_port_out_of_range_exits_2_with_one_line(self, capsys, port):
         assert cli.main(["mock-serve", "--port", port]) == 2
-        err = capsys.readouterr().err
-        assert err == f"error: cannot bind port {port}: not in 0-65535\n"
+        out, err = capsys.readouterr()
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith(f"error: cannot bind port {port}: ") and out == ""
+
+    def test_port_in_use_exits_2_with_one_line(self, capsys):
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            port = taken.getsockname()[1]
+            assert cli.main(["mock-serve", "--port", str(port)]) == 2
+        out, err = capsys.readouterr()
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith(f"error: cannot bind port {port}: ") and out == ""
+        assert "Traceback" not in err
+
+    def test_unwritable_log_exits_2_before_serving(self, tmp_path):
+        # a server that cannot log would drop every request with a traceback
+        log = tmp_path / "missing" / "requests.jsonl"
+        src = Path(cli.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "biotriplets.cli", "mock-serve", "--log", str(log)],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+            timeout=20)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"error: cannot open mock log {log}: No such file or directory\n"
 
     def test_unscripted_default_is_no(self, mock_server):
         server = mock_server()

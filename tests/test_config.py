@@ -79,11 +79,19 @@ def test_value_of_wrong_type(tmp_path, text, expected):
      "overlap_words must be >= 0"),
     ("[retrieval]\nchunk_words = 0\noverlap_words = -1", "chunk_words must be >= 1"),
     ("[retrieval]\ntop_k = 0", "top_k must be >= 1"),
+    ("[retrieval]\nanchor_min_words = 64", "anchor_min_words must be >= chunk_words"),
 ], ids=["marker-style", "overlap", "workers", "relation-types", "relation-phrase",
-        "empty-phrase", "no-relation", "negative-overlap", "chunk-below-1", "top-k-0"])
+        "empty-phrase", "no-relation", "negative-overlap", "chunk-below-1", "top-k-0",
+        "anchor-below-chunk"])
 def test_unusable_value(tmp_path, text, expected):
     with pytest.raises(ConfigError, match=expected):
         load_config(config_file(tmp_path, text))
+
+
+def test_endpoint_without_base_url(tmp_path):
+    cfg = load_config(config_file(tmp_path, '[embedding]\nmodel = "m"'))
+    with pytest.raises(ConfigError, match="embedding.base_url is not configured"):
+        cfg.embedding_endpoint()
 
 
 def test_int_is_a_number_and_unread_keys_are_ignored(tmp_path):

@@ -14,6 +14,7 @@ from biotriplets.docmodel import (
     flatten_section_text,
     json_line,
     preprocess_html,
+    read_documents,
     record,
 )
 from biotriplets.errors import DocumentError
@@ -117,6 +118,18 @@ class TestPreprocess:
         # a browser drops markup left open at the end; any other < is text
         doc = preprocess_html(f"<h1>T</h1><h2>S</h2><p>a</p>{tail}", PLAIN, "u")
         assert next(doc.walk_sections())[0].text == text
+
+    @pytest.mark.parametrize("html,title,sections", [
+        ("<h1>T</h1><h2>S</h2><p>a</p><textarea>b<p>c</p><h2>U</h2><p>d</p>",
+         "T", [("S", "a b c"), ("U", "d")]),
+        # all inside the open title is its text, and the h1 is the main title
+        ("<title>Page<h1>T</h1><h2>S</h2><p>a</p>", "T", []),
+    ], ids=["textarea", "title"])
+    def test_unclosed_title_or_textarea_reads_its_markup(self, html, title, sections):
+        # newer html.parser releases read both as text up to their close tag
+        doc = preprocess_html(html, PLAIN, "u")
+        assert doc.main_title == title
+        assert [(s.heading, s.text) for s in doc.sections] == sections
 
     def test_no_html_residue(self):
         doc = preprocess_html(
@@ -278,6 +291,9 @@ class Node:
 
 
 class TreeBuilder(HTMLParser):
+    CDATA_CONTENT_ELEMENTS = ("script", "style")  # as htmltree pins them
+    RCDATA_CONTENT_ELEMENTS = ()
+
     def __init__(self):
         super().__init__(convert_charrefs=True)
         self.root = Node("#root")
@@ -575,6 +591,12 @@ class TestSerialization:
         clone = record(WebDocument, json.loads(json_line(doc)))
         assert clone == doc
         assert json_line(clone) == json_line(doc)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        docs = [WebDocument("s", "u1", "T"), WebDocument("s", "u2", "T")]
+        path = tmp_path / "documents.jsonl"
+        path.write_text("\n" + json_line(docs[0]) + "  \r\n\n" + json_line(docs[1]))
+        assert read_documents(path) == docs
 
     def test_line_is_the_fields_in_declaration_order(self):
         doc = WebDocument("s", "u", "T", [Section("A", 2, "fièvre", [Section("B", 3)])])

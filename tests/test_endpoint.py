@@ -410,6 +410,13 @@ def proxy_env(monkeypatch):
     return monkeypatch.setenv
 
 
+def test_proxy_must_be_http(proxy_env):
+    proxy_env("HTTP_PROXY", "socks5://127.0.0.1:1080")
+    with pytest.raises(errors.ConfigError, match="proxy 'socks5://127.0.0.1:1080' for "
+                                                 "http://api.invalid is not an http:// URL"):
+        ChatEndpoint(base_url="http://api.invalid", model="m")
+
+
 @pytest.mark.parametrize("credentials,authorization", [
     ("user:p%40ss@", "Basic " + base64.b64encode(b"user:p@ss").decode()),
     ("", None),

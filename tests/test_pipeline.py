@@ -144,6 +144,12 @@ class TestJournal:
             assert set(loaded) == expected, cut
             assert loaded["a"] == a and loaded["c"] == c
 
+    def test_blank_lines_are_skipped(self, tmp_path):
+        a, b, _ = (json_line(r).encode("utf-8") for r in self.RECORDS)
+        path = tmp_path / "j.jsonl"
+        path.write_bytes(b"\n" + a + b"  \r\n\n" + b)
+        assert list(Journal(path).load()) == ["a", "b"]
+
     def test_append_creates_file(self, tmp_path):
         journal = Journal(tmp_path / "j.jsonl")
         for record in self.RECORDS:
@@ -1222,6 +1228,24 @@ class TestEmbeddingCheckpoint:
             self.run([doc], candidates, server, journal)
         assert not any(e["kind"] == "embed" for e in server.log.entries[sent:])
         assert checkpoint.exists()
+
+    def test_vector_of_part_of_a_float64_is_embedded_again(self, tmp_path, mock_server):
+        doc, candidates = long_section_site()
+        server = mock_server()
+        journal = abort_after_embedding(tmp_path, server, [doc], candidates)
+        checkpoint = tmp_path / "embeddings.jsonl"
+        pending = next(c for c in candidates if c.head_surface == "gentamicin")
+        key = hashlib.sha1(f"mock-embed\x00{question(pending)}".encode()).hexdigest()
+        records = [json.loads(line) for line in checkpoint.read_text().splitlines()]
+        # 31.5 float64s: base64 that decodes, to bytes that are no vector
+        torn = base64.b64encode(array("d", [1.0] * 32).tobytes()[:-4]).decode()
+        checkpoint.write_text("".join(
+            json.dumps({**r, "vector": torn} if r["key"] == key else r) + "\n"
+            for r in records))
+        sent = len(embed_requests(server))
+        self.run([doc], candidates, server, journal)
+        assert embed_requests(server)[sent:] == [[question(pending)]]
+        assert not checkpoint.exists()
 
     def test_no_more_requests_in_flight_than_workers(self, tmp_path, mock_server):
         docs = [long_section_page(f"https://x/p{seed}", seed) for seed in range(4)]
