@@ -88,29 +88,27 @@ def enumerate_candidates(
                 continue
             starts = token_starts(section.text)
             for relation in relations:
-                for match in semantic_filter(matches, relation):
-                    key = (doc.page_url, relation.id, match.concept_id)
+                for head, (start, _) in semantic_filter(matches, relation):
+                    key = (doc.page_url, relation.id, head.concept_id)
                     if key in seen:
                         continue
                     seen.add(key)
                     candidates.append(
                         CandidatePair(
                             candidate_id=candidate_id(
-                                doc.site_id, doc.page_url, relation.id, match.concept_id
+                                doc.site_id, doc.page_url, relation.id, head.concept_id
                             ),
                             site_id=doc.site_id,
                             page_url=doc.page_url,
                             relation=relation.id,
-                            head_surface=match.surface,
-                            head_concept_id=match.concept_id,
+                            head_surface=head.surface,
+                            head_concept_id=head.concept_id,
                             tail_title=doc.main_title,
                             section_path=path,
                             section_index=section_index,
                             # the flattened section text begins with the
                             # section's own text, so indexes carry over
-                            match_word_index=word_index(
-                                section.text, starts, match.span[0]
-                            ),
+                            match_word_index=word_index(section.text, starts, start),
                         )
                     )
     return candidates

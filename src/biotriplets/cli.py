@@ -208,17 +208,11 @@ def cmd_eval(args) -> int:
     if reference not in model_ids:
         raise ConfigError(f"reference model {reference!r} not in benchmark")
 
-    rows = []
-    for model, cm in zip(model_ids, confusions):
-        m = evaluation.metrics(cm)
-        rows.append({
-            "model": model,
-            "accuracy": evaluation.round3(m.accuracy),
-            "recall": evaluation.round3(m.recall),
-            "precision": evaluation.round3(m.precision),
-            "f1": evaluation.round3(m.f1),
-            "confusion": {"tp": cm.tp, "fp": cm.fp, "fn": cm.fn, "tn": cm.tn},
-        })
+    rows = [{"model": model,
+             **{name: evaluation.round3(score)
+                for name, score in evaluation.metrics(cm).items()},
+             "confusion": vars(cm)}
+            for model, cm in zip(model_ids, confusions)]
     header = f"{'Model':<16}{'Accuracy':>10}{'Recall':>10}{'Precision':>11}{'F1':>8}"
     lines = [header]
     for row in rows:

@@ -9,8 +9,10 @@ Everything else (scripts, navigation chrome, tags) is stripped.
 The HTML parser is in `htmltree`, which reads a page straight into its
 section tree and which `preprocess_html` imports when called: `match` and
 `extract` read documents.jsonl through this module and do not load it.
-This module is also the one codec of the stage files: `read_jsonl` reads
-them, `record` decodes each line's record and `json_line` encodes it.
+This module is also the codec of the stage files: `read_jsonl` reads
+them, `record` decodes each line's record and `json_line` encodes it. The
+one exception is extract's `embeddings.jsonl`, whose lines
+`pipeline.EmbeddingCheckpoint` writes and reads itself.
 """
 
 from __future__ import annotations

@@ -39,6 +39,10 @@ T = TypeVar("T")
 # Longest Retry-After honoured; a larger value waits this long.
 MAX_RETRY_AFTER_S = 60.0
 
+# Wait before the first retry of a reply without Retry-After; it doubles
+# with each later failure.
+RETRY_BACKOFF_S = 0.2
+
 # Longest socket timeout accepted: a day.
 MAX_TIMEOUT_S = 86400.0
 
@@ -85,7 +89,6 @@ class Endpoint:
     max_retries: int = 2
     timeout: float = 60.0
     api_key: str = field(default="", repr=False)
-    retry_backoff: float = 0.2
 
     def __post_init__(self):
         import ssl
@@ -171,14 +174,14 @@ class Endpoint:
     def retry_delay(self, exc: RetryLater, failures: int) -> float:
         """Seconds until a request whose attempts have failed `failures`
         times, the last with `exc`, may be sent again: the reply's
-        Retry-After, else `retry_backoff` doubled per earlier failure. Once
+        Retry-After, else `RETRY_BACKOFF_S` doubled per earlier failure. Once
         the failures exceed `max_retries`, raises EndpointUnavailable with
         the failure's text."""
         if failures > self.max_retries:
             raise EndpointUnavailable(str(exc))
         if exc.retry_after is not None:
             return exc.retry_after
-        return self.retry_backoff * 2 ** (failures - 1)
+        return RETRY_BACKOFF_S * 2 ** (failures - 1)
 
     def post(self, path: str, payload: dict, parse: Callable[[Any], T]) -> T:
         """POST `payload` as JSON to `path` once; returns `parse` of the

@@ -81,16 +81,9 @@ def confusion(samples: list[BenchmarkSample], model_id: str) -> ConfusionMatrix:
     return ConfusionMatrix(tp, fp, fn, tn)
 
 
-@dataclass(frozen=True)
-class Metrics:
-    accuracy: float
-    precision: float
-    recall: float
-    f1: float
-
-
-def metrics(cm: ConfusionMatrix) -> Metrics:
-    """Accuracy/precision/recall/F1; a zero-denominator metric is 0."""
+def metrics(cm: ConfusionMatrix) -> dict[str, float]:
+    """Accuracy, recall, precision and F1 by name, in the order of a
+    metrics.json row; a zero-denominator metric is 0."""
     total = cm.tp + cm.fp + cm.fn + cm.tn
     if total == 0:
         raise ValueError("confusion matrix has no samples")
@@ -107,7 +100,7 @@ def metrics(cm: ConfusionMatrix) -> Metrics:
         f1 = 2 * precision * recall / (precision + recall)
     else:
         f1 = 0.0
-    return Metrics(accuracy, precision, recall, f1)
+    return {"accuracy": accuracy, "recall": recall, "precision": precision, "f1": f1}
 
 
 def round3(x: float) -> float:

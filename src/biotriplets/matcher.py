@@ -175,11 +175,8 @@ def load_thesaurus(path: str | Path, tokens: Collection[str] | None = None) -> T
     return thesaurus
 
 
-@dataclass(frozen=True)
-class TermMatch:
-    surface: str
-    concept_id: str
-    semantic_types: frozenset[str]
+class TermMatch(NamedTuple):
+    entry: TermEntry  # the index's own entry, not a copy
     span: tuple[int, int]  # [start, end) character offsets into source text
 
 
@@ -220,17 +217,9 @@ def match_terms(automaton: MatcherAutomaton, text: str) -> list[TermMatch]:
             # a surface ends at the text's end or before a non-alphanumeric
             if end > n or (end < n and folded[end].isalnum()):
                 continue
-            surface = folded[p:end]
-            entry = index.get(surface)
+            entry = index.get(folded[p:end])
             if entry is not None:
-                matches.append(
-                    TermMatch(
-                        surface=surface,
-                        concept_id=entry.concept_id,
-                        semantic_types=entry.semantic_types,
-                        span=(p, end),
-                    )
-                )
+                matches.append(TermMatch(entry, (p, end)))
                 resume = end
                 break
     return matches
@@ -238,4 +227,4 @@ def match_terms(automaton: MatcherAutomaton, text: str) -> list[TermMatch]:
 
 def semantic_filter(matches: list[TermMatch], relation: RelationType) -> list[TermMatch]:
     """Keep matches whose semantic types intersect the relation's allowed set."""
-    return [m for m in matches if m.semantic_types & relation.allowed_semantic_types]
+    return [m for m in matches if m.entry.semantic_types & relation.allowed_semantic_types]

@@ -1,7 +1,9 @@
 import json
+import signal
 
 import pytest
 
+from biotriplets import endpoint
 from biotriplets.mockserver import MockScript, MockServer
 
 # 30-term thesaurus used by the CLI / end-to-end tests. Types follow the
@@ -180,6 +182,24 @@ list_marker_style = "plain"
 workers = 2
 """, encoding="utf-8")
     return cfg
+
+
+@pytest.fixture
+def no_backoff(monkeypatch):
+    """Retry a reply without Retry-After at once; a test that times the
+    backoff sets `endpoint.RETRY_BACKOFF_S` itself."""
+    monkeypatch.setattr(endpoint, "RETRY_BACKOFF_S", 0.0)
+
+
+@pytest.fixture
+def sigint_raises():
+    """SIGINT raises KeyboardInterrupt in the main thread, also in a suite
+    started with SIGINT ignored (a background job of a non-interactive
+    shell). A handled signal is reset to its default by exec, so a child
+    process started meanwhile gets SIGINT at its default too."""
+    old = signal.signal(signal.SIGINT, signal.default_int_handler)
+    yield
+    signal.signal(signal.SIGINT, old)
 
 
 @pytest.fixture

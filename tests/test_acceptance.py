@@ -64,10 +64,10 @@ def test_criterion_1_metric_reproduction():
         hits = brute_force_matrix(155, 0.800, 0.821, 0.950, 0.881)
         assert hits == [(115, 6, 25, 9)], "search oracle must find a unique matrix"
         m = metrics(ConfusionMatrix(115, 6, 25, 9))
-        assert round3(m.accuracy) == 0.800
-        assert round3(m.recall) == 0.821
-        assert round3(m.precision) == 0.950
-        assert round3(m.f1) == 0.881
+        assert round3(m["accuracy"]) == 0.800
+        assert round3(m["recall"]) == 0.821
+        assert round3(m["precision"]) == 0.950
+        assert round3(m["f1"]) == 0.881
 
 
 def test_criterion_2_f1_harmonic_consistency():

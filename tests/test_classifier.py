@@ -169,20 +169,18 @@ class TestClassify:
                        journal_path=tmp_path / "j.jsonl", workers=1)
         return Journal(tmp_path / "j.jsonl").load()
 
-    def test_retry_on_429_then_success(self, mock_server, tmp_path):
+    def test_retry_on_429_then_success(self, mock_server, tmp_path, no_backoff):
         server = mock_server({"statuses": [429, 429],
                               "default": {"answer": "Yes", "reason": "r"}})
-        endpoint = ChatEndpoint(base_url=server.base_url, model="mock",
-                                max_retries=2, retry_backoff=0.0)
+        endpoint = ChatEndpoint(base_url=server.base_url, model="mock", max_retries=2)
         (j,) = self.journaled(endpoint, tmp_path).values()
         assert j.answer == "Yes"
         statuses = [e["status"] for e in server.log.entries]
         assert statuses == [429, 429, 200]
 
-    def test_endpoint_unavailable_after_retries(self, mock_server, tmp_path):
+    def test_endpoint_unavailable_after_retries(self, mock_server, tmp_path, no_backoff):
         server = mock_server({"statuses": [503, 503, 503]})
-        endpoint = ChatEndpoint(base_url=server.base_url, model="mock",
-                                max_retries=2, retry_backoff=0.0)
+        endpoint = ChatEndpoint(base_url=server.base_url, model="mock", max_retries=2)
         with pytest.raises(RetryLater):  # classify sends one attempt
             classify(make_candidate(), QUESTION, CHUNKS, endpoint, load_exemplars())
         server.script.statuses = [503, 503, 503]

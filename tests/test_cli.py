@@ -1076,7 +1076,7 @@ class TestRetries:
         assert len(chats) == candidates + sum(map(len, faults.values()))
 
     def test_interrupt_exits_1_with_one_line_and_the_rerun_resumes(
-            self, tmp_path, mock_server):
+            self, tmp_path, mock_server, sigint_raises):
         # two 503s hold one chat for 0.6 s of backoff; the first chat after
         # the first 503 is held, so the run is still going when SIGINT comes
         question = "Is headache an informative manifestation of Plague?"

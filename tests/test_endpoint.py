@@ -25,6 +25,8 @@ from biotriplets.pipeline import run_extraction
 from biotriplets.retrieval import EmbeddingEndpoint
 from test_pipeline import make_candidates, make_documents
 
+pytestmark = pytest.mark.usefixtures("no_backoff")
+
 MESSAGES = [{"role": "system", "content": "s"}, {"role": "user", "content": "q"}]
 CHAT_OK = {"choices": [{"message": {"content": "reply"}}]}
 
@@ -107,12 +109,11 @@ def server():
 
 
 def chat(server, **kw):
-    return ChatEndpoint(base_url=server.base_url, model="chat-m", retry_backoff=0.0, **kw)
+    return ChatEndpoint(base_url=server.base_url, model="chat-m", **kw)
 
 
 def embedder(server, **kw):
-    return EmbeddingEndpoint(base_url=server.base_url, model="embed-m",
-                             retry_backoff=0.0, **kw)
+    return EmbeddingEndpoint(base_url=server.base_url, model="embed-m", **kw)
 
 
 def test_request_bodies_and_authorization(server):
@@ -242,22 +243,22 @@ def test_retry_after_capped(server, tmp_path, monkeypatch):
     assert 0.3 <= time.monotonic() - started < 5
 
 
-def test_retry_after_of_non_ascii_digit_waits_the_backoff(server, tmp_path):
+def test_retry_after_of_non_ascii_digit_waits_the_backoff(server, tmp_path, monkeypatch):
     # "\xb2" goes out as the latin-1 byte 0xB2 and comes back as "²", for
     # which str.isdigit holds but float() fails
     for _ in range(2):
         server.reply(503, {}, {"Retry-After": "\xb2"})
-    client = ChatEndpoint(base_url=server.base_url, model="chat-m", max_retries=1,
-                          retry_backoff=0.3)
+    monkeypatch.setattr(endpoint, "RETRY_BACKOFF_S", 0.3)
+    client = ChatEndpoint(base_url=server.base_url, model="chat-m", max_retries=1)
     with pytest.raises(errors.EndpointUnavailable, match="HTTP 503"):
         extract(client, tmp_path)
     first, second = server.requests
     assert 0.3 <= second["at"] - first["at"] < 5
 
 
-def test_retry_delay_doubles_the_backoff_until_max_retries():
-    client = ChatEndpoint(base_url="http://127.0.0.1:9", model="m", max_retries=3,
-                          retry_backoff=0.25)
+def test_retry_delay_doubles_the_backoff_until_max_retries(monkeypatch):
+    monkeypatch.setattr(endpoint, "RETRY_BACKOFF_S", 0.25)
+    client = ChatEndpoint(base_url="http://127.0.0.1:9", model="m", max_retries=3)
     failure = endpoint.RetryLater("POST http://127.0.0.1:9/v1/chat/completions: HTTP 503")
     assert [client.retry_delay(failure, k) for k in (1, 2, 3)] == [0.25, 0.5, 1.0]
     with pytest.raises(errors.EndpointUnavailable, match="^POST .*: HTTP 503$") as info:
@@ -338,10 +339,11 @@ def test_each_thread_keeps_its_own_connection(keep_alive):
     assert len({c[0] for c in by_thread.values()}) == threads
 
 
-def test_connection_closed_by_server_is_reopened_without_retry():
+def test_connection_closed_by_server_is_reopened_without_retry(monkeypatch):
+    monkeypatch.setattr(endpoint, "RETRY_BACKOFF_S", 30.0)
     closing = Scripted(protocol="HTTP/1.1", close_after=True)
     try:
-        client = ChatEndpoint(base_url=closing.base_url, model="m", retry_backoff=30.0)
+        client = ChatEndpoint(base_url=closing.base_url, model="m")
         started = time.monotonic()
         for _ in range(3):
             closing.reply(200, CHAT_OK)
@@ -383,8 +385,7 @@ def test_connection_refused_retried_then_unavailable(monkeypatch, tmp_path):
         return connect(*args, **kw)
 
     monkeypatch.setattr(socket, "create_connection", counted)
-    client = ChatEndpoint(base_url=f"http://127.0.0.1:{port}", model="m",
-                          max_retries=2, retry_backoff=0.0)
+    client = ChatEndpoint(base_url=f"http://127.0.0.1:{port}", model="m", max_retries=2)
     with pytest.raises(endpoint.RetryLater, match="ConnectionRefusedError") as info:
         client.complete(MESSAGES)
     assert info.value.retry_after is None

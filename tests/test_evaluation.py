@@ -96,15 +96,15 @@ class TestMetrics:
         hits = brute_force_matrix(155, *MODEL_ROWS["gpt-4"])
         assert hits == [(115, 6, 25, 9)]
         m = metrics(ConfusionMatrix(115, 6, 25, 9))
-        assert round3(m.accuracy) == 0.800
-        assert round3(m.recall) == 0.821
-        assert round3(m.precision) == 0.950
-        assert round3(m.f1) == 0.881
+        assert round3(m["accuracy"]) == 0.800
+        assert round3(m["recall"]) == 0.821
+        assert round3(m["precision"]) == 0.950
+        assert round3(m["f1"]) == 0.881
 
     def test_degenerate_all_negative(self):
         m = metrics(ConfusionMatrix(0, 0, 0, 10))
-        assert m.accuracy == 1.0
-        assert m.precision == m.recall == m.f1 == 0.0
+        assert m["accuracy"] == 1.0
+        assert m["precision"] == m["recall"] == m["f1"] == 0.0
 
     @pytest.mark.parametrize("model,row", MODEL_ROWS.items())
     def test_f1_harmonic_mean_consistency(self, model, row):
@@ -119,9 +119,9 @@ class TestMetrics:
             if tp + fp + fn + tn == 0:
                 continue
             m = metrics(ConfusionMatrix(tp, fp, fn, tn))
-            if m.precision + m.recall > 0:
-                assert m.f1 == pytest.approx(
-                    2 * m.precision * m.recall / (m.precision + m.recall), abs=1e-9
+            if m["precision"] + m["recall"] > 0:
+                assert m["f1"] == pytest.approx(
+                    2 * m["precision"] * m["recall"] / (m["precision"] + m["recall"]), abs=1e-9
                 )
 
     def test_empty_matrix(self):

@@ -193,14 +193,14 @@ class TestMatchTerms:
     def test_longest_match_wins(self):
         a = make_automaton(["heart", "heart failure"])
         matches = match_terms(a, "acute heart failure noted")
-        assert [m.surface for m in matches] == ["heart failure"]
+        assert [m.entry.surface for m in matches] == ["heart failure"]
         start, end = matches[0].span
         assert "acute heart failure noted"[start:end] == "heart failure"
 
     def test_case_insensitive_longest(self):
         a = make_automaton(["blood count", "complete blood count"])
         matches = match_terms(a, "Complete blood count (CBC) may show")
-        assert [m.surface for m in matches] == ["complete blood count"]
+        assert [m.entry.surface for m in matches] == ["complete blood count"]
 
     def test_empty_text(self):
         a = make_automaton(["fever"])
@@ -209,13 +209,13 @@ class TestMatchTerms:
     def test_no_mid_word_matches(self):
         a = make_automaton(["art"])
         assert match_terms(a, "heart artful art") == [
-            TermMatch("art", "C0", frozenset({"T"}), (13, 16))
+            TermMatch(TermEntry("art", "C0", frozenset({"T"})), (13, 16))
         ]
 
     def test_markers_are_boundaries(self):
         a = make_automaton(["swelling", "liver"])
         matches = match_terms(a, "||Liver or spleen swelling||")
-        assert [m.surface for m in matches] == ["liver", "swelling"]
+        assert [m.entry.surface for m in matches] == ["liver", "swelling"]
 
     def test_hyphen_is_boundary(self):
         a = make_automaton(["difficile"])
@@ -228,6 +228,13 @@ class TestMatchTerms:
         spans = [m.span for m in matches]
         for (s1, e1), (s2, e2) in zip(spans, spans[1:]):
             assert e1 <= s2
+
+    def test_match_holds_the_index_entry(self):
+        a = make_automaton(["fever", "high fever"])
+        matches = match_terms(a, "High fever, then fever")
+        assert [m.span for m in matches] == [(0, 10), (17, 22)]
+        for m, surface in zip(matches, ["high fever", "fever"]):
+            assert m.entry is a.index[surface]
 
     def test_determinism(self):
         a = make_automaton(["fever", "high fever", "rash"])
@@ -245,7 +252,7 @@ class TestFirstToken:
 
     def test_empty_surface_never_matches(self):
         a = make_automaton(["", "fever"])
-        assert [m.surface for m in match_terms(a, " fever ")] == ["fever"]
+        assert [m.entry.surface for m in match_terms(a, " fever ")] == ["fever"]
 
 
 class TestOracleEquivalence:
@@ -510,7 +517,7 @@ class TestLoaderReference:
 
 
 def mk_match(types):
-    return TermMatch("x", "C1", frozenset(types), (0, 1))
+    return TermMatch(TermEntry("x", "C1", frozenset(types)), (0, 1))
 
 
 class TestSemanticFilter:

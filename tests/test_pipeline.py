@@ -12,7 +12,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from biotriplets import pipeline
+from biotriplets import endpoint, pipeline
 from biotriplets.candidates import CandidatePair, enumerate_candidates, token_starts, word_index
 from biotriplets.classifier import ChatEndpoint, build_prompt, load_exemplars
 from biotriplets.config import DEFAULT_RELATIONS, RetrievalConfig
@@ -40,6 +40,8 @@ from biotriplets.retrieval import (
     chunk_for_candidate,
     retrieve_top_k,
 )
+
+pytestmark = pytest.mark.usefixtures("no_backoff")
 
 PROFILE = SiteProfile(site_id="s1")
 RELATIONS = DEFAULT_RELATIONS
@@ -190,9 +192,8 @@ def make_documents(count, site_id="s1"):
 
 
 def endpoints(server):
-    chat = ChatEndpoint(base_url=server.base_url, model="mock", retry_backoff=0.0)
-    embed = EmbeddingEndpoint(base_url=server.base_url, model="mock-embed",
-                              retry_backoff=0.0)
+    chat = ChatEndpoint(base_url=server.base_url, model="mock")
+    embed = EmbeddingEndpoint(base_url=server.base_url, model="mock-embed")
     return chat, embed
 
 
@@ -677,7 +678,8 @@ class TestWorkers:
                               journal_path=tmp_path / "j.jsonl", workers=16) == 2
         assert len(threads) == 2
 
-    def test_an_interrupt_stops_every_worker(self, tmp_path, mock_server, monkeypatch):
+    def test_an_interrupt_stops_every_worker(self, tmp_path, mock_server, monkeypatch,
+                                             sigint_raises):
         chats = []
         real = pipeline._section_plan
 
@@ -739,7 +741,8 @@ class TestWorkers:
         assert time.monotonic() - started < 10
         assert len(deferred) == 2
 
-    def test_an_interrupt_in_the_pools_join_stops_the_workers(self, tmp_path, mock_server):
+    def test_an_interrupt_in_the_pools_join_stops_the_workers(self, tmp_path, mock_server,
+                                                              sigint_raises):
         # two sections of five: the main thread's chats are quick, the other
         # worker's slow, so the main thread is joining the pool when Ctrl-C comes
         main = threading.main_thread()
@@ -870,7 +873,7 @@ class TestWorkers:
         assert sorted(c.candidate_id for members in calls for c in members) == sorted(
             c.candidate_id for c in pending)
 
-    def test_no_worker_outlives_the_run(self, tmp_path):
+    def test_no_worker_outlives_the_run(self, tmp_path, sigint_raises):
         main = threading.main_thread()
         other_started, main_done = threading.Event(), threading.Event()
 
@@ -945,7 +948,7 @@ class TestDeferral:
                 sent.append((time.monotonic(), messages[-1]["content"]))
                 return super().complete(messages)
 
-        chat = TimedChat(base_url=server.base_url, model="mock", retry_backoff=0.0)
+        chat = TimedChat(base_url=server.base_url, model="mock")
         _, embed = endpoints(server)
         assert run_extraction(make_candidates(3), make_documents(3), chat, embed,
                               RetrievalConfig(), load_exemplars(), RELATIONS,
@@ -956,9 +959,11 @@ class TestDeferral:
         assert retry - first > 1, "no other chat was sent while the retry waited"
         assert sent[retry][0] - sent[first][0] >= 1.0
 
-    def test_journaled_latency_counts_from_the_first_attempt(self, tmp_path, mock_server):
+    def test_journaled_latency_counts_from_the_first_attempt(self, tmp_path, mock_server,
+                                                             monkeypatch):
+        monkeypatch.setattr(endpoint, "RETRY_BACKOFF_S", 0.3)
         server = mock_server({"rules": [{"contains": "Is drugname0 ", "statuses": [503]}]})
-        chat = ChatEndpoint(base_url=server.base_url, model="mock", retry_backoff=0.3)
+        chat = ChatEndpoint(base_url=server.base_url, model="mock")
         _, embed = endpoints(server)
 
         def journal(name, **kw):
@@ -992,8 +997,9 @@ class TestDeferral:
         assert asked == ["drugname0", "drugname0", "drugname1", "drugname2", "drugname3"]
 
     def test_workers_bound_the_requests_in_flight_through_many_retries(
-            self, tmp_path, mock_server):
+            self, tmp_path, mock_server, monkeypatch):
         backoff = 0.4
+        monkeypatch.setattr(endpoint, "RETRY_BACKOFF_S", backoff)
         faults = [[503], [429]] * 5  # for 10 of the 12 candidates
         server = mock_server({"rules": [{"contains": f"Is drugname{i} ", "statuses": list(f)}
                                         for i, f in enumerate(faults)]})
@@ -1015,7 +1021,7 @@ class TestDeferral:
                 super()._send_json(status, body)
 
         server.httpd.RequestHandlerClass = CountingHandler
-        chat = ChatEndpoint(base_url=server.base_url, model="mock", retry_backoff=backoff)
+        chat = ChatEndpoint(base_url=server.base_url, model="mock")
         _, embed = endpoints(server)
         started = time.monotonic()
         assert run_extraction(make_candidates(12), make_documents(12), chat, embed,
@@ -1072,13 +1078,14 @@ class TestDeferral:
         assert all(at > retried for at, q in asked if q in needs)
         assert all(at < retried for at, q in asked if q not in needs)
 
-    def test_many_workers_send_each_retry_once(self, tmp_path, mock_server):
+    def test_many_workers_send_each_retry_once(self, tmp_path, mock_server, monkeypatch):
         # more workers than cores and a short switch interval, so the
         # deferrals, the heap and the waits interleave as much as they can
         faults = [[503], [429, 503], [429], [503, 503]] * 8  # for 32 of 40 candidates
         server = mock_server({"rules": [{"contains": f"Is drugname{i} ", "statuses": list(f)}
                                         for i, f in enumerate(faults)]})
-        chat = ChatEndpoint(base_url=server.base_url, model="mock", retry_backoff=0.001)
+        monkeypatch.setattr(endpoint, "RETRY_BACKOFF_S", 0.001)
+        chat = ChatEndpoint(base_url=server.base_url, model="mock")
         _, embed = endpoints(server)
         journal = tmp_path / "j.jsonl"
         interval = sys.getswitchinterval()
@@ -1098,7 +1105,8 @@ class TestDeferral:
         assert statuses.count(200) == 40
         assert len(statuses) == 40 + sum(map(len, faults))
 
-    def test_a_request_past_max_retries_ends_the_run(self, tmp_path, mock_server):
+    def test_a_request_past_max_retries_ends_the_run(self, tmp_path, mock_server,
+                                                     monkeypatch):
         # drugname0's first attempt is deferred by 10 s; drugname1 fails three
         # times, 0.1 s and 0.2 s apart; drugname2's chat is in flight then
         far, outage, late = "Is drugname0 ", "Is drugname1 ", "Is drugname2 "
@@ -1121,7 +1129,8 @@ class TestDeferral:
                 return super().complete(messages)
 
         server = mock_server()
-        chat = ScriptedChat(base_url=server.base_url, model="mock", retry_backoff=0.1)
+        monkeypatch.setattr(endpoint, "RETRY_BACKOFF_S", 0.1)
+        chat = ScriptedChat(base_url=server.base_url, model="mock")
         _, embed = endpoints(server)
         candidates = make_candidates(5)
         journal = tmp_path / "j.jsonl"

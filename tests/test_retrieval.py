@@ -384,18 +384,16 @@ class TestEmbedClient:
                                     workers=1)
         assert classified == len(candidates)
 
-    def test_retries_exhausted(self, mock_server, tmp_path):
+    def test_retries_exhausted(self, mock_server, tmp_path, no_backoff):
         server = mock_server({"statuses": [503, 503, 503]})
-        ep = EmbeddingEndpoint(base_url=server.base_url, model="m",
-                               max_retries=2, retry_backoff=0.0)
+        ep = EmbeddingEndpoint(base_url=server.base_url, model="m", max_retries=2)
         with pytest.raises(EndpointUnavailable):
             self.extract(server, ep, tmp_path)
         assert [e["status"] for e in server.log.entries] == [503, 503, 503]
 
-    def test_retry_then_success(self, mock_server, tmp_path):
+    def test_retry_then_success(self, mock_server, tmp_path, no_backoff):
         server = mock_server({"statuses": [503]})
-        ep = EmbeddingEndpoint(base_url=server.base_url, model="m",
-                               max_retries=2, retry_backoff=0.0)
+        ep = EmbeddingEndpoint(base_url=server.base_url, model="m", max_retries=2)
         self.extract(server, ep, tmp_path)
         embeds = [e for e in server.log.entries if e["kind"] == "embed"]
         assert [e["status"] for e in embeds] == [503, 200]
